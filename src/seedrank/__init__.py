@@ -15,7 +15,6 @@ from .corpus import (
     Lexicon,
     RunEntry,
     Topic,
-    fetch_annotations,
     filter_topics,
     load_corpus,
     load_embeddings,
@@ -36,10 +35,8 @@ from .errors import (
     InsufficientSeedsError,
     MissingTopicError,
     ParseError,
-    ProtocolError,
     RunValidationError,
     SeedRankError,
-    TransportError,
     UndefinedMetricError,
 )
 from .evaluation import (
@@ -69,12 +66,9 @@ from .scoring import (
     ScoringParams,
     aes_score,
     bm25_score,
-    gamma,
     interpolate,
     minmax,
-    phi,
     phi_weights,
-    qlm_score,
     rank,
     sdr_score,
 )

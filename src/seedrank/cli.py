@@ -45,7 +45,7 @@ from .experiments import (
     term_commonality,
 )
 from .scoring import METHODS, REPRESENTATIONS, ScoringParams
-from .text import LEE, OURS, PipelineConfig, default_stopwords
+from .text import OURS, PipelineConfig, default_stopwords
 
 log = logging.getLogger("seedrank")
 
@@ -144,14 +144,31 @@ def _require_file(config: RunConfig, field: str):
         raise ConfigError(field, f"file not found: {value}")
 
 
+def _settings(config: RunConfig, stopwords: frozenset[str] | None = None) -> tuple[PipelineConfig, ScoringParams]:
+    """The pre-processing and scoring knobs of a config; their classes range-check them."""
+    pipeline = PipelineConfig(
+        variant=config.variant,
+        stopwords=default_stopwords() if stopwords is None else stopwords,
+        include_title=config.include_title,
+    )
+    params = ScoringParams(
+        jm_lambda=config.jm_lambda,
+        aes_alpha=config.aes_alpha,
+        bm25_k1=config.bm25_k1,
+        bm25_b=config.bm25_b,
+        undersample_cap=config.undersample_cap,
+        rng_seed=config.rng_seed,
+    )
+    return pipeline, params
+
+
 def validate_config(config: RunConfig, *, need_corpus: bool = True) -> None:
     """Field-level validation; raises ConfigError naming the offending field."""
     if config.method not in METHODS:
         raise ConfigError("method", f"must be one of {METHODS}, got {config.method!r}")
     if config.representation not in REPRESENTATIONS:
         raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {config.representation!r}")
-    if config.variant not in (OURS, LEE):
-        raise ConfigError("variant", f"must be '{OURS}' or '{LEE}', got {config.variant!r}")
+    _settings(config)
     if need_corpus:
         for field in ("corpus", "topics", "qrels"):
             _require_file(config, field)
@@ -161,16 +178,6 @@ def validate_config(config: RunConfig, *, need_corpus: bool = True) -> None:
         _require_file(config, "embeddings")
     if config.stopwords:
         _require_file(config, "stopwords")
-    if not 0.0 < config.jm_lambda < 1.0:
-        raise ConfigError("jm_lambda", f"must be in (0, 1), got {config.jm_lambda}")
-    if not 0.0 <= config.aes_alpha <= 1.0:
-        raise ConfigError("aes_alpha", f"must be in [0, 1], got {config.aes_alpha}")
-    if config.bm25_k1 < 0.0:
-        raise ConfigError("bm25_k1", f"must be >= 0, got {config.bm25_k1}")
-    if not 0.0 <= config.bm25_b <= 1.0:
-        raise ConfigError("bm25_b", f"must be in [0, 1], got {config.bm25_b}")
-    if config.undersample_cap < 1:
-        raise ConfigError("undersample_cap", f"must be positive, got {config.undersample_cap}")
     if not 0.0 < config.fraction <= 1.0:
         raise ConfigError("fraction", f"must be in (0, 1], got {config.fraction}")
     if config.repetitions < 1:
@@ -201,17 +208,7 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
             stopwords = frozenset(line.strip().lower() for line in fh if line.strip())
     else:
         stopwords = default_stopwords()
-    pipeline = PipelineConfig(
-        variant=config.variant, stopwords=stopwords, include_title=config.include_title
-    )
-    params = ScoringParams(
-        jm_lambda=config.jm_lambda,
-        aes_alpha=config.aes_alpha,
-        bm25_k1=config.bm25_k1,
-        bm25_b=config.bm25_b,
-        undersample_cap=config.undersample_cap,
-        rng_seed=config.rng_seed,
-    )
+    pipeline, params = _settings(config, stopwords)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     if lexicon is not None and len(lexicon) == 0:
         log.warning("lexicon %s is empty; every boc representation degenerates", config.lexicon)
@@ -255,6 +252,11 @@ def _metric_rows(report: ExperimentReport) -> list[list]:
     for metric, value in report.cross_topic_means().items():
         rows.append(["ALL", "mean", metric, _format_value(value)])
     return rows
+
+
+def _comparison_row(topic_id: str, unit: str, metric: str, single: float, multi: float) -> list:
+    pct = _format_value((multi - single) / single * 100.0) if single != 0 else ""
+    return [topic_id, unit, metric, _format_value(single), _format_value(multi), pct]
 
 
 def _run_pool(units, worker, max_workers: int):
@@ -302,6 +304,8 @@ def cmd_multi(config: RunConfig) -> int:
     validate_config(config)
     min_relevant = max(config.min_relevant, MULTI_MIN_RELEVANT)
     res = _load_resources(config, min_relevant)
+    # Every topic's windows are checked before any topic is ranked.
+    groups_of = {t.topic_id: make_groups(t.topic_id, t.relevant_ids, config.fraction) for t in res.topics}
     out = Path(config.output_dir)
     multi_dir = out / "runs" / f"{config.method}-{config.representation}-multi"
     oracle_dir = out / "runs" / f"{config.method}-{config.representation}-oracle"
@@ -313,7 +317,7 @@ def cmd_multi(config: RunConfig) -> int:
             topic, res.corpus, config.method, config.representation, res.params, res.pipeline,
             lexicon=res.lexicon, embeddings=res.embeddings,
         )
-        groups = make_groups(topic.topic_id, topic.relevant_ids, config.fraction)
+        groups = groups_of[topic.topic_id]
         multi_report = ExperimentReport()
         oracle_report = ExperimentReport()
         multi_entries = []
@@ -350,25 +354,12 @@ def cmd_multi(config: RunConfig) -> int:
         for unit, metrics in multi_master.values[topic_id].items():
             oracle_metrics = oracle_values.get(topic_id, {}).get(unit, {})
             for metric, m_value in metrics.items():
-                if metric not in oracle_metrics:
-                    continue
-                s_value = oracle_metrics[metric]
-                pct = (m_value - s_value) / s_value * 100.0 if s_value != 0 else ""
-                rows.append(
-                    [topic_id, unit, metric, _format_value(s_value), _format_value(m_value),
-                     _format_value(pct) if pct != "" else ""]
-                )
-    multi_means = multi_master.cross_topic_means()
+                if metric in oracle_metrics:
+                    rows.append(_comparison_row(topic_id, unit, metric, oracle_metrics[metric], m_value))
     oracle_means = oracle_master.cross_topic_means()
-    for metric, m_value in multi_means.items():
-        if metric not in oracle_means:
-            continue
-        s_value = oracle_means[metric]
-        pct = (m_value - s_value) / s_value * 100.0 if s_value != 0 else ""
-        rows.append(
-            ["ALL", "mean", metric, _format_value(s_value), _format_value(m_value),
-             _format_value(pct) if pct != "" else ""]
-        )
+    for metric, m_value in multi_master.cross_topic_means().items():
+        if metric in oracle_means:
+            rows.append(_comparison_row("ALL", "mean", metric, oracle_means[metric], m_value))
     _atomic_write_csv(
         rows, ["topic_id", "window", "metric", "single", "multi", "pct_change"], out / "oracle_comparison.csv"
     )

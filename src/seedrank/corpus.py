@@ -18,19 +18,12 @@ are treated as immutable afterwards.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
-from .errors import (
-    DuplicateIdError,
-    MissingTopicError,
-    ParseError,
-    ProtocolError,
-    RunValidationError,
-    TransportError,
-)
+from .errors import DuplicateIdError, MissingTopicError, ParseError, RunValidationError
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,10 @@ class EmbeddingTable:
 def load_corpus(path) -> dict[str, Document]:
     """Load a JSON-lines corpus keyed by doc_id.
 
-    Raises ParseError with the offending line number on malformed JSON or
-    missing fields, DuplicateIdError when a doc_id repeats. Empty abstracts
-    are accepted.
+    Raises ParseError with the offending line number on malformed JSON,
+    missing fields or a title or abstract that is neither a string nor
+    null, DuplicateIdError when a doc_id repeats. Empty and null titles and
+    abstracts load as "".
     """
     docs: dict[str, Document] = {}
     with open(path, encoding="utf-8") as fh:
@@ -134,7 +128,10 @@ def load_corpus(path) -> dict[str, Document]:
                 raise ParseError(path, lineno, "doc_id must be a non-empty string")
             if doc_id in docs:
                 raise DuplicateIdError(path, lineno, f"duplicate doc_id {doc_id!r}")
-            docs[doc_id] = Document(doc_id, str(title), str(abstract))
+            for name, value in (("title", title), ("abstract", abstract)):
+                if value is not None and not isinstance(value, str):
+                    raise ParseError(path, lineno, f"{name} must be a string or null")
+            docs[doc_id] = Document(doc_id, title or "", abstract or "")
     return docs
 
 
@@ -142,8 +139,9 @@ def load_topics(topics_path, qrels_path) -> list[Topic]:
     """Load topics and attach qrels judgments.
 
     Judged doc_ids missing from a topic's candidate list are appended to it
-    (they were retrieved by the original search and must be rankable).
-    A topic that appears only in the qrels raises MissingTopicError.
+    in qrels order (they were retrieved by the original search and must be
+    rankable). A topic that appears only in the qrels raises
+    MissingTopicError.
     """
     topics: dict[str, Topic] = {}
     seen: dict[str, set[str]] = {}
@@ -163,38 +161,25 @@ def load_topics(topics_path, qrels_path) -> list[Topic]:
                 ids.add(doc_id)
                 topic.candidate_ids.append(doc_id)
 
-    with open(qrels_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ParseError(
-                    qrels_path, lineno, f"expected 'topic_id 0 doc_id grade', got {len(parts)} fields"
-                )
-            topic_id, _, doc_id, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError as exc:
-                raise ParseError(qrels_path, lineno, f"grade {grade_str!r} is not an integer") from exc
-            if grade < 0:
-                raise ParseError(qrels_path, lineno, f"grade must be >= 0, got {grade}")
-            if topic_id not in topics:
-                raise MissingTopicError(
-                    f"qrels reference topic {topic_id!r} which the topic file does not define"
-                )
-            topic = topics[topic_id]
-            topic.judgments.setdefault(doc_id, grade)
-            ids = seen[topic_id]
-            if doc_id not in ids:
-                ids.add(doc_id)
-                topic.candidate_ids.append(doc_id)
+    for topic_id, judgments in load_qrels(qrels_path).items():
+        if topic_id not in topics:
+            raise MissingTopicError(
+                f"qrels reference topic {topic_id!r} which the topic file does not define"
+            )
+        topic = topics[topic_id]
+        topic.judgments = judgments
+        ids = seen[topic_id]
+        topic.candidate_ids.extend(d for d in judgments if d not in ids)
 
     return list(topics.values())
 
 
 def load_qrels(path) -> dict[str, dict[str, int]]:
-    """Parse a qrels file alone: topic_id -> doc_id -> grade."""
+    """Parse a qrels file alone: topic_id -> doc_id -> grade, in file order.
+
+    A repeated ``topic_id doc_id`` pair must repeat its grade; a different
+    grade raises ParseError at the repeat.
+    """
     qrels: dict[str, dict[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -212,7 +197,11 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
                 raise ParseError(path, lineno, f"grade {grade_str!r} is not an integer") from exc
             if grade < 0:
                 raise ParseError(path, lineno, f"grade must be >= 0, got {grade}")
-            qrels.setdefault(topic_id, {}).setdefault(doc_id, grade)
+            first = qrels.setdefault(topic_id, {}).setdefault(doc_id, grade)
+            if first != grade:
+                raise ParseError(
+                    path, lineno, f"{topic_id} {doc_id} judged {grade} here but {first} earlier"
+                )
     return qrels
 
 
@@ -232,8 +221,9 @@ def _format_score(score: float) -> str:
 def write_run(entries: list[RunEntry], path) -> None:
     """Write a TREC run file, validating the per-topic invariants first.
 
-    Within each topic, ranks must be 1..n without gaps and scores must be
-    non-increasing with rank; otherwise RunValidationError.
+    Within each topic, scores must be finite, ranks must be 1..n without
+    gaps and scores must be non-increasing with rank; otherwise
+    RunValidationError.
     """
     by_topic: dict[str, list[RunEntry]] = {}
     for entry in entries:
@@ -244,6 +234,8 @@ def write_run(entries: list[RunEntry], path) -> None:
         if ranks != list(range(1, len(ordered) + 1)):
             raise RunValidationError(f"topic {topic_id!r}: ranks are not 1..n without gaps: {ranks}")
         scores = [e.score for e in ordered]
+        if not all(map(math.isfinite, scores)):
+            raise RunValidationError(f"topic {topic_id!r}: non-finite score")
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise RunValidationError(f"topic {topic_id!r}: scores increase with rank")
 
@@ -292,7 +284,7 @@ def load_lexicon(path) -> Lexicon:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Load word2vec text-format embeddings."""
+    """Load word2vec text-format embeddings; nan and inf values raise ParseError."""
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -317,40 +309,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
+            if not np.isfinite(vec).all():
+                raise ParseError(path, lineno, f"non-finite value in the vector of {parts[0]!r}")
             vectors[parts[0]] = vec
     return EmbeddingTable(dimension, vectors)
 
-
-def fetch_annotations(endpoint: str, documents: list[Document], timeout: float = 30.0) -> Lexicon:
-    """Ask an annotator service for the clinical terms in each document.
-
-    POSTs ``{"texts": [...]}`` and expects ``{"tokens": [[...], ...]}`` back,
-    one token list per input text. The union of all returned tokens becomes
-    the lexicon (sorted union, so merging is deterministic).
-
-    The offline lexicon file is the canonical source; this client exists for
-    refreshing it. Network failures raise TransportError so callers can fall
-    back to load_lexicon.
-    """
-    texts = [f"{d.title} {d.abstract}" for d in documents]
-    try:
-        response = requests.post(endpoint, json={"texts": texts}, timeout=timeout)
-        response.raise_for_status()
-    except requests.RequestException as exc:
-        raise TransportError(f"annotator request failed: {exc}") from exc
-    try:
-        payload = response.json()
-    except ValueError as exc:
-        raise ProtocolError("annotator response is not JSON") from exc
-    token_lists = payload.get("tokens") if isinstance(payload, dict) else None
-    if not isinstance(token_lists, list) or len(token_lists) != len(texts):
-        raise ProtocolError("annotator response must carry one token list per input text")
-    terms = set()
-    for token_list in token_lists:
-        if not isinstance(token_list, list):
-            raise ProtocolError("annotator token lists must be JSON arrays")
-        for token in token_list:
-            if not isinstance(token, str) or not token or any(ch.isspace() for ch in token):
-                raise ProtocolError(f"annotator returned a non-token value: {token!r}")
-            terms.add(token.lower())
-    return Lexicon(frozenset(sorted(terms)))

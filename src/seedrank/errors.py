@@ -31,14 +31,6 @@ class RunValidationError(SeedRankError):
     """Run entries violate the rank/score invariants on write."""
 
 
-class TransportError(SeedRankError):
-    """The annotator service could not be reached or returned an HTTP error."""
-
-
-class ProtocolError(SeedRankError):
-    """The annotator service responded with something off-contract."""
-
-
 class EmptyCollectionError(SeedRankError):
     """Collection statistics were requested for zero documents."""
 

@@ -23,7 +23,7 @@ from .corpus import Document, EmbeddingTable, Lexicon, RunEntry, Topic
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, average_precision, metric_set, ranked_ids, restrict_qrels
 from .scoring import ScoringParams, derive_rng, rank
-from .text import PipelineConfig, TermCounts, boc, bow
+from .text import PipelineConfig, doc_counts
 from .vectors import build_stats, cosine, tfidf
 
 LASTREL_METRICS = ("lastrel%", "wss")
@@ -144,12 +144,17 @@ def make_groups(topic_id: str, seed_pool: Sequence[str], fraction: float = 0.2) 
 
     Window width w = max(2, ceil(fraction * N)) and the windows start at
     offsets 0 .. N - w, giving N - w + 1 groups; every seed lands in at
-    least one and at most w groups.
+    least one and at most w groups. A window must leave at least one seed
+    out, or its run has no relevant study left to find.
     """
     n = len(seed_pool)
     if n < 3:
-        raise InsufficientSeedsError(f"grouping needs >= 3 seed studies, got {n}")
+        raise InsufficientSeedsError(f"topic {topic_id!r}: grouping needs >= 3 seed studies, got {n}")
     w = max(2, math.ceil(fraction * n))
+    if w >= n:
+        raise InsufficientSeedsError(
+            f"topic {topic_id!r}: a seed window of width {w} covers the whole pool of {n} seed studies"
+        )
     return [
         SeedGroup(topic_id, tuple(seed_pool[i : i + w]), i)
         for i in range(n - w + 1)
@@ -279,11 +284,7 @@ def intra_similarity(
             f"(first: {absent[:3]})"
         )
 
-    def counts_for(doc_id: str) -> TermCounts:
-        counts = bow(corpus[doc_id], pipeline)
-        return boc(counts, lexicon) if representation == "boc" else counts
-
-    all_counts = {d: counts_for(d) for d in topic.candidate_ids}
+    all_counts = {d: doc_counts(corpus[d], pipeline, representation, lexicon) for d in topic.candidate_ids}
     stats = build_stats(all_counts)
     vectors = {d: tfidf(c, stats) for d, c in all_counts.items()}
 
@@ -315,16 +316,13 @@ def term_commonality(
     relevant = topic.relevant_ids
     if not relevant:
         raise InsufficientDocumentsError(f"topic {topic.topic_id!r} has no relevant studies")
-    doc_counts: dict[str, int] = {}
+    containing: dict[str, int] = {}
     for doc_id in relevant:
-        counts = bow(corpus[doc_id], pipeline)
-        if representation == "boc":
-            counts = boc(counts, lexicon)
-        for term in counts.counts:
-            doc_counts[term] = doc_counts.get(term, 0) + 1
+        for term in doc_counts(corpus[doc_id], pipeline, representation, lexicon).counts:
+            containing[term] = containing.get(term, 0) + 1
     n = len(relevant)
-    fractions = {t: c / n for t, c in doc_counts.items()}
+    fractions = {t: c / n for t, c in containing.items()}
     histogram: dict[int, int] = {}
-    for c in doc_counts.values():
+    for c in containing.values():
         histogram[c] = histogram.get(c, 0) + 1
     return fractions, {k: histogram[k] for k in sorted(histogram)}

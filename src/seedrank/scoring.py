@@ -8,7 +8,8 @@ The seed-driven ranker scores a candidate d against a seed study d_s as
 where phi(t, d_s) = ln(1 + gamma(D_t, d_s) / gamma(D_not_t, d_s)) weighs a
 seed term by how sharply it splits candidates into seed-like and seed-unlike
 halves (gamma = mean tf-idf cosine to the seed over a candidate subset).
-Setting every phi to 1 recovers plain query-likelihood scoring.
+Setting every phi to 1 recovers plain query-likelihood scoring, which is
+how the ``qlm`` method is computed.
 
 All logarithms are natural. Every function here is pure; rankings are fully
 determined by the inputs and ``ScoringParams.rng_seed``.
@@ -24,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, EmbeddingTable, RunEntry, Topic
-from .errors import ContractError, EmptyTopicError
-from .text import Lexicon, PipelineConfig, TermCounts, bow, boc, document_text, tokenize
+from .errors import ConfigError, ContractError, EmptyTopicError
+from .text import Lexicon, PipelineConfig, TermCounts, boc, doc_counts, document_text, tokenize
 from .vectors import CollectionStats, TfIdfVector, aes_vector, build_stats, cosine, dense_cosine, tfidf
 
 METHODS = ("bm25", "qlm", "sdr", "aes", "sdr+aes")
@@ -55,15 +56,15 @@ class ScoringParams:
 
     def __post_init__(self):
         if not 0.0 < self.jm_lambda < 1.0:
-            raise ValueError(f"jm_lambda must be in (0, 1), got {self.jm_lambda}")
+            raise ConfigError("jm_lambda", f"must be in (0, 1), got {self.jm_lambda}")
         if not 0.0 <= self.aes_alpha <= 1.0:
-            raise ValueError(f"aes_alpha must be in [0, 1], got {self.aes_alpha}")
+            raise ConfigError("aes_alpha", f"must be in [0, 1], got {self.aes_alpha}")
         if self.bm25_k1 < 0.0:
-            raise ValueError(f"bm25_k1 must be >= 0, got {self.bm25_k1}")
+            raise ConfigError("bm25_k1", f"must be >= 0, got {self.bm25_k1}")
         if not 0.0 <= self.bm25_b <= 1.0:
-            raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
+            raise ConfigError("bm25_b", f"must be in [0, 1], got {self.bm25_b}")
         if self.undersample_cap < 1:
-            raise ValueError(f"undersample_cap must be positive, got {self.undersample_cap}")
+            raise ConfigError("undersample_cap", f"must be positive, got {self.undersample_cap}")
 
 
 def derive_rng(*parts) -> np.random.Generator:
@@ -71,13 +72,6 @@ def derive_rng(*parts) -> np.random.Generator:
     digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
     words = np.frombuffer(digest.digest(), dtype=np.uint64)
     return np.random.default_rng(words)
-
-
-def gamma(subset: Sequence[TfIdfVector], seed: TfIdfVector) -> float:
-    """Mean cosine between the seed and a candidate subset; 0.0 when empty."""
-    if not subset:
-        return 0.0
-    return sum(cosine(v, seed) for v in subset) / len(subset)
 
 
 def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
@@ -90,40 +84,6 @@ def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
     return math.log(1.0 + gamma_present / gamma_absent)
 
 
-def phi(
-    term: str,
-    seed_counts: TermCounts,
-    seed_vector: TfIdfVector,
-    candidates: Sequence[tuple[TermCounts, TfIdfVector]],
-    params: ScoringParams,
-    *,
-    undersample: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Separation weight of one seed term over a candidate collection.
-
-    ``candidates`` holds (counts, tf-idf vector) pairs for every candidate.
-    With ``undersample`` on, a partition larger than ``params.undersample_cap``
-    is sampled down to the cap (uniformly, without replacement) before the
-    mean similarity is taken; ``rng`` must then be supplied.
-    """
-    if term not in seed_counts:
-        raise ContractError(f"term {term!r} does not occur in the seed")
-    present = [vec for counts, vec in candidates if term in counts]
-    absent = [vec for counts, vec in candidates if term not in counts]
-    cap = params.undersample_cap
-    if undersample:
-        if rng is None:
-            raise ContractError("undersampling requires an rng")
-        if len(present) > cap:
-            idx = rng.choice(len(present), size=cap, replace=False)
-            present = [present[i] for i in sorted(idx)]
-        if len(absent) > cap:
-            idx = rng.choice(len(absent), size=cap, replace=False)
-            absent = [absent[i] for i in sorted(idx)]
-    return _phi_from_gammas(gamma(present, seed_vector), gamma(absent, seed_vector))
-
-
 def phi_weights(
     seed_counts: TermCounts,
     seed_vector: TfIdfVector,
@@ -133,11 +93,15 @@ def phi_weights(
     undersample: bool = False,
     rng_key: tuple = (),
 ) -> dict[str, float]:
-    """phi for every seed term at once.
+    """Separation weight phi of every seed term over a candidate collection.
 
-    Shares one pass of seed-candidate cosines across all terms. Each term's
-    sampling RNG is derived from (rng_seed, *rng_key, term), so results do
-    not depend on evaluation order or scheduling.
+    ``candidates`` holds (counts, tf-idf vector) pairs for every candidate.
+    One pass of seed-candidate cosines is shared across all terms. With
+    ``undersample`` on, a partition larger than ``params.undersample_cap``
+    is sampled down to the cap (uniformly, without replacement) before the
+    mean similarity is taken. Each term's sampling RNG is derived from
+    (rng_seed, *rng_key, term), so results do not depend on evaluation
+    order or scheduling.
     """
     n = len(candidates)
     cos = np.empty(n, dtype=np.float64)
@@ -179,24 +143,6 @@ def phi_weights(
             g_absent = 0.0
         weights[term] = _phi_from_gammas(g_present, g_absent)
     return weights
-
-
-def qlm_score(seed: TermCounts, cand: TermCounts, stats: CollectionStats, params: ScoringParams) -> float:
-    """Query-likelihood score with Jelinek-Mercer smoothing, seed as query."""
-    coef = (1.0 - params.jm_lambda) / params.jm_lambda
-    length = cand.length
-    score = 0.0
-    if len(seed.counts) <= len(cand.counts):
-        for term, c_seed in seed.counts.items():
-            c_cand = cand.counts.get(term)
-            if c_cand:
-                score += c_seed * math.log(1.0 + coef * c_cand / (length * stats.p_collection(term)))
-    else:
-        for term, c_cand in cand.counts.items():
-            c_seed = seed.counts.get(term)
-            if c_seed:
-                score += c_seed * math.log(1.0 + coef * c_cand / (length * stats.p_collection(term)))
-    return score
 
 
 def sdr_score(
@@ -273,13 +219,6 @@ def interpolate(sdr: ScoredList, aes: ScoredList, alpha: float) -> ScoredList:
     return sort_scored({d: (1.0 - alpha) * s + alpha * aes_map[d] for d, s in sdr_map.items()})
 
 
-def _counts_for(doc: Document, pipeline: PipelineConfig, representation: str, lexicon: Lexicon | None) -> TermCounts:
-    counts = bow(doc, pipeline)
-    if representation == "boc":
-        counts = boc(counts, lexicon)
-    return counts
-
-
 def rank(
     topic: Topic,
     corpus: Mapping[str, Document],
@@ -330,28 +269,27 @@ def rank(
     if representation == "boc":
         seed_counts = boc(seed_counts, lexicon)
 
-    cand_counts = {
-        d: _counts_for(corpus[d], pipeline, representation, lexicon) for d in candidate_ids
-    }
+    cand_counts = {d: doc_counts(corpus[d], pipeline, representation, lexicon) for d in candidate_ids}
 
     scores: dict[str, float]
     if method in ("bm25", "qlm", "sdr", "sdr+aes"):
         stats = build_stats(cand_counts)
         if method == "bm25":
             scores = {d: bm25_score(seed_counts, c, stats, params) for d, c in cand_counts.items()}
-        elif method == "qlm":
-            scores = {d: qlm_score(seed_counts, c, stats, params) for d, c in cand_counts.items()}
         else:
-            seed_vec = tfidf(seed_counts, stats)
-            pairs = [(cand_counts[d], tfidf(cand_counts[d], stats)) for d in candidate_ids]
-            weights = phi_weights(
-                seed_counts,
-                seed_vec,
-                pairs,
-                params,
-                undersample=undersample,
-                rng_key=(topic.topic_id, "+".join(seed_ids)),
-            )
+            if method == "qlm":
+                weights = dict.fromkeys(seed_counts.counts, 1.0)
+            else:
+                seed_vec = tfidf(seed_counts, stats)
+                pairs = [(cand_counts[d], tfidf(cand_counts[d], stats)) for d in candidate_ids]
+                weights = phi_weights(
+                    seed_counts,
+                    seed_vec,
+                    pairs,
+                    params,
+                    undersample=undersample,
+                    rng_key=(topic.topic_id, "+".join(seed_ids)),
+                )
             scores = {d: sdr_score(seed_counts, c, stats, params, weights) for d, c in cand_counts.items()}
 
     if method in ("aes", "sdr+aes"):

@@ -22,6 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .corpus import Document, Lexicon
+from .errors import ConfigError
 
 OURS = "ours"
 LEE = "lee"
@@ -65,7 +66,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.variant not in (OURS, LEE):
-            raise ValueError(f"unknown pipeline variant {self.variant!r}")
+            raise ConfigError("variant", f"must be '{OURS}' or '{LEE}', got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class TermCounts:
 
     def __contains__(self, term: str) -> bool:
         return term in self.counts
-
-    def get(self, term: str, default: int = 0) -> int:
-        return self.counts.get(term, default)
 
 
 def tokenize(text: str, config: PipelineConfig) -> list[str]:
@@ -115,3 +113,9 @@ def boc(bow_counts: TermCounts, lexicon: Lexicon) -> TermCounts:
     """Restrict bag-of-words counts to lexicon terms; counts are preserved."""
     counts = {t: c for t, c in bow_counts.counts.items() if t in lexicon}
     return TermCounts(counts, sum(counts.values()))
+
+
+def doc_counts(doc: Document, config: PipelineConfig, representation: str, lexicon: Lexicon | None) -> TermCounts:
+    """Counts of one document under the ``bow`` or ``boc`` representation."""
+    counts = bow(doc, config)
+    return boc(counts, lexicon) if representation == "boc" else counts

@@ -35,13 +35,6 @@ class CollectionStats:
             return 0.0
         return self.collection_counts.get(term, 0) / self.total_tokens
 
-    def idf(self, term: str) -> float:
-        """ln(N / df); 0.0 for terms absent from every candidate."""
-        df = self.doc_freq.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log(self.num_docs / df)
-
 
 @dataclass(frozen=True)
 class TfIdfVector:

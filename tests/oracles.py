@@ -65,6 +65,27 @@ def ref_cosine(u, v):
     return num / (nu * nv)
 
 
+def ref_gamma(subset, seed_vector):
+    """Mean cosine between a seed and a subset of weight dicts; 0.0 when empty."""
+    if not subset:
+        return 0.0
+    return sum(ref_cosine(v, seed_vector) for v in subset) / len(subset)
+
+
+def ref_phi(term, seed_vector, candidates):
+    """Separation weight of one seed term over full partitions (no undersampling).
+
+    candidates: (term count dict, tf-idf weight dict) pairs.
+    """
+    g_with = ref_gamma([v for c, v in candidates if term in c], seed_vector)
+    g_without = ref_gamma([v for c, v in candidates if term not in c], seed_vector)
+    if g_without == 0.0:
+        return math.log(2.0)
+    if g_with == 0.0:
+        return 0.0
+    return math.log(1.0 + g_with / g_without)
+
+
 def ref_seed_driven_scores(seed_counts, candidates, lam):
     """Literal transcription of the seed-driven scoring formula.
 
@@ -76,23 +97,8 @@ def ref_seed_driven_scores(seed_counts, candidates, lam):
     vectors = {d: ref_tfidf(c, count_dicts) for d, c in candidates.items()}
     seed_vec = ref_tfidf(seed_counts, count_dicts)
 
-    def gamma_over(doc_ids):
-        if not doc_ids:
-            return 0.0
-        return sum(ref_cosine(vectors[d], seed_vec) for d in doc_ids) / len(doc_ids)
-
-    phi = {}
-    for term in seed_counts:
-        with_term = [d for d, c in candidates.items() if term in c]
-        without_term = [d for d, c in candidates.items() if term not in c]
-        g_with = gamma_over(with_term)
-        g_without = gamma_over(without_term)
-        if g_without == 0.0:
-            phi[term] = math.log(2.0)
-        elif g_with == 0.0:
-            phi[term] = 0.0
-        else:
-            phi[term] = math.log(1.0 + g_with / g_without)
+    pairs = [(c, vectors[d]) for d, c in candidates.items()]
+    phi = {term: ref_phi(term, seed_vec, pairs) for term in seed_counts}
 
     scores = {}
     for doc_id, cand in candidates.items():

@@ -35,9 +35,8 @@ from seedrank import (
     multi_sdr,
     ndcg_at,
     oracle_single,
-    phi,
+    phi_weights,
     precision_at,
-    qlm_score,
     rank,
     recall_at,
     sdr_score,
@@ -186,13 +185,13 @@ def test_criterion_3_hand_corpus_formula_check(params):
             (TermCounts({"a": 1}, 1), tfidf(TermCounts({"a": 1}, 1), stats)),
             (TermCounts({"b": 1}, 1), tfidf(TermCounts({"b": 1}, 1), stats)),
         ]
-        weight = phi("a", seed_counts, seed_vec, candidates, params)
+        weight = phi_weights(seed_counts, seed_vec, candidates, params)["a"]
         assert abs(weight - math.log(2)) < 1e-9
 
         # c(term, cand)=2, L=10, p(term|C)=0.1, lambda=0.5 -> ln 3.
         cand = TermCounts({"a": 2, "x": 8}, 10)
         stats2 = build_stats({"cand": cand, "other": TermCounts({"x": 10}, 10)})
-        score = qlm_score(TermCounts({"a": 1}, 1), cand, stats2, ScoringParams(jm_lambda=0.5))
+        score = sdr_score(TermCounts({"a": 1}, 1), cand, stats2, ScoringParams(jm_lambda=0.5), {"a": 1.0})
         assert abs(score - math.log(3)) < 1e-9
 
 

@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import seedrank
 from seedrank.cli import RunConfig, load_config, main, validate_config
 from seedrank.errors import ConfigError
 from synth import synth_collection, write_collection_files, write_embeddings_file, write_lexicon_file
@@ -186,6 +189,22 @@ class TestCmdMulti:
         assert all(r["single"] and r["multi"] for r in windows)
 
 
+    def test_whole_pool_window_fails_before_any_run(self, tmp_path, collection, capsys):
+        out_dir = tmp_path / "multi"
+        argv = [
+            "-q", "multi",
+            "--corpus", collection["corpus"],
+            "--topics", collection["topics"],
+            "--qrels", collection["qrels"],
+            "--fraction", "1.0",
+            "--output-dir", str(out_dir),
+        ]
+        assert main(argv) == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "InsufficientSeedsError" and "'T000'" in summary["detail"]
+        assert not list(tmp_path.rglob("*.run"))
+
+
 class TestCmdEval:
     def test_map_of_example_run(self, tmp_path, capsys):
         run = tmp_path / "r.run"
@@ -276,3 +295,21 @@ class TestSubprocessDeterminism:
                 content += run_file.read_bytes()
             outputs.append(content)
         assert outputs[0] == outputs[1]
+
+
+class TestDependencies:
+    def test_cli_import_leaves_out_requests(self):
+        src = str(Path(seedrank.__file__).resolve().parents[1])
+        code = "import sys, seedrank.cli; print('requests' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
+
+    def test_runtime_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        names = {re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
+        assert names == {"numpy", "scipy", "pyyaml"}

@@ -1,6 +1,4 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,12 +8,11 @@ from seedrank import (
     DuplicateIdError,
     MissingTopicError,
     ParseError,
-    ProtocolError,
+    PipelineConfig,
     RunEntry,
     RunValidationError,
     Topic,
-    TransportError,
-    fetch_annotations,
+    bow,
     filter_topics,
     load_corpus,
     load_embeddings,
@@ -48,6 +45,23 @@ class TestLoadCorpus:
         p = tmp_path / "c.jsonl"
         write_lines(p, ['{"doc_id":"1","title":"T","abstract":""}'])
         assert load_corpus(p)["1"].abstract == ""
+
+    def test_null_title_and_abstract_load_empty(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"doc_id":"1","title":null,"abstract":"aspirin trial"}',
+                        '{"doc_id":"2","title":"T","abstract":null}'])
+        docs = load_corpus(p)
+        assert docs["1"] == Document("1", "", "aspirin trial")
+        assert docs["2"] == Document("2", "T", "")
+        assert "none" not in bow(docs["1"], PipelineConfig())
+
+    @pytest.mark.parametrize("field", ["title", "abstract"])
+    def test_non_string_text_field_is_parse_error(self, tmp_path, field):
+        p = tmp_path / "c.jsonl"
+        bad = json.dumps({"doc_id": "1", "title": "T", "abstract": "A", field: 5})
+        write_lines(p, ['{"doc_id":"0","title":"T","abstract":"A"}', bad])
+        with pytest.raises(ParseError, match=f"{p}:2: {field}"):
+            load_corpus(p)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -107,12 +121,29 @@ class TestLoadTopics:
         (topic,) = load_topics(t, q)
         assert topic.relevant_ids == ["d3", "d1"]
 
+    def test_conflicting_grades_are_parse_error(self, tmp_path):
+        t, q = self.make_files(tmp_path, ["T1 d1", "T1 d2"], ["T1 0 d1 1", "T1 0 d2 0", "T1 0 d1 0"])
+        with pytest.raises(ParseError, match=f"{q}:3:"):
+            load_topics(t, q)
+
 
 class TestLoadQrels:
     def test_parse(self, tmp_path):
         q = tmp_path / "q.txt"
         write_lines(q, ["T1 0 d1 1", "T1 0 d2 0", "T2 0 d1 2"])
         assert load_qrels(q) == {"T1": {"d1": 1, "d2": 0}, "T2": {"d1": 2}}
+
+    def test_exact_repeat_accepted(self, tmp_path):
+        q = tmp_path / "q.txt"
+        write_lines(q, ["T1 0 d1 1", "T1 0 d2 0", "T1 0 d1 1"])
+        assert load_qrels(q) == {"T1": {"d1": 1, "d2": 0}}
+
+    def test_conflicting_grades_are_parse_error(self, tmp_path):
+        q = tmp_path / "q.txt"
+        write_lines(q, ["T1 0 d1 1", "T2 0 d1 0", "T1 0 d1 2"])
+        with pytest.raises(ParseError) as err:
+            load_qrels(q)
+        assert err.value.lineno == 3 and str(err.value).startswith(f"{q}:3:")
 
 
 class TestFilterTopics:
@@ -166,6 +197,13 @@ class TestRunFiles:
         with pytest.raises(RunValidationError):
             write_run(bad, tmp_path / "r.run")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_score_rejected(self, tmp_path, bad):
+        entries = [RunEntry("T1", "d1", 1, 2.0, "x"), RunEntry("T1", "d2", 2, bad, "x")]
+        with pytest.raises(RunValidationError, match="'T1'"):
+            write_run(entries, tmp_path / "r.run")
+        assert not (tmp_path / "r.run").exists()
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "r.run"
         p.write_text("T1 Q0 d1 1 2.5\n", encoding="utf-8")
@@ -215,6 +253,14 @@ class TestLexiconAndEmbeddings:
             load_embeddings(p)
         assert err.value.lineno == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = tmp_path / "e.txt"
+        write_lines(p, ["2 2", "a 1 0", f"b 0 {value}"])
+        with pytest.raises(ParseError) as err:
+            load_embeddings(p)
+        assert err.value.lineno == 3 and str(err.value).startswith(f"{p}:3:")
+
     def test_raw_then_lowercase_lookup(self, tmp_path):
         p = tmp_path / "e.txt"
         write_lines(p, ["2 2", "MRI 1 0", "scan 0 1"])
@@ -223,72 +269,3 @@ class TestLexiconAndEmbeddings:
         assert list(table.lookup("SCAN")) == [0.0, 1.0]
         assert table.lookup("unknown") is None
 
-
-class _AnnotatorHandler(BaseHTTPRequestHandler):
-    respond_with = None  # (status, payload)
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        status, payload = self.respond_with(body)
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def annotator():
-    """A live local annotator stub; yields (url, set_responder)."""
-    server = HTTPServer(("127.0.0.1", 0), _AnnotatorHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_port}/annotate"
-
-    def set_responder(fn):
-        _AnnotatorHandler.respond_with = staticmethod(fn)
-
-    yield url, set_responder
-    server.shutdown()
-
-
-class TestFetchAnnotations:
-    DOCS = [Document("1", "MRI study", "stenosis found")]
-
-    def test_union_of_tokens(self, annotator):
-        url, responder = annotator
-        responder(lambda body: (200, {"tokens": [["MRI", "stenosis"]] * len(body["texts"])}))
-        lex = fetch_annotations(url, self.DOCS)
-        assert lex.terms == frozenset({"mri", "stenosis"})
-
-    def test_http_error_is_transport_error(self, annotator):
-        url, responder = annotator
-        responder(lambda body: (500, {}))
-        with pytest.raises(TransportError):
-            fetch_annotations(url, self.DOCS)
-
-    def test_unreachable_endpoint(self):
-        with pytest.raises(TransportError):
-            fetch_annotations("http://127.0.0.1:1/annotate", self.DOCS, timeout=0.2)
-
-    def test_empty_token_lists(self, annotator):
-        url, responder = annotator
-        responder(lambda body: (200, {"tokens": [[] for _ in body["texts"]]}))
-        assert len(fetch_annotations(url, self.DOCS)) == 0
-
-    def test_arity_mismatch_is_protocol_error(self, annotator):
-        url, responder = annotator
-        responder(lambda body: (200, {"tokens": []}))
-        with pytest.raises(ProtocolError):
-            fetch_annotations(url, self.DOCS)
-
-    def test_multiword_token_is_protocol_error(self, annotator):
-        url, responder = annotator
-        responder(lambda body: (200, {"tokens": [["mitral valve"]]}))
-        with pytest.raises(ProtocolError):
-            fetch_annotations(url, self.DOCS)

@@ -80,6 +80,11 @@ class TestMakeGroups:
         with pytest.raises(InsufficientSeedsError):
             make_groups("T", self.pool(2))
 
+    @pytest.mark.parametrize("n, fraction", [(3, 0.9), (10, 1.0)])
+    def test_window_covering_whole_pool(self, n, fraction):
+        with pytest.raises(InsufficientSeedsError, match=f"'T7'.* width {n} .* of {n} "):
+            make_groups("T7", self.pool(n), fraction)
+
     @pytest.mark.parametrize("n", [3, 5, 10, 23])
     def test_every_seed_in_one_to_w_groups(self, n):
         groups = make_groups("T", self.pool(n))

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from oracles import ref_qlm_scores, ref_seed_driven_scores
+from oracles import ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores
 from seedrank import (
+    ConfigError,
     ContractError,
     EmbeddingTable,
     EmptyTopicError,
@@ -13,12 +14,9 @@ from seedrank import (
     aes_score,
     bm25_score,
     build_stats,
-    gamma,
     interpolate,
     minmax,
-    phi,
     phi_weights,
-    qlm_score,
     rank,
     sdr_score,
     tfidf,
@@ -37,19 +35,31 @@ def vec(**weights):
     return TfIdfVector(dict(weights), math.sqrt(sum(w * w for w in weights.values())))
 
 
+class TestScoringParams:
+    @pytest.mark.parametrize("field, value", [
+        ("jm_lambda", 1.0), ("aes_alpha", 1.5), ("bm25_k1", -0.1), ("bm25_b", 2.0), ("undersample_cap", 0),
+    ])
+    def test_out_of_range_is_config_error(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ScoringParams(**{field: value})
+        assert err.value.field == field
+
+
 class TestGamma:
+    """The reference gamma that phi_weights is checked against."""
+
     def test_self_similarity(self):
-        seed = vec(a=1.0, b=2.0)
-        assert gamma([seed], seed) == pytest.approx(1.0)
+        seed = {"a": 1.0, "b": 2.0}
+        assert ref_gamma([seed], seed) == pytest.approx(1.0)
 
     def test_empty_subset(self):
-        assert gamma([], vec(a=1.0)) == 0.0
+        assert ref_gamma([], {"a": 1.0}) == 0.0
 
     def test_mean_of_cosines(self):
-        seed = vec(a=1.0, b=1.0)
-        d1 = vec(a=1.0)            # cosine 1/sqrt(2)
-        d2 = vec(c=1.0)            # cosine 0
-        assert gamma([d1, d2], seed) == pytest.approx(0.35355339, abs=1e-6)
+        seed = {"a": 1.0, "b": 1.0}
+        d1 = {"a": 1.0}            # cosine 1/sqrt(2)
+        d2 = {"c": 1.0}            # cosine 0
+        assert ref_gamma([d1, d2], seed) == pytest.approx(0.35355339, abs=1e-6)
 
 
 class TestPhi:
@@ -67,7 +77,7 @@ class TestPhi:
 
     def test_balanced_partitions_give_ln2(self, params):
         seed_counts, seed_vec, candidates = self.hand_setup()
-        assert phi("a", seed_counts, seed_vec, candidates, params) == pytest.approx(
+        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == pytest.approx(
             math.log(2), abs=1e-9
         )
 
@@ -75,7 +85,7 @@ class TestPhi:
         seed_counts = tc(a=1, b=1)
         seed_vec = vec(a=1.0, b=1.0)
         candidates = [(tc(b=1), vec(b=1.0))]  # no candidate contains "a"
-        assert phi("a", seed_counts, seed_vec, candidates, params) == 0.0
+        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == 0.0
 
     def test_double_similarity_gives_ln3(self, params):
         seed_counts = tc(a=1)
@@ -84,19 +94,14 @@ class TestPhi:
             (tc(a=1), vec(a=1.0)),                      # cosine 1.0
             (tc(b=1), vec(a=1.0, b=math.sqrt(3.0))),    # cosine 0.5
         ]
-        result = phi("a", seed_counts, seed_vec, candidates, params)
+        result = phi_weights(seed_counts, seed_vec, candidates, params)["a"]
         assert result == pytest.approx(math.log(3), abs=1e-12)
-
-    def test_term_not_in_seed(self, params):
-        seed_counts, seed_vec, candidates = self.hand_setup()
-        with pytest.raises(ContractError):
-            phi("zzz", seed_counts, seed_vec, candidates, params)
 
     def test_term_in_every_candidate_is_neutral(self, params):
         seed_counts = tc(a=1)
         seed_vec = vec(a=1.0)
         candidates = [(tc(a=1), vec(a=1.0)), (tc(a=2), vec(a=2.0))]
-        assert phi("a", seed_counts, seed_vec, candidates, params) == pytest.approx(math.log(2))
+        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == pytest.approx(math.log(2))
 
     def test_phi_weights_matches_per_term_phi(self, params):
         rng = np.random.default_rng(7)
@@ -111,8 +116,9 @@ class TestPhi:
         seed_counts = tc(t0=2, t1=1, t5=1, t11=3)
         seed_vec = tfidf(seed_counts, stats)
         bulk = phi_weights(seed_counts, seed_vec, pairs, params)
+        ref_pairs = [(c.counts, v.weights) for c, v in pairs]
         for term in seed_counts.counts:
-            single = phi(term, seed_counts, seed_vec, pairs, params)
+            single = ref_phi(term, seed_vec.weights, ref_pairs)
             assert bulk[term] == pytest.approx(single, abs=1e-9)
 
     def test_undersampling_is_deterministic(self):
@@ -132,30 +138,27 @@ class TestPhi:
         w3 = phi_weights(seed_counts, seed_vec, pairs, params, undersample=True, rng_key=("T", "other"))
         assert w3 != w1  # different sampling context, different samples
 
-    def test_undersampling_requires_rng(self, params):
-        seed_counts, seed_vec, candidates = self.hand_setup()
-        with pytest.raises(ContractError):
-            phi("a", seed_counts, seed_vec, candidates, params, undersample=True)
-
 
 class TestQlmScore:
+    """QLM is sdr_score with every seed term weighted 1."""
+
     def test_hand_example_ln3(self):
         # c(a, cand)=2, L=10, p(a|C)=0.1, lambda=0.5 -> ln 3
         params = ScoringParams(jm_lambda=0.5)
         cand = tc(a=2, x=8)
         stats = build_stats({"cand": cand, "other": tc(x=10)})
         assert stats.p_collection("a") == pytest.approx(0.1)
-        score = qlm_score(tc(a=1), cand, stats, params)
+        score = sdr_score(tc(a=1), cand, stats, params, {"a": 1.0})
         assert score == pytest.approx(math.log(3), abs=1e-9)
 
     def test_empty_intersection(self, params):
         stats = build_stats({"d": tc(a=1)})
-        assert qlm_score(tc(b=1), tc(a=1), stats, params) == 0.0
+        assert sdr_score(tc(b=1), tc(a=1), stats, params, {"b": 1.0}) == 0.0
 
     def test_lambda_near_one_vanishes(self):
         stats = build_stats({"d": tc(a=3, b=2)})
         cand = tc(a=3, b=2)
-        score = qlm_score(tc(a=1), cand, stats, ScoringParams(jm_lambda=0.999999))
+        score = sdr_score(tc(a=1), cand, stats, ScoringParams(jm_lambda=0.999999), {"a": 1.0})
         assert abs(score) < 1e-4
 
     def test_monotone_in_candidate_count(self, params):
@@ -164,7 +167,7 @@ class TestQlmScore:
         for c in (1, 2, 3, 4):
             cand = tc(a=c, x=10 - c)
             stats = build_stats({"cand": cand, "o": tc(a=1, x=9)})
-            scores.append(qlm_score(seed, cand, stats, params))
+            scores.append(sdr_score(seed, cand, stats, params, {"a": 1.0}))
         assert scores == sorted(scores)
 
 
@@ -178,16 +181,15 @@ class TestSdrScore:
     def test_unit_weights_reduce_to_qlm(self, params):
         seed, cands, stats = self.setup_scores(params)
         weights = {t: 1.0 for t in seed.counts}
-        for cand in cands.values():
-            assert sdr_score(seed, cand, stats, params, weights) == pytest.approx(
-                qlm_score(seed, cand, stats, params), abs=1e-9
-            )
+        expected = ref_qlm_scores(seed.counts, {d: c.counts for d, c in cands.items()}, params.jm_lambda)
+        for d, cand in cands.items():
+            assert sdr_score(seed, cand, stats, params, weights) == pytest.approx(expected[d], abs=1e-9)
 
     def test_single_term_product(self, params):
         cand = tc(a=2, x=8)
         stats = build_stats({"cand": cand, "other": tc(x=10)})
         p = ScoringParams(jm_lambda=0.5)
-        addend = qlm_score(tc(a=1), cand, stats, p)
+        addend = sdr_score(tc(a=1), cand, stats, p, {"a": 1.0})
         weight = math.log(2)
         score = sdr_score(tc(a=1), cand, stats, p, {"a": weight})
         assert score == pytest.approx(weight * addend, abs=1e-9)

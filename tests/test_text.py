@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seedrank import Document, Lexicon, PipelineConfig, TermCounts, boc, bow, default_stopwords, tokenize
+from seedrank import ConfigError, Document, Lexicon, PipelineConfig, TermCounts, boc, bow, default_stopwords, tokenize
 from seedrank.text import LEE
 
 
@@ -45,6 +45,11 @@ class TestTokenize:
     def test_deterministic(self, text):
         config = PipelineConfig()
         assert tokenize(text, config) == tokenize(text, config)
+
+    def test_unknown_variant_is_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(variant="porter")
+        assert err.value.field == "variant"
 
 
 class TestBow:
