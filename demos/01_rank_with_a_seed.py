@@ -1,8 +1,9 @@
 """Rank a handful of candidate studies against one known-relevant seed.
 
-Walks the core pipeline end to end on an inline corpus: tokenize, count,
-build collection statistics, weigh the seed's terms by how well they
-separate seed-like from seed-unlike candidates, then score and rank.
+Walks the core pipeline end to end on an inline corpus: tokenize and count
+every candidate once into a topic index, take the seed's collection
+statistics from it, weigh the seed's terms by how well they separate
+seed-like from seed-unlike candidates, then score and rank.
 """
 
 from seedrank import (
@@ -10,11 +11,10 @@ from seedrank import (
     PipelineConfig,
     ScoringParams,
     Topic,
-    bow,
+    build_index,
     build_stats,
     phi_weights,
     rank,
-    tfidf,
 )
 
 docs = [
@@ -33,18 +33,16 @@ params = ScoringParams()
 # Peek at the term weights the seed-driven ranker will use. Terms that only
 # occur in candidates similar to the seed get boosted, terms spread evenly
 # stay near the neutral ln 2 = 0.693.
-candidates = {d: bow(corpus[d], pipeline) for d in corpus if d != "seed"}
-stats = build_stats(candidates)
-seed_counts = bow(corpus["seed"], pipeline)
-pairs = [(c, tfidf(c, stats)) for c in candidates.values()]
-weights = phi_weights(seed_counts, tfidf(seed_counts, stats), pairs, params)
+index = build_index(topic, corpus, "bow", pipeline)
+stats = build_stats(index, ["seed"])
+weights = {index.terms[col]: w for col, w in zip(stats.seed_terms, phi_weights(stats, params))}
 
 print("seed term weights (phi):")
 for term, weight in sorted(weights.items(), key=lambda kv: -kv[1]):
     print(f"  {term:12s} {weight:.4f}")
 
 for method in ("qlm", "sdr", "bm25"):
-    entries = rank(topic, corpus, ["seed"], method, "bow", params, pipeline)
+    entries = rank(index, ["seed"], method, params)
     ordering = "  ".join(f"{e.rank}. {e.doc_id} ({e.score:.3f})" for e in entries)
     print(f"\n{method:>4s}: {ordering}")
 

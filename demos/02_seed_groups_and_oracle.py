@@ -14,6 +14,7 @@ from seedrank import (
     PipelineConfig,
     ScoringParams,
     Topic,
+    build_index,
     evaluate_entries,
     loocv_single,
     make_groups,
@@ -55,12 +56,14 @@ groups = make_groups(topic.topic_id, topic.relevant_ids)
 width = len(groups[0].member_ids)
 print(f"seed pool of {len(topic.relevant_ids)} -> {len(groups)} windows of width {width}")
 
-_, single_runs = loocv_single(topic, corpus, "sdr", "bow", params, pipeline)
+# One index serves the single runs and every window's multi run.
+index = build_index(topic, corpus, "bow", pipeline)
+_, single_runs = loocv_single(index, "sdr", params)
 
 print(f"\n{'window':>6s} {'members':<12s} {'oracle MAP':>10s} {'multi MAP':>10s}")
 oracle_maps, multi_maps = [], []
 for group in groups:
-    multi_run = multi_sdr(topic, corpus, group, "sdr", "bow", params, pipeline)
+    multi_run = multi_sdr(index, group, "sdr", params)
     oracle_run = oracle_single(topic, group, single_runs)
     o_map = evaluate_entries(oracle_run, topic.judgments)["map"]
     m_map = evaluate_entries(multi_run, topic.judgments)["map"]

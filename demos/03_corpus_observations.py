@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from seedrank import Document, Lexicon, PipelineConfig, Topic, intra_similarity, term_commonality
+from seedrank import Document, Lexicon, PipelineConfig, Topic, build_index, intra_similarity, term_commonality
 
 rng = np.random.default_rng(3)
 clinical = [f"sign{i}" for i in range(15)]
@@ -38,17 +38,17 @@ pipeline = PipelineConfig()
 print(f"{'topic':>6s} {'relevant':>9s} {'irrelevant':>10s}")
 for t in range(5):
     topic, corpus = make_topic(f"T{t}")
-    rel_mean, irrel_mean = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=1)
+    rel_mean, irrel_mean = intra_similarity(build_index(topic, corpus, "bow", pipeline), rng_seed=1)
     print(f"{topic.topic_id:>6s} {rel_mean:>9.4f} {irrel_mean:>10.4f}")
 
 # Term commonality on the last topic: how many relevant docs carry each term?
-fractions, histogram = term_commonality(topic, corpus, "bow", pipeline)
+fractions, histogram = term_commonality(build_index(topic, corpus, "bow", pipeline))
 print("\nterm spread across the 6 relevant docs (bag of words):")
 for docs_containing, n_terms in histogram.items():
     print(f"  in {docs_containing} docs: {n_terms} terms")
 
 lexicon = Lexicon(frozenset(clinical))
-_, histogram_lex = term_commonality(topic, corpus, "boc", pipeline, lexicon=lexicon)
+_, histogram_lex = term_commonality(build_index(topic, corpus, "boc", pipeline, lexicon=lexicon))
 print("restricted to the curated lexicon:")
 for docs_containing, n_terms in histogram_lex.items():
     print(f"  in {docs_containing} docs: {n_terms} terms")

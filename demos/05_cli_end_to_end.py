@@ -81,14 +81,14 @@ assert main(["-q", "analyze", "--config", str(base / "config.yaml"),
 # The leave-one-out files key each ranking as topic.seed, so for the plain
 # eval command build one run per topic with the library and score it against
 # the raw qrels (the excluded seed then counts as an unretrieved relevant).
-from seedrank import PipelineConfig, ScoringParams, load_corpus, load_topics, rank, write_run
+from seedrank import PipelineConfig, ScoringParams, build_index, load_corpus, load_topics, rank, write_run
 
 corpus = load_corpus(base / "corpus.jsonl")
 topics = load_topics(base / "topics.txt", base / "qrels.txt")
 entries = []
 for topic in topics:
-    entries += rank(topic, corpus, [topic.relevant_ids[0]], "sdr", "bow",
-                    ScoringParams(rng_seed=42), PipelineConfig())
+    index = build_index(topic, corpus, "bow", PipelineConfig())
+    entries += rank(index, [topic.relevant_ids[0]], "sdr", ScoringParams(rng_seed=42))
 write_run(entries, base / "first_seed.run")
 
 print("$ seedrank eval --run first_seed.run --qrels qrels.txt")

@@ -29,7 +29,6 @@ from .errors import (
     ContractError,
     DegenerateTestError,
     DuplicateIdError,
-    EmptyCollectionError,
     EmptyTopicError,
     InsufficientDocumentsError,
     InsufficientSeedsError,
@@ -73,6 +72,6 @@ from .scoring import (
     sdr_score,
 )
 from .text import LEE, OURS, PipelineConfig, TermCounts, boc, bow, default_stopwords, tokenize
-from .vectors import CollectionStats, TfIdfVector, aes_vector, build_stats, cosine, tfidf
+from .vectors import CollectionStats, TopicIndex, aes_vector, build_index, build_stats, cosine, tfidf
 
 __version__ = "0.1.0"

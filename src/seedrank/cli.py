@@ -44,8 +44,9 @@ from .experiments import (
     intra_similarity,
     term_commonality,
 )
-from .scoring import METHODS, REPRESENTATIONS, ScoringParams
+from .scoring import AES_METHODS, METHODS, ScoringParams
 from .text import OURS, PipelineConfig, default_stopwords
+from .vectors import REPRESENTATIONS, TopicIndex, build_index
 
 log = logging.getLogger("seedrank")
 
@@ -212,8 +213,15 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     if lexicon is not None and len(lexicon) == 0:
         log.warning("lexicon %s is empty; every boc representation degenerates", config.lexicon)
-    embeddings = load_embeddings(config.embeddings) if config.embeddings else None
+    embeddings = load_embeddings(config.embeddings) if config.embeddings and config.method in AES_METHODS else None
     return _Resources(corpus, topics, pipeline, params, lexicon, embeddings)
+
+
+def _topic_index(topic, res: _Resources, config: RunConfig) -> TopicIndex:
+    """The one index every run and analysis of ``topic`` shares."""
+    return build_index(
+        topic, res.corpus, config.representation, res.pipeline, lexicon=res.lexicon, embeddings=res.embeddings
+    )
 
 
 def _atomic_write_run(entries, path: Path) -> None:
@@ -260,11 +268,47 @@ def _comparison_row(topic_id: str, unit: str, metric: str, single: float, multi:
 
 
 def _run_pool(units, worker, max_workers: int):
-    """Evaluate worker(unit) for every unit, preserving unit order in results."""
+    """Evaluate worker(unit) for every unit, preserving unit order in results.
+
+    A thread pool: workers share the loaded corpus and embedding table
+    without copying them, and each topic's index is private to its worker.
+    """
     if max_workers <= 1:
         return [worker(u) for u in units]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, units))
+
+
+def _run_topics(topics, work, max_workers: int) -> tuple[list, list]:
+    """work(topic) for every topic; a SeedRankError fails its own topic only.
+
+    Returns the results of the topics that finished, in topic order, and
+    (topic_id, error) for the others.
+    """
+
+    def guarded(topic):
+        try:
+            return work(topic), None
+        except SeedRankError as exc:
+            return None, exc
+
+    outcomes = _run_pool(topics, guarded, max_workers)
+    done = [result for result, exc in outcomes if exc is None]
+    failed = [(topic.topic_id, exc) for topic, (_, exc) in zip(topics, outcomes) if exc is not None]
+    return done, failed
+
+
+def _report_failures(failed: list, total: int) -> int:
+    """Print one JSON summary naming every failed topic; the exit code."""
+    if not failed:
+        return 0
+    summary = {
+        "error": "TopicFailure",
+        "detail": f"{len(failed)} of {total} topics failed; the outputs of the others were written",
+        "topics": [{"topic_id": t, "error": type(exc).__name__, "detail": str(exc)} for t, exc in failed],
+    }
+    print(json.dumps(summary), file=sys.stderr)
+    return 1
 
 
 def cmd_rank(config: RunConfig) -> int:
@@ -278,16 +322,13 @@ def cmd_rank(config: RunConfig) -> int:
     total = len(res.topics)
 
     def work(topic):
-        report, runs = loocv_single(
-            topic, res.corpus, config.method, config.representation, res.params, res.pipeline,
-            lexicon=res.lexicon, embeddings=res.embeddings,
-        )
+        report, runs = loocv_single(_topic_index(topic, res, config), config.method, res.params)
         entries = [e for seed_id in runs for e in runs[seed_id]]
         _atomic_write_run(entries, run_dir / f"{topic.topic_id}.run")
         log.info("ranked topic %s (%d seeds)", topic.topic_id, len(runs))
         return report
 
-    reports = _run_pool(res.topics, work, config.workers)
+    reports, failed = _run_topics(res.topics, work, config.workers)
     master = ExperimentReport()
     for report in sorted(reports, key=lambda r: min(r.values)):
         master.merge(report)
@@ -295,8 +336,8 @@ def cmd_rank(config: RunConfig) -> int:
     excluded = master.excluded_units()
     if excluded:
         log.warning("units without a retrieved relevant (excluded from means): %s", excluded)
-    log.info("wrote %s and %d run files", out / "metrics.csv", total)
-    return 0
+    log.info("wrote %s and %d run files", out / "metrics.csv", total - len(failed))
+    return _report_failures(failed, total)
 
 
 def cmd_multi(config: RunConfig) -> int:
@@ -313,20 +354,15 @@ def cmd_multi(config: RunConfig) -> int:
     oracle_dir.mkdir(parents=True, exist_ok=True)
 
     def work(topic):
-        _, single_runs = loocv_single(
-            topic, res.corpus, config.method, config.representation, res.params, res.pipeline,
-            lexicon=res.lexicon, embeddings=res.embeddings,
-        )
+        index = _topic_index(topic, res, config)
+        _, single_runs = loocv_single(index, config.method, res.params)
         groups = groups_of[topic.topic_id]
         multi_report = ExperimentReport()
         oracle_report = ExperimentReport()
         multi_entries = []
         oracle_entries = []
         for group in groups:
-            m_run = multi_sdr(
-                topic, res.corpus, group, config.method, config.representation, res.params, res.pipeline,
-                lexicon=res.lexicon, embeddings=res.embeddings,
-            )
+            m_run = multi_sdr(index, group, config.method, res.params)
             o_run = oracle_single(topic, group, single_runs)
             multi_entries.extend(m_run)
             oracle_entries.extend(o_run)
@@ -337,7 +373,7 @@ def cmd_multi(config: RunConfig) -> int:
         log.info("topic %s: %d seed groups", topic.topic_id, len(groups))
         return multi_report, oracle_report
 
-    results = _run_pool(res.topics, work, config.workers)
+    results, failed = _run_topics(res.topics, work, config.workers)
     multi_master = ExperimentReport()
     oracle_master = ExperimentReport()
     for multi_report, oracle_report in sorted(results, key=lambda pair: min(pair[0].values)):
@@ -363,7 +399,7 @@ def cmd_multi(config: RunConfig) -> int:
     _atomic_write_csv(
         rows, ["topic_id", "window", "metric", "single", "multi", "pct_change"], out / "oracle_comparison.csv"
     )
-    return 0
+    return _report_failures(failed, len(res.topics))
 
 
 def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int:
@@ -414,16 +450,12 @@ def cmd_analyze(config: RunConfig) -> int:
             log.warning("topic %s skipped: fewer irrelevant than relevant studies", topic.topic_id)
             skipped += 1
             continue
-        rel_mean, irrel_mean = intra_similarity(
-            topic, res.corpus, config.representation, res.pipeline,
-            lexicon=res.lexicon, repetitions=config.repetitions, rng_seed=config.rng_seed,
-        )
+        index = build_index(topic, res.corpus, config.representation, res.pipeline, lexicon=res.lexicon)
+        rel_mean, irrel_mean = intra_similarity(index, repetitions=config.repetitions, rng_seed=config.rng_seed)
         sim_rows.append(
             [topic.topic_id, config.representation, _format_value(rel_mean), _format_value(irrel_mean)]
         )
-        _, histogram = term_commonality(
-            topic, res.corpus, config.representation, res.pipeline, lexicon=res.lexicon
-        )
+        _, histogram = term_commonality(index)
         for docs_containing, n_terms in histogram.items():
             common_rows.append(
                 [topic.topic_id, config.representation, docs_containing, n_relevant, n_terms]

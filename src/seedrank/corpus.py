@@ -85,17 +85,26 @@ class RunEntry:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Token -> dense vector map with a single shared dimension."""
+    """Token -> row of one V x d float64 matrix; a repeated token keeps its last row."""
 
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    matrix: np.ndarray
+    rows: dict[str, int]
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    def row(self, token: str) -> int | None:
+        """Raw-cased lookup first, lowercase as fallback."""
+        row = self.rows.get(token)
+        if row is None:
+            row = self.rows.get(token.lower())
+        return row
 
     def lookup(self, token: str) -> np.ndarray | None:
-        """Raw-cased lookup first, lowercase as fallback."""
-        vec = self.vectors.get(token)
-        if vec is None:
-            vec = self.vectors.get(token.lower())
-        return vec
+        """The vector of ``token`` (see ``row``), or None."""
+        row = self.row(token)
+        return None if row is None else self.matrix[row]
 
 
 def load_corpus(path) -> dict[str, Document]:
@@ -284,8 +293,14 @@ def load_lexicon(path) -> Lexicon:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Load word2vec text-format embeddings; nan and inf values raise ParseError."""
-    vectors: dict[str, np.ndarray] = {}
+    """Load word2vec text-format embeddings; nan and inf values raise ParseError.
+
+    The values are parsed in one pass into a V x d matrix. When that pass
+    fails, the lines are checked one at a time to name the first bad one.
+    """
+    tokens: list[str] = []
+    values: list[str] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -297,20 +312,37 @@ def load_embeddings(path) -> EmbeddingTable:
         if dimension < 1:
             raise ParseError(path, 1, f"dimension must be positive, got {dimension}")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
+            parts = line.split(maxsplit=1)
             if not parts:
                 continue
-            if len(parts) != dimension + 1:
-                raise ParseError(
-                    path, lineno,
-                    f"expected token plus {dimension} values, got {len(parts) - 1} values",
-                )
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-            if not np.isfinite(vec).all():
-                raise ParseError(path, lineno, f"non-finite value in the vector of {parts[0]!r}")
-            vectors[parts[0]] = vec
-    return EmbeddingTable(dimension, vectors)
+            if len(parts) == 1:
+                raise ParseError(path, lineno, f"expected token plus {dimension} values, got 0 values")
+            tokens.append(parts[0])
+            values.append(parts[1])
+            linenos.append(lineno)
+    if not values:
+        return EmbeddingTable(np.empty((0, dimension)), {})
+    try:
+        matrix = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        matrix = None
+    if matrix is None or matrix.shape[1] != dimension:
+        _raise_first_bad_line(path, values, linenos, dimension)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParseError(path, linenos[i], f"non-finite value in the vector of {tokens[i]!r}")
+    return EmbeddingTable(matrix, {token: i for i, token in enumerate(tokens)})
 
+
+def _raise_first_bad_line(path, values: list[str], linenos: list[int], dimension: int) -> None:
+    """ParseError for the first line that does not hold ``dimension`` numbers."""
+    for lineno, line in zip(linenos, values):
+        count = len(line.split())
+        if count != dimension:
+            raise ParseError(path, lineno, f"expected token plus {dimension} values, got {count} values")
+        try:
+            np.loadtxt([line], dtype=np.float64, comments=None)
+        except ValueError:
+            raise ParseError(path, lineno, f"not a number among the values {line.strip()[:60]!r}") from None
+    raise ParseError(path, linenos[0], "the embedding values could not be parsed")

@@ -31,10 +31,6 @@ class RunValidationError(SeedRankError):
     """Run entries violate the rank/score invariants on write."""
 
 
-class EmptyCollectionError(SeedRankError):
-    """Collection statistics were requested for zero documents."""
-
-
 class EmptyTopicError(SeedRankError):
     """A topic has no candidates left after seed exclusion."""
 

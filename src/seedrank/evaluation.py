@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from scipy import stats as scipy_stats
-
 from .corpus import RunEntry
 from .errors import ContractError, DegenerateTestError, UndefinedMetricError
 
@@ -134,6 +132,9 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     Returns (t, p) with n-1 degrees of freedom. Zero variance of the
     differences (including a == b) is a degenerate test and raises.
     """
+    # Imported here: only the compare command needs it, and it doubles import time.
+    from scipy import stats as scipy_stats
+
     if len(a) != len(b):
         raise ContractError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     n = len(a)

@@ -1,6 +1,9 @@
 """Experiment drivers: leave-one-out runs, seed groups, oracle comparison,
 and the two corpus observations (intra-similarity, term commonality).
 
+Every driver takes a topic's ``TopicIndex`` (``vectors.build_index``), so
+one topic is counted once however many runs and analyses use it.
+
 Leave-one-out: every relevant study of a topic serves once as the seed;
 the seed is excluded from the candidate pool and from the judgments used
 to score its own run. Per-topic figures are means over seeds, cross-topic
@@ -19,12 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Document, EmbeddingTable, Lexicon, RunEntry, Topic
+import numpy as np
+
+from .corpus import Document, RunEntry, Topic
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, average_precision, metric_set, ranked_ids, restrict_qrels
 from .scoring import ScoringParams, derive_rng, rank
-from .text import PipelineConfig, doc_counts
-from .vectors import build_stats, cosine, tfidf
+from .vectors import TopicIndex, build_stats, cosine, tfidf
 
 LASTREL_METRICS = ("lastrel%", "wss")
 
@@ -105,15 +109,10 @@ def evaluate_entries(
 
 
 def loocv_single(
-    topic: Topic,
-    corpus: Mapping[str, Document],
+    index: TopicIndex,
     method: str,
-    representation: str,
     params: ScoringParams,
-    pipeline: PipelineConfig,
     *,
-    lexicon: Lexicon | None = None,
-    embeddings: EmbeddingTable | None = None,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> tuple[ExperimentReport, dict[str, list[RunEntry]]]:
     """One run per relevant study used as the seed, plus its metrics.
@@ -121,6 +120,7 @@ def loocv_single(
     Returns the per-seed report and the runs keyed by seed id (run entries
     carry the composite key ``topic_id.seed_id``).
     """
+    topic = index.topic
     seeds = topic.relevant_ids
     if len(seeds) < 2:
         raise InsufficientSeedsError(
@@ -129,11 +129,7 @@ def loocv_single(
     report = ExperimentReport()
     runs: dict[str, list[RunEntry]] = {}
     for seed_id in seeds:
-        entries = rank(
-            topic, corpus, [seed_id], method, representation, params, pipeline,
-            lexicon=lexicon, embeddings=embeddings,
-            run_key=f"{topic.topic_id}.{seed_id}",
-        )
+        entries = rank(index, [seed_id], method, params, run_key=f"{topic.topic_id}.{seed_id}")
         runs[seed_id] = entries
         report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments, cutoffs))
     return report, runs
@@ -180,16 +176,11 @@ def concat_group(group: SeedGroup, corpus: Mapping[str, Document]) -> Document:
 
 
 def multi_sdr(
-    topic: Topic,
-    corpus: Mapping[str, Document],
+    index: TopicIndex,
     group: SeedGroup,
     method: str,
-    representation: str,
     params: ScoringParams,
-    pipeline: PipelineConfig,
     *,
-    lexicon: Lexicon | None = None,
-    embeddings: EmbeddingTable | None = None,
     run_key: str | None = None,
 ) -> list[RunEntry]:
     """Rank with a concatenated seed group; candidates exclude every member.
@@ -197,12 +188,8 @@ def multi_sdr(
     Term-weight partitions larger than ``params.undersample_cap`` are
     randomly under-sampled (this is what makes large groups tractable).
     """
-    key = run_key if run_key is not None else f"{topic.topic_id}.{group.unit}"
-    return rank(
-        topic, corpus, list(group.member_ids), method, representation, params, pipeline,
-        lexicon=lexicon, embeddings=embeddings,
-        undersample=True, run_key=key,
-    )
+    key = run_key if run_key is not None else f"{index.topic_id}.{group.unit}"
+    return rank(index, group.member_ids, method, params, undersample=True, run_key=key)
 
 
 def oracle_single(
@@ -240,23 +227,16 @@ def oracle_single(
     ]
 
 
-def _pairwise_mean_cosine(vectors) -> float:
-    total = 0.0
-    pairs = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            total += cosine(vectors[i], vectors[j])
-            pairs += 1
-    return total / pairs
+def _pairwise_mean_cosine(weights, norms: np.ndarray) -> float:
+    """Mean cosine over the pairs i < j of the rows of ``weights``."""
+    gram = (weights @ weights.T).toarray()
+    i, j = np.triu_indices(len(norms), 1)
+    return float(cosine(gram[i, j], norms[i], norms[j]).mean())
 
 
 def intra_similarity(
-    topic: Topic,
-    corpus: Mapping[str, Document],
-    representation: str,
-    pipeline: PipelineConfig,
+    index: TopicIndex,
     *,
-    lexicon: Lexicon | None = None,
     repetitions: int = 10,
     rng_seed: int = 0,
 ) -> tuple[float, float]:
@@ -266,6 +246,7 @@ def intra_similarity(
     of the relevant set and the per-sample means are averaged. tf-idf
     vectors are built over the topic's full candidate set.
     """
+    topic = index.topic
     relevant = topic.relevant_ids
     if len(relevant) < 2:
         raise InsufficientDocumentsError(
@@ -277,52 +258,35 @@ def intra_similarity(
             f"topic {topic.topic_id!r}: need >= {len(relevant)} irrelevant studies, got {len(irrelevant)}"
         )
 
-    absent = [d for d in topic.candidate_ids if d not in corpus]
-    if absent:
-        raise ContractError(
-            f"topic {topic.topic_id!r}: {len(absent)} candidates missing from the corpus "
-            f"(first: {absent[:3]})"
-        )
+    weights, norms, _ = tfidf(build_stats(index, ()))
+    rows = index.row_numbers(relevant)
+    rel_mean = _pairwise_mean_cosine(weights[rows], norms[rows])
 
-    all_counts = {d: doc_counts(corpus[d], pipeline, representation, lexicon) for d in topic.candidate_ids}
-    stats = build_stats(all_counts)
-    vectors = {d: tfidf(c, stats) for d, c in all_counts.items()}
-
-    rel_mean = _pairwise_mean_cosine([vectors[d] for d in relevant])
-
+    irrelevant_rows = index.row_numbers(irrelevant)
     rng = derive_rng(rng_seed, topic.topic_id, "intra-similarity")
     sample_means = []
     for _ in range(repetitions):
-        chosen = rng.choice(len(irrelevant), size=len(relevant), replace=False)
-        sample = [vectors[irrelevant[i]] for i in sorted(chosen)]
-        sample_means.append(_pairwise_mean_cosine(sample))
+        chosen = irrelevant_rows[np.sort(rng.choice(len(irrelevant), size=len(relevant), replace=False))]
+        sample_means.append(_pairwise_mean_cosine(weights[chosen], norms[chosen]))
     return rel_mean, sum(sample_means) / len(sample_means)
 
 
-def term_commonality(
-    topic: Topic,
-    corpus: Mapping[str, Document],
-    representation: str,
-    pipeline: PipelineConfig,
-    *,
-    lexicon: Lexicon | None = None,
-) -> tuple[dict[str, float], dict[int, int]]:
+def term_commonality(index: TopicIndex) -> tuple[dict[str, float], dict[int, int]]:
     """How widely each term is shared across a topic's relevant studies.
 
     Returns (term -> fraction of relevant docs containing it) over the
     union vocabulary, plus the histogram (number of docs containing a term
     -> number of such terms) behind the distribution plots.
     """
+    topic = index.topic
     relevant = topic.relevant_ids
     if not relevant:
         raise InsufficientDocumentsError(f"topic {topic.topic_id!r} has no relevant studies")
-    containing: dict[str, int] = {}
-    for doc_id in relevant:
-        for term in doc_counts(corpus[doc_id], pipeline, representation, lexicon).counts:
-            containing[term] = containing.get(term, 0) + 1
+    containing = index.counts[index.row_numbers(relevant)].getnnz(axis=0).tolist()
     n = len(relevant)
-    fractions = {t: c / n for t, c in containing.items()}
+    fractions = {index.terms[col]: c / n for col, c in enumerate(containing) if c}
     histogram: dict[int, int] = {}
-    for c in containing.values():
-        histogram[c] = histogram.get(c, 0) + 1
+    for c in containing:
+        if c:
+            histogram[c] = histogram.get(c, 0) + 1
     return fractions, {k: histogram[k] for k in sorted(histogram)}

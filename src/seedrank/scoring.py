@@ -11,6 +11,11 @@ halves (gamma = mean tf-idf cosine to the seed over a candidate subset).
 Setting every phi to 1 recovers plain query-likelihood scoring, which is
 how the ``qlm`` method is computed.
 
+Every scorer takes one run unit's statistics over a topic index
+(``vectors.build_stats``) and returns one score per candidate, in the
+unit's candidate order. The lexical scorers read only the postings of the
+seed terms and add each candidate's addends in seed-term order.
+
 All logarithms are natural. Every function here is pure; rankings are fully
 determined by the inputs and ``ScoringParams.rng_seed``.
 """
@@ -24,13 +29,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, EmbeddingTable, RunEntry, Topic
-from .errors import ConfigError, ContractError, EmptyTopicError
-from .text import Lexicon, PipelineConfig, TermCounts, boc, doc_counts, document_text, tokenize
-from .vectors import CollectionStats, TfIdfVector, aes_vector, build_stats, cosine, dense_cosine, tfidf
+from .corpus import RunEntry
+from .errors import ConfigError, ContractError
+from .vectors import (
+    CollectionStats,
+    TopicIndex,
+    build_stats,
+    cosine,
+    seed_embedding,
+    seed_similarities,
+)
 
 METHODS = ("bm25", "qlm", "sdr", "aes", "sdr+aes")
-REPRESENTATIONS = ("bow", "boc")
+AES_METHODS = ("aes", "sdr+aes")
 
 ScoredList = list[tuple[str, float]]
 
@@ -85,42 +96,36 @@ def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
 
 
 def phi_weights(
-    seed_counts: TermCounts,
-    seed_vector: TfIdfVector,
-    candidates: Sequence[tuple[TermCounts, TfIdfVector]],
+    stats: CollectionStats,
     params: ScoringParams,
     *,
     undersample: bool = False,
     rng_key: tuple = (),
-) -> dict[str, float]:
-    """Separation weight phi of every seed term over a candidate collection.
+) -> np.ndarray:
+    """Separation weight phi of every seed term, in seed-term order.
 
-    ``candidates`` holds (counts, tf-idf vector) pairs for every candidate.
-    One pass of seed-candidate cosines is shared across all terms. With
-    ``undersample`` on, a partition larger than ``params.undersample_cap``
-    is sampled down to the cap (uniformly, without replacement) before the
+    One pass of seed-candidate tf-idf cosines is shared across all terms.
+    A term splits the candidates into those holding it (its postings) and
+    the rest. With ``undersample`` on, a partition larger than
+    ``params.undersample_cap`` is sampled down to the cap (uniformly,
+    without replacement, from the partition in candidate order) before the
     mean similarity is taken. Each term's sampling RNG is derived from
     (rng_seed, *rng_key, term), so results do not depend on evaluation
     order or scheduling.
     """
-    n = len(candidates)
-    cos = np.empty(n, dtype=np.float64)
-    postings: dict[str, list[int]] = {}
-    seed_terms = seed_counts.counts.keys()
-    for j, (counts, vec) in enumerate(candidates):
-        cos[j] = cosine(vec, seed_vector)
-        for term in counts.counts.keys() & seed_terms:
-            postings.setdefault(term, []).append(j)
+    cos = seed_similarities(stats)
+    n = stats.num_docs
     cap = params.undersample_cap
-
-    weights: dict[str, float] = {}
-    for term in seed_terms:
-        present = np.asarray(postings.get(term, []), dtype=np.intp)
+    terms = stats.index.terms
+    bounds = np.searchsorted(stats.posting_terms, np.arange(len(stats.seed_terms) + 1))
+    weights = np.empty(len(stats.seed_terms))
+    for k, column in enumerate(stats.seed_terms.tolist()):
+        present = stats.posting_rows[bounds[k] : bounds[k + 1]]
         n_present = len(present)
         n_absent = n - n_present
         rng = None
         if undersample and (n_present > cap or n_absent > cap):
-            rng = derive_rng(params.rng_seed, *rng_key, term)
+            rng = derive_rng(params.rng_seed, *rng_key, terms[column])
         if rng is not None and n_present > cap:
             chosen = rng.choice(n_present, size=cap, replace=False)
             g_present = float(cos[present[chosen]].sum()) / cap
@@ -131,9 +136,9 @@ def phi_weights(
         if n_absent:
             # Sum the complement directly: deriving it from the total cancels
             # catastrophically and can turn an exact zero into noise.
-            mask = np.zeros(n, dtype=bool)
-            mask[present] = True
-            absent = np.nonzero(~mask)[0]
+            mask = stats.is_candidate.copy()
+            mask[present] = False
+            absent = np.flatnonzero(mask)
             if rng is not None and n_absent > cap:
                 chosen = rng.choice(n_absent, size=cap, replace=False)
                 g_absent = float(cos[absent[chosen]].sum()) / cap
@@ -141,56 +146,53 @@ def phi_weights(
                 g_absent = float(cos[absent].sum()) / n_absent
         else:
             g_absent = 0.0
-        weights[term] = _phi_from_gammas(g_present, g_absent)
+        weights[k] = _phi_from_gammas(g_present, g_absent)
     return weights
 
 
-def sdr_score(
-    seed: TermCounts,
-    cand: TermCounts,
-    stats: CollectionStats,
-    params: ScoringParams,
-    weights: Mapping[str, float],
-) -> float:
-    """QLM score with each shared term's addend multiplied by its phi weight."""
+def _per_candidate(stats: CollectionStats, addends: np.ndarray) -> np.ndarray:
+    """Sum each posting's addend into its row, in posting order, for the unit's candidates."""
+    totals = np.bincount(stats.posting_rows, weights=addends, minlength=len(stats.is_candidate))
+    return totals[stats.candidates]
+
+
+def sdr_score(stats: CollectionStats, params: ScoringParams, weights: np.ndarray) -> np.ndarray:
+    """QLM score of every candidate with each shared term's addend multiplied by its weight.
+
+    ``weights`` follows the seed terms; all ones gives plain QLM.
+    """
+    if len(weights) != len(stats.seed_terms):
+        raise ContractError(f"{len(weights)} weights for {len(stats.seed_terms)} seed terms")
+    if not len(stats.posting_rows):
+        # No candidate shares a seed term; the candidates may hold no token at all.
+        return np.zeros(stats.num_docs)
     coef = (1.0 - params.jm_lambda) / params.jm_lambda
-    length = cand.length
-    score = 0.0
-    for term, c_seed in seed.counts.items():
-        c_cand = cand.counts.get(term)
-        if not c_cand:
-            continue
-        w = weights.get(term)
-        if w is None:
-            raise ContractError(f"no phi weight supplied for shared term {term!r}")
-        score += w * c_seed * math.log(1.0 + coef * c_cand / (length * stats.p_collection(term)))
-    return score
+    k = stats.posting_terms
+    p_collection = stats.collection_counts[stats.seed_terms] / stats.total_tokens
+    lengths = stats.index.doc_lengths[stats.posting_rows]
+    addends = (weights * stats.seed_counts)[k] * np.log(
+        1.0 + coef * stats.posting_counts / (lengths * p_collection[k])
+    )
+    return _per_candidate(stats, addends)
 
 
-def bm25_score(seed: TermCounts, cand: TermCounts, stats: CollectionStats, params: ScoringParams) -> float:
-    """Okapi BM25 with the seed as the query and non-negative idf."""
+def bm25_score(stats: CollectionStats, params: ScoringParams) -> np.ndarray:
+    """Okapi BM25 of every candidate with the seed as the query and non-negative idf."""
     k1, b = params.bm25_k1, params.bm25_b
-    n = stats.num_docs
-    norm = k1 * (1.0 - b + b * cand.length / stats.avg_doc_length) if cand.counts else 0.0
-    score = 0.0
-    # Iterate the smaller side in dict order: float addition order must not
-    # depend on the process hash seed or rankings lose byte determinism.
-    smaller, other = (seed, cand) if len(seed.counts) <= len(cand.counts) else (cand, seed)
-    for term in smaller.counts:
-        if term not in other.counts:
-            continue
-        df = stats.doc_freq.get(term, 0)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        c = cand.counts[term]
-        score += idf * c * (k1 + 1.0) / (c + norm)
-    return score
+    df = stats.doc_freq[stats.seed_terms]
+    idf = np.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+    c = stats.posting_counts
+    lengths = stats.index.doc_lengths[stats.posting_rows]
+    norm = k1 * (1.0 - b + b * lengths / stats.avg_doc_length)
+    return _per_candidate(stats, idf[stats.posting_terms] * c * (k1 + 1.0) / (c + norm))
 
 
-def aes_score(seed_tokens: Sequence[str], cand_tokens: Sequence[str], table: EmbeddingTable) -> float:
-    """Cosine between the mean embeddings of two token streams."""
-    seed_vec, _ = aes_vector(seed_tokens, table)
-    cand_vec, _ = aes_vector(cand_tokens, table)
-    return dense_cosine(seed_vec, cand_vec)
+def aes_score(stats: CollectionStats) -> np.ndarray:
+    """Cosine between the seeds' mean embedding and every candidate's."""
+    embeddings = stats.index.embeddings
+    seed = seed_embedding(stats)
+    scores = cosine(embeddings @ seed, np.linalg.norm(embeddings, axis=1), float(np.linalg.norm(seed)))
+    return scores[stats.candidates]
 
 
 def sort_scored(scores: Mapping[str, float]) -> ScoredList:
@@ -198,38 +200,29 @@ def sort_scored(scores: Mapping[str, float]) -> ScoredList:
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def minmax(scores: ScoredList) -> ScoredList:
-    """Min-max normalize to [0, 1]; a constant list maps to all zeros."""
-    if not scores:
+def minmax(scores: np.ndarray) -> np.ndarray:
+    """Min-max normalize to [0, 1]; a constant array maps to all zeros."""
+    if not len(scores):
         raise ContractError("cannot min-max normalize an empty score list")
-    values = [s for _, s in scores]
-    lo, hi = min(values), max(values)
+    lo, hi = scores.min(), scores.max()
     if hi == lo:
-        return sort_scored({d: 0.0 for d, _ in scores})
-    span = hi - lo
-    return sort_scored({d: (s - lo) / span for d, s in scores})
+        return np.zeros(len(scores))
+    return (scores - lo) / (hi - lo)
 
 
-def interpolate(sdr: ScoredList, aes: ScoredList, alpha: float) -> ScoredList:
-    """(1 - alpha) * sdr + alpha * aes over an identical document set."""
-    sdr_map = dict(sdr)
-    aes_map = dict(aes)
-    if sdr_map.keys() != aes_map.keys():
-        raise ContractError("interpolation inputs rank different document sets")
-    return sort_scored({d: (1.0 - alpha) * s + alpha * aes_map[d] for d, s in sdr_map.items()})
+def interpolate(sdr: np.ndarray, aes: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha) * sdr + alpha * aes over one candidate order."""
+    if sdr.shape != aes.shape:
+        raise ContractError("interpolation inputs score different candidate sets")
+    return (1.0 - alpha) * sdr + alpha * aes
 
 
 def rank(
-    topic: Topic,
-    corpus: Mapping[str, Document],
+    index: TopicIndex,
     seed_ids: Sequence[str],
     method: str,
-    representation: str,
     params: ScoringParams,
-    pipeline: PipelineConfig,
     *,
-    lexicon: Lexicon | None = None,
-    embeddings: EmbeddingTable | None = None,
     undersample: bool = False,
     run_key: str | None = None,
     tag: str | None = None,
@@ -238,85 +231,34 @@ def rank(
 
     The seeds are removed from the candidate pool before collection
     statistics are computed (they are judged, not screened). Multiple seeds
-    are concatenated, in order, into one pseudo-seed. Returns TREC run
-    entries keyed by ``run_key`` (default: the topic id).
+    form one pseudo-seed, their texts concatenated in order. Returns TREC
+    run entries keyed by ``run_key`` (default: the topic id).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if representation not in REPRESENTATIONS:
-        raise ValueError(f"unknown representation {representation!r}")
-    if representation == "boc" and lexicon is None:
-        raise ContractError("the boc representation requires a lexicon")
-    if method in ("aes", "sdr+aes") and embeddings is None:
-        raise ContractError(f"method {method!r} requires an embedding table")
-    missing = [s for s in seed_ids if s not in corpus]
-    if missing:
-        raise ContractError(f"seed documents not in corpus: {missing}")
+    if method in AES_METHODS and index.embeddings is None:
+        raise ContractError(f"method {method!r} requires an index built with an embedding table")
+    stats = build_stats(index, seed_ids)
 
-    seed_set = set(seed_ids)
-    candidate_ids = [d for d in topic.candidate_ids if d not in seed_set]
-    if not candidate_ids:
-        raise EmptyTopicError(f"topic {topic.topic_id!r} has no candidates after seed exclusion")
-    absent = [d for d in candidate_ids if d not in corpus]
-    if absent:
-        raise ContractError(
-            f"topic {topic.topic_id!r}: {len(absent)} candidates missing from the corpus "
-            f"(first: {absent[:3]})"
-        )
-
-    seed_text = " ".join(document_text(corpus[s], pipeline) for s in seed_ids)
-    seed_counts = TermCounts.from_tokens(tokenize(seed_text, pipeline))
-    if representation == "boc":
-        seed_counts = boc(seed_counts, lexicon)
-
-    cand_counts = {d: doc_counts(corpus[d], pipeline, representation, lexicon) for d in candidate_ids}
-
-    scores: dict[str, float]
-    if method in ("bm25", "qlm", "sdr", "sdr+aes"):
-        stats = build_stats(cand_counts)
-        if method == "bm25":
-            scores = {d: bm25_score(seed_counts, c, stats, params) for d, c in cand_counts.items()}
+    if method == "bm25":
+        scores = bm25_score(stats, params)
+    elif method == "aes":
+        scores = aes_score(stats)
+    else:
+        if method == "qlm":
+            weights = np.ones(len(stats.seed_terms))
         else:
-            if method == "qlm":
-                weights = dict.fromkeys(seed_counts.counts, 1.0)
-            else:
-                seed_vec = tfidf(seed_counts, stats)
-                pairs = [(cand_counts[d], tfidf(cand_counts[d], stats)) for d in candidate_ids]
-                weights = phi_weights(
-                    seed_counts,
-                    seed_vec,
-                    pairs,
-                    params,
-                    undersample=undersample,
-                    rng_key=(topic.topic_id, "+".join(seed_ids)),
-                )
-            scores = {d: sdr_score(seed_counts, c, stats, params, weights) for d, c in cand_counts.items()}
+            weights = phi_weights(
+                stats, params, undersample=undersample, rng_key=(index.topic_id, "+".join(seed_ids))
+            )
+        scores = sdr_score(stats, params, weights)
+        if method == "sdr+aes":
+            scores = interpolate(minmax(scores), minmax(aes_score(stats)), params.aes_alpha)
 
-    if method in ("aes", "sdr+aes"):
-        aes_pipeline = PipelineConfig(
-            variant=pipeline.variant,
-            stopwords=pipeline.stopwords,
-            lowercase=False,
-            include_title=pipeline.include_title,
-        )
-        seed_tokens = tokenize(seed_text, aes_pipeline)
-        if representation == "boc":
-            seed_tokens = [t for t in seed_tokens if t.lower() in lexicon]
-        aes_scores = {}
-        for d in candidate_ids:
-            cand_tokens = tokenize(document_text(corpus[d], aes_pipeline), aes_pipeline)
-            if representation == "boc":
-                cand_tokens = [t for t in cand_tokens if t.lower() in lexicon]
-            aes_scores[d] = aes_score(seed_tokens, cand_tokens, embeddings)
-        if method == "aes":
-            scores = aes_scores
-        else:
-            combined = interpolate(minmax(sort_scored(scores)), minmax(sort_scored(aes_scores)), params.aes_alpha)
-            scores = dict(combined)
-
-    key = run_key if run_key is not None else topic.topic_id
-    run_tag = tag if tag is not None else f"{method}-{representation}"
+    key = run_key if run_key is not None else index.topic_id
+    run_tag = tag if tag is not None else f"{method}-{index.representation}"
+    doc_ids = [index.doc_ids[row] for row in stats.candidates.tolist()]
     return [
         RunEntry(key, doc_id, i, score, run_tag)
-        for i, (doc_id, score) in enumerate(sort_scored(scores), start=1)
+        for i, (doc_id, score) in enumerate(sort_scored(dict(zip(doc_ids, scores.tolist()))), start=1)
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -119,3 +119,12 @@ def doc_counts(doc: Document, config: PipelineConfig, representation: str, lexic
     """Counts of one document under the ``bow`` or ``boc`` representation."""
     counts = bow(doc, config)
     return boc(counts, lexicon) if representation == "boc" else counts
+
+
+def embedding_tokens(doc: Document, config: PipelineConfig, lexicon: Lexicon | None = None) -> list[str]:
+    """Case-preserving tokens for embedding lookup; with a lexicon, only its terms."""
+    config = replace(config, lowercase=False)
+    tokens = tokenize(document_text(doc, config), config)
+    if lexicon is None:
+        return tokens
+    return [t for t in tokens if t.lower() in lexicon]

@@ -1,105 +1,248 @@
-"""Per-topic collection statistics, tf-idf vectors and embedding averages.
+"""The per-topic term matrix, run-unit statistics, tf-idf weights and embedding averages.
 
-Statistics are always built over exactly one topic's candidate set, after
-seed exclusion. Background probabilities use maximum likelihood over that
-set: p(t|C) = collection_count(t) / total_tokens.
+A topic's candidates are counted once, into a ``TopicIndex``: a CSR
+doc-term count matrix whose rows keep each document's terms in order of
+first occurrence, a CSC copy whose columns are postings in candidate order,
+and integer document lengths, document frequencies and collection counts.
+For AES it also holds every candidate's mean embedding. Every run unit of
+the topic (one seed, or one seed group) ranks against that one index.
+
+A unit's statistics are the index's minus its seed rows, which is exact in
+integers: seeds are judged, not screened, so they are not part of the
+collection. Background probabilities use maximum likelihood over the
+unit's candidates: p(t|C) = collection_count(t) / total_tokens.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .corpus import EmbeddingTable
-from .errors import EmptyCollectionError
-from .text import TermCounts
+from .corpus import Document, EmbeddingTable, Lexicon, Topic
+from .errors import ContractError, EmptyTopicError
+from .text import PipelineConfig, TermCounts, doc_counts, embedding_tokens
+
+REPRESENTATIONS = ("bow", "boc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TopicIndex:
+    """One topic's candidates, counted once and shared by all its run units.
+
+    Rows follow ``doc_ids`` (the topic's candidate order), columns follow
+    ``terms`` (order of first occurrence). ``embeddings`` is the N x d
+    matrix of mean embeddings, None when built without an embedding table;
+    ``embedding_hits`` counts the tokens each row's mean is over.
+    """
+
+    topic: Topic
+    representation: str
+    doc_ids: tuple[str, ...]
+    rows: dict[str, int]
+    terms: tuple[str, ...]
+    counts: sparse.csr_matrix
+    postings: sparse.csc_matrix
+    doc_lengths: np.ndarray
+    doc_freq: np.ndarray
+    collection_counts: np.ndarray
+    embeddings: np.ndarray | None = None
+    embedding_hits: np.ndarray | None = None
+
+    @classmethod
+    def from_counts(cls, topic: Topic, counts: Mapping[str, TermCounts], representation: str = "bow") -> "TopicIndex":
+        """Index doc_id -> counts; the mapping's order is the row order."""
+        entries = [term for tc in counts.values() for term in tc.counts]
+        vocabulary = {term: i for i, term in enumerate(dict.fromkeys(entries))}
+        matrix = sparse.csr_matrix(
+            (
+                np.fromiter(chain.from_iterable(tc.counts.values() for tc in counts.values()), np.int64, len(entries)),
+                np.fromiter(map(vocabulary.__getitem__, entries), np.int64, len(entries)),
+                np.cumsum([0] + [len(tc.counts) for tc in counts.values()]),
+            ),
+            shape=(len(counts), len(vocabulary)),
+        )
+        postings = matrix.tocsc()
+        return cls(
+            topic=topic,
+            representation=representation,
+            doc_ids=tuple(counts),
+            rows={doc_id: i for i, doc_id in enumerate(counts)},
+            terms=tuple(vocabulary),
+            counts=matrix,
+            postings=postings,
+            doc_lengths=np.array([tc.length for tc in counts.values()], dtype=np.int64),
+            doc_freq=np.diff(postings.indptr).astype(np.int64),
+            collection_counts=np.asarray(matrix.sum(axis=0), dtype=np.int64).ravel(),
+        )
+
+    @property
+    def topic_id(self) -> str:
+        return self.topic.topic_id
+
+    def row_numbers(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """Rows of ``doc_ids`` in the given order; ContractError for a non-candidate."""
+        doc_ids = list(doc_ids)
+        missing = [d for d in doc_ids if d not in self.rows]
+        if missing:
+            raise ContractError(f"topic {self.topic_id!r}: documents not among its candidates: {missing}")
+        return np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
+
+
+def build_index(
+    topic: Topic,
+    corpus: Mapping[str, Document],
+    representation: str,
+    pipeline: PipelineConfig,
+    *,
+    lexicon: Lexicon | None = None,
+    embeddings: EmbeddingTable | None = None,
+) -> TopicIndex:
+    """Count every candidate of ``topic`` once; with ``embeddings``, average its token vectors once."""
+    if representation not in REPRESENTATIONS:
+        raise ValueError(f"unknown representation {representation!r}")
+    if representation == "boc" and lexicon is None:
+        raise ContractError("the boc representation requires a lexicon")
+    absent = [d for d in topic.candidate_ids if d not in corpus]
+    if absent:
+        raise ContractError(
+            f"topic {topic.topic_id!r}: {len(absent)} candidates missing from the corpus "
+            f"(first: {absent[:3]})"
+        )
+    docs = {d: corpus[d] for d in topic.candidate_ids}
+    index = TopicIndex.from_counts(
+        topic, {d: doc_counts(doc, pipeline, representation, lexicon) for d, doc in docs.items()}, representation
+    )
+    if embeddings is None:
+        return index
+    token_lexicon = lexicon if representation == "boc" else None
+    means = np.zeros((len(docs), embeddings.dimension))
+    hits = np.zeros(len(docs), dtype=np.int64)
+    for i, doc in enumerate(docs.values()):
+        means[i], hits[i] = aes_vector(embedding_tokens(doc, pipeline, token_lexicon), embeddings)
+    return replace(index, embeddings=means, embedding_hits=hits)
+
+
+@dataclass(frozen=True, eq=False)
 class CollectionStats:
-    """Aggregate counts over one candidate collection; immutable once built."""
+    """One run unit's view of a topic index: its seeds and its candidates' statistics.
 
+    ``candidates`` are the index rows left after removing the seed rows, in
+    topic order. ``seed_terms`` are the columns of the summed seed rows in
+    order of first occurrence in the concatenated seed texts, with
+    ``seed_counts``. The postings of the seed terms among the candidates are
+    grouped by seed term in that order, ascending rows within a term:
+    ``posting_terms`` holds each posting's seed-term position k,
+    ``posting_rows`` its row and ``posting_counts`` its count.
+    """
+
+    index: TopicIndex
+    seed_rows: np.ndarray
+    candidates: np.ndarray
+    is_candidate: np.ndarray
     num_docs: int
-    doc_freq: dict[str, int]
-    collection_counts: dict[str, int]
+    doc_freq: np.ndarray
+    collection_counts: np.ndarray
     total_tokens: int
-    doc_lengths: dict[str, int]
     avg_doc_length: float
-
-    def p_collection(self, term: str) -> float:
-        """Maximum-likelihood background probability of ``term``."""
-        if self.total_tokens == 0:
-            return 0.0
-        return self.collection_counts.get(term, 0) / self.total_tokens
-
-
-@dataclass(frozen=True)
-class TfIdfVector:
-    """Sparse tf-idf weights with the Euclidean norm cached."""
-
-    weights: dict[str, float]
-    norm: float
+    seed_terms: np.ndarray
+    seed_counts: np.ndarray
+    posting_terms: np.ndarray
+    posting_rows: np.ndarray
+    posting_counts: np.ndarray
 
 
-def build_stats(candidates: Mapping[str, TermCounts]) -> CollectionStats:
-    """Build collection statistics from doc_id -> TermCounts."""
-    if not candidates:
-        raise EmptyCollectionError("cannot build statistics over zero candidates")
-    doc_freq: dict[str, int] = {}
-    collection_counts: dict[str, int] = {}
-    doc_lengths: dict[str, int] = {}
-    total = 0
-    for doc_id, tc in candidates.items():
-        doc_lengths[doc_id] = tc.length
-        total += tc.length
-        for term, count in tc.counts.items():
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-            collection_counts[term] = collection_counts.get(term, 0) + count
-    n = len(candidates)
+def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
+    """Statistics of the unit that ranks ``index`` against ``seed_ids`` (the seeds are not candidates)."""
+    seed_rows = index.row_numbers(seed_ids)
+    is_candidate = np.ones(len(index.doc_ids), dtype=bool)
+    is_candidate[seed_rows] = False
+    candidates = np.flatnonzero(is_candidate)
+    if not len(candidates):
+        raise EmptyTopicError(f"topic {index.topic_id!r} has no candidates after seed exclusion")
+    removed = index.counts[np.unique(seed_rows)]
+    total = int(index.doc_lengths[candidates].sum())
+
+    seed: dict[int, int] = {}
+    for row in seed_rows:
+        start, end = index.counts.indptr[row], index.counts.indptr[row + 1]
+        for term, count in zip(index.counts.indices[start:end].tolist(), index.counts.data[start:end].tolist()):
+            seed[term] = seed.get(term, 0) + count
+    seed_terms = np.fromiter(seed.keys(), dtype=np.intp, count=len(seed))
+
+    postings = index.postings[:, seed_terms]
+    kept = is_candidate[postings.indices]
+    posting_terms = np.repeat(np.arange(len(seed_terms)), np.diff(postings.indptr))[kept]
     return CollectionStats(
-        num_docs=n,
-        doc_freq=doc_freq,
-        collection_counts=collection_counts,
+        index=index,
+        seed_rows=seed_rows,
+        candidates=candidates,
+        is_candidate=is_candidate,
+        num_docs=len(candidates),
+        doc_freq=index.doc_freq - removed.getnnz(axis=0),
+        collection_counts=index.collection_counts - np.asarray(removed.sum(axis=0), dtype=np.int64).ravel(),
         total_tokens=total,
-        doc_lengths=doc_lengths,
-        avg_doc_length=total / n,
+        avg_doc_length=total / len(candidates),
+        seed_terms=seed_terms,
+        seed_counts=np.fromiter(seed.values(), dtype=np.int64, count=len(seed)),
+        posting_terms=posting_terms,
+        posting_rows=postings.indices[kept].astype(np.intp),
+        posting_counts=postings.data[kept],
     )
 
 
-def tfidf(doc: TermCounts, stats: CollectionStats) -> TfIdfVector:
-    """Raw-count tf times ln(N/df) idf.
+def tfidf(stats: CollectionStats) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Raw-count tf times ln(N/df) for every index row, under the unit's statistics.
 
-    Terms unseen in the collection (df = 0) have no defined idf and are
-    dropped, as are df = N terms whose weight is exactly zero.
+    Returns the weights, their row norms and the idf per column. Terms no
+    candidate holds (df = 0) have no defined idf, and df = N terms weigh
+    exactly zero; both get idf 0.
     """
-    weights: dict[str, float] = {}
-    n = stats.num_docs
-    sq = 0.0
-    for term, count in doc.counts.items():
-        df = stats.doc_freq.get(term, 0)
-        if df == 0 or df == n:
-            continue
-        w = count * math.log(n / df)
-        weights[term] = w
-        sq += w * w
-    return TfIdfVector(weights, math.sqrt(sq))
+    n, df = stats.num_docs, stats.doc_freq
+    idf = np.zeros(len(df))
+    defined = (df > 0) & (df < n)
+    idf[defined] = np.log(n / df[defined])
+    counts = stats.index.counts
+    data = counts.data * idf[counts.indices]
+    entry_rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    norms = np.sqrt(np.bincount(entry_rows, weights=data * data, minlength=counts.shape[0]))
+    # Copies of the index arrays: some scipy operations sort a matrix's
+    # indices in place, and the index's rows keep their terms in order of
+    # first occurrence.
+    weights = sparse.csr_matrix((data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape)
+    return weights, norms, idf
 
 
-def dot(u: TfIdfVector, v: TfIdfVector) -> float:
-    a, b = u.weights, v.weights
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(w * b[t] for t, w in a.items() if t in b)
+def cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
+    """dots / (norms * other_norms) elementwise; 0 where either norm vanishes."""
+    denominators = norms * other_norms
+    return np.divide(dots, denominators, out=np.zeros(len(dots)), where=denominators != 0.0)
 
 
-def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
-    """Cosine similarity in [0, 1]; zero-norm vectors compare as 0."""
-    if u.norm == 0.0 or v.norm == 0.0:
-        return 0.0
-    return dot(u, v) / (u.norm * v.norm)
+def seed_similarities(stats: CollectionStats) -> np.ndarray:
+    """tf-idf cosine between the summed seed rows and every index row."""
+    weights, norms, idf = tfidf(stats)
+    seed_weights = stats.seed_counts * idf[stats.seed_terms]
+    seed = np.zeros(weights.shape[1])
+    seed[stats.seed_terms] = seed_weights
+    return cosine(weights @ seed, norms, math.sqrt(float((seed_weights * seed_weights).sum())))
+
+
+def seed_embedding(stats: CollectionStats) -> np.ndarray:
+    """Mean embedding over the seeds' concatenated tokens, from their rows."""
+    index = stats.index
+    if len(stats.seed_rows) == 1:
+        # The row itself, not (hits * mean) / hits, which may round differently.
+        return index.embeddings[stats.seed_rows[0]]
+    hits = index.embedding_hits[stats.seed_rows]
+    total = int(hits.sum())
+    if total == 0:
+        return np.zeros(index.embeddings.shape[1])
+    return hits @ index.embeddings[stats.seed_rows] / total
 
 
 def aes_vector(tokens: Iterable[str], table: EmbeddingTable) -> tuple[np.ndarray, int]:
@@ -109,22 +252,7 @@ def aes_vector(tokens: Iterable[str], table: EmbeddingTable) -> tuple[np.ndarray
     vector and the number of occurrences matched; an all-out-of-vocabulary
     input yields (zero vector, 0).
     """
-    acc = np.zeros(table.dimension, dtype=np.float64)
-    hits = 0
-    for token in tokens:
-        vec = table.lookup(token)
-        if vec is not None:
-            acc += vec
-            hits += 1
-    if hits == 0:
-        return acc, 0
-    return acc / hits, hits
-
-
-def dense_cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine for dense vectors, 0.0 when either norm vanishes."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v)) / (nu * nv)
+    rows = [row for row in map(table.row, tokens) if row is not None]
+    if not rows:
+        return np.zeros(table.dimension), 0
+    return table.matrix[rows].sum(axis=0) / len(rows), len(rows)

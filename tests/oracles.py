@@ -128,3 +128,26 @@ def ref_qlm_scores(seed_counts, candidates, lam):
             s += c_seed * math.log(1.0 + (1.0 - lam) / lam * cand[term] / (length * p_c))
         scores[doc_id] = s
     return scores
+
+
+def ref_bm25_scores(seed_counts, candidates, k1, b):
+    """Okapi BM25 with each seed term as one query term and idf ln(1 + (N - df + 0.5) / (df + 0.5)).
+
+    candidates: dict doc_id -> term count dict (seed already excluded).
+    """
+    count_dicts = list(candidates.values())
+    n = len(count_dicts)
+    avg_length = sum(sum(c.values()) for c in count_dicts) / n
+    scores = {}
+    for doc_id, cand in candidates.items():
+        length = sum(cand.values())
+        s = 0.0
+        for term in seed_counts:
+            if term not in cand:
+                continue
+            df = sum(1 for c in count_dicts if term in c)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            tf = cand[term]
+            s += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * length / avg_length))
+        scores[doc_id] = s
+    return scores

@@ -1,8 +1,8 @@
-"""Synthetic corpora/topics for tests: random but fully seed-determined."""
+"""Synthetic corpora/topics for tests (random but fully seed-determined) and hand-built topic indexes."""
 
 import numpy as np
 
-from seedrank import Document, Topic
+from seedrank import Document, Topic, TopicIndex
 
 _WORDS = None
 
@@ -109,3 +109,13 @@ def write_collection_files(tmp_path, topics, corpus):
             for doc_id, grade in topic.judgments.items():
                 fh.write(f"{topic.topic_id} 0 {doc_id} {grade}\n")
     return corpus_path, topics_path, qrels_path
+
+
+def count_index(**docs):
+    """A topic index over doc_id -> TermCounts, rows in keyword order."""
+    return TopicIndex.from_counts(Topic("T", list(docs)), docs)
+
+
+def by_term(stats, values):
+    """Per-seed-term values of a unit (phi weights, say) keyed by term."""
+    return {stats.index.terms[col]: value for col, value in zip(stats.seed_terms.tolist(), values)}

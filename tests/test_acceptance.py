@@ -27,6 +27,7 @@ from seedrank import (
     SeedGroup,
     boc,
     bow,
+    build_index,
     build_stats,
     intra_similarity,
     last_rel_percent,
@@ -40,14 +41,13 @@ from seedrank import (
     rank,
     recall_at,
     sdr_score,
-    tfidf,
     write_run,
     wss,
 )
 from seedrank.evaluation import average_precision
 from seedrank.scoring import sort_scored
 from seedrank.text import TermCounts
-from synth import synth_collection, synth_topic, write_collection_files
+from synth import by_term, count_index, synth_collection, synth_topic, write_collection_files
 
 import math
 
@@ -85,15 +85,15 @@ def test_criterion_1_reduction_identity(pipeline, params):
             vocab = int(rng.integers(50, 501))
             topic, corpus = synth_topic(rng, f"R{t:02d}", n_docs, vocab_size=vocab, n_relevant=3)
             seed_id = topic.relevant_ids[0]
-            qlm_entries = rank(topic, corpus, [seed_id], "qlm", "bow", params, pipeline)
+            index = build_index(topic, corpus, "bow", pipeline)
+            qlm_entries = rank(index, [seed_id], "qlm", params)
             qlm_order = [e.doc_id for e in qlm_entries]
 
-            candidates = [d for d in topic.candidate_ids if d != seed_id]
-            counts = {d: bow(corpus[d], pipeline) for d in candidates}
-            stats = build_stats(counts)
-            seed_counts = bow(corpus[seed_id], pipeline)
-            unit_weights = {term: 1.0 for term in seed_counts.counts}
-            scores = {d: sdr_score(seed_counts, c, stats, params, unit_weights) for d, c in counts.items()}
+            stats = build_stats(index, [seed_id])
+            unit_weights = np.ones(len(stats.seed_terms))
+            scores = sdr_score(stats, params, unit_weights)
+            candidates = [index.doc_ids[row] for row in stats.candidates]
+            scores = dict(zip(candidates, scores.tolist()))
             forced_order = [d for d, _ in sort_scored(scores)]
             assert forced_order == qlm_order, f"ordering diverged on topic {topic.topic_id}"
         elapsed = time.perf_counter() - started
@@ -178,20 +178,21 @@ def test_criterion_3_hand_corpus_formula_check(params):
     with _Criterion(3, "hand-worked term-weight and QLM-addend values reproduce to 1e-9"):
         # Seed {a, b} against candidates {a} and {b}: both partitions have
         # similarity 1/sqrt(2) to the seed, so the weight is exactly ln 2.
-        stats = build_stats({"d1": TermCounts({"a": 1}, 1), "d2": TermCounts({"b": 1}, 1)})
-        seed_counts = TermCounts({"a": 1, "b": 1}, 2)
-        seed_vec = tfidf(seed_counts, stats)
-        candidates = [
-            (TermCounts({"a": 1}, 1), tfidf(TermCounts({"a": 1}, 1), stats)),
-            (TermCounts({"b": 1}, 1), tfidf(TermCounts({"b": 1}, 1), stats)),
-        ]
-        weight = phi_weights(seed_counts, seed_vec, candidates, params)["a"]
+        stats = build_stats(
+            count_index(s=TermCounts({"a": 1, "b": 1}, 2), d1=TermCounts({"a": 1}, 1), d2=TermCounts({"b": 1}, 1)),
+            ["s"],
+        )
+        weight = by_term(stats, phi_weights(stats, params))["a"]
         assert abs(weight - math.log(2)) < 1e-9
 
         # c(term, cand)=2, L=10, p(term|C)=0.1, lambda=0.5 -> ln 3.
-        cand = TermCounts({"a": 2, "x": 8}, 10)
-        stats2 = build_stats({"cand": cand, "other": TermCounts({"x": 10}, 10)})
-        score = sdr_score(TermCounts({"a": 1}, 1), cand, stats2, ScoringParams(jm_lambda=0.5), {"a": 1.0})
+        stats2 = build_stats(
+            count_index(
+                s=TermCounts({"a": 1}, 1), cand=TermCounts({"a": 2, "x": 8}, 10), other=TermCounts({"x": 10}, 10)
+            ),
+            ["s"],
+        )
+        score = sdr_score(stats2, ScoringParams(jm_lambda=0.5), np.ones(1))[0]
         assert abs(score - math.log(3)) < 1e-9
 
 
@@ -205,9 +206,10 @@ def test_criterion_4_multi_seed_structure(pipeline, params, tmp_path):
         topic, corpus = synth_topic(rng, "M0", 40, vocab_size=80, n_relevant=6)
 
         seed_id = topic.relevant_ids[0]
-        single = rank(topic, corpus, [seed_id], "sdr", "bow", params, pipeline, run_key="K")
+        index = build_index(topic, corpus, "bow", pipeline)
+        single = rank(index, [seed_id], "sdr", params, run_key="K")
         singleton = SeedGroup("M0", (seed_id,), 0)
-        multi_one = multi_sdr(topic, corpus, singleton, "sdr", "bow", params, pipeline, run_key="K")
+        multi_one = multi_sdr(index, singleton, "sdr", params, run_key="K")
         a, b = tmp_path / "a.run", tmp_path / "b.run"
         write_run(single, a)
         write_run(multi_one, b)
@@ -215,9 +217,9 @@ def test_criterion_4_multi_seed_structure(pipeline, params, tmp_path):
 
         groups = make_groups("M0", topic.relevant_ids)
         assert len(groups) == len(topic.relevant_ids) - len(groups[0].member_ids) + 1
-        _, singles = loocv_single(topic, corpus, "sdr", "bow", params, pipeline)
+        _, singles = loocv_single(index, "sdr", params)
         for group in groups:
-            multi = multi_sdr(topic, corpus, group, "sdr", "bow", params, pipeline)
+            multi = multi_sdr(index, group, "sdr", params)
             oracle = oracle_single(topic, group, singles)
             assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
 
@@ -265,7 +267,7 @@ def test_criterion_6_observation_replication(pipeline):
     with _Criterion(6, "shared-vocabulary relevant docs are mutually closer than disjoint irrelevant ones"):
         topics, corpus = synth_collection(seed=66, n_topics=8, n_docs=30, vocab_size=200, n_relevant=5)
         for topic in topics:
-            rel_mean, irrel_mean = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=3)
+            rel_mean, irrel_mean = intra_similarity(build_index(topic, corpus, "bow", pipeline), rng_seed=3)
             assert rel_mean > irrel_mean, f"topic {topic.topic_id}: {rel_mean} <= {irrel_mean}"
 
         # A lexicon covering only part of the vocabulary must shrink it strictly.
@@ -298,17 +300,20 @@ def test_criterion_7_dataset_reproduction():
         pipeline = PipelineConfig()
         params = ScoringParams()
 
-        def mean_map(method, **kw):
+        indexes = [
+            build_index(topic, corpus, "boc", pipeline, lexicon=lexicon, embeddings=embeddings) for topic in topics
+        ]
+
+        def mean_map(method):
             master = ExperimentReport()
-            for topic in topics:
-                report, _ = loocv_single(topic, corpus, method, "boc", params, pipeline,
-                                         lexicon=lexicon, **kw)
+            for index in indexes:
+                report, _ = loocv_single(index, method, params)
                 master.merge(report)
             return master.cross_topic_means()["map"]
 
         qlm_map = mean_map("qlm")
         sdr_map = mean_map("sdr")
-        combined_map = mean_map("sdr+aes", embeddings=embeddings)
+        combined_map = mean_map("sdr+aes")
         assert sdr_map >= qlm_map, f"SDR {sdr_map} < QLM {qlm_map}"
         assert combined_map >= qlm_map
         assert abs(combined_map - 0.1984) <= 0.02, f"interpolated MAP {combined_map} outside band"
@@ -323,7 +328,7 @@ def test_criterion_8_desk_scale_runtime(pipeline, params):
             topic, corpus = synth_topic(
                 rng, f"P{t:02d}", 2000, vocab_size=500, n_relevant=3, doc_len=(25, 50)
             )
-            _, runs = loocv_single(topic, corpus, "sdr", "bow", params, pipeline)
+            _, runs = loocv_single(build_index(topic, corpus, "bow", pipeline), "sdr", params)
             total_runs += len(runs)
         elapsed = time.perf_counter() - started
         print(f"  ({total_runs} leave-one-out runs in {elapsed:.1f}s)")

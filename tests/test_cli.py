@@ -205,6 +205,40 @@ class TestCmdMulti:
         assert not list(tmp_path.rglob("*.run"))
 
 
+class TestTopicFailures:
+    """A topic that fails costs only its own outputs."""
+
+    def argv(self, command, files, out_dir):
+        return [
+            "-q", command,
+            "--corpus", files["corpus"], "--topics", files["topics"], "--qrels", files["qrels"],
+            "--method", "sdr", "--output-dir", str(out_dir),
+        ]
+
+    @pytest.mark.parametrize("command", ["rank", "multi"])
+    def test_ghost_document_fails_only_its_topic(self, tmp_path, collection, capsys, command):
+        # The last of three topics judges a document the corpus lacks.
+        ghost_qrels = tmp_path / "qrels_ghost.txt"
+        qrels = Path(collection["qrels"]).read_text(encoding="utf-8")
+        ghost_qrels.write_text(qrels + "T002 0 ghost 0\n", encoding="utf-8")
+        out_dir = tmp_path / "ghost"
+        assert main(self.argv(command, {**collection, "qrels": str(ghost_qrels)}, out_dir)) == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert [t["topic_id"] for t in summary["topics"]] == ["T002"]
+        assert summary["topics"][0]["error"] == "ContractError" and "ghost" in summary["topics"][0]["detail"]
+
+        assert {r["topic_id"] for r in read_metrics(out_dir / "metrics.csv")} == {"T000", "T001", "ALL"}
+        if command == "multi":
+            rows = read_metrics(out_dir / "oracle_comparison.csv")
+            assert {r["topic_id"] for r in rows} == {"T000", "T001", "ALL"}
+        clean_dir = tmp_path / "clean"
+        assert main(self.argv(command, collection, clean_dir)) == 0
+        run_files = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*.run"))
+        assert {p.name for p in run_files} == {"T000.run", "T001.run"}
+        for rel in run_files:
+            assert (out_dir / rel).read_bytes() == (clean_dir / rel).read_bytes()
+
+
 class TestCmdEval:
     def test_map_of_example_run(self, tmp_path, capsys):
         run = tmp_path / "r.run"
@@ -297,10 +331,44 @@ class TestSubprocessDeterminism:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.slow
+class TestMultiDeterminism:
+    def test_bytes_stable_across_workers_and_hash_seeds(self, tmp_path, collection):
+        outputs = []
+        for hash_seed, workers in (("1", "1"), ("2", "1"), ("1", "3")):
+            out_dir = tmp_path / f"hs{hash_seed}-w{workers}"
+            cmd = [
+                sys.executable, "-m", "seedrank.cli", "-q", "multi",
+                "--corpus", collection["corpus"],
+                "--topics", collection["topics"],
+                "--qrels", collection["qrels"],
+                "--method", "sdr",
+                "--workers", workers,
+                "--output-dir", str(out_dir),
+            ]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            files = [out_dir / "metrics.csv", out_dir / "oracle_comparison.csv", *sorted(out_dir.rglob("*.run"))]
+            assert len(files) == 2 + 2 * 3
+            outputs.append([(str(f.relative_to(out_dir)), f.read_bytes()) for f in files])
+        assert outputs[0] == outputs[1], "outputs differ between hash seeds"
+        assert outputs[0] == outputs[2], "outputs differ between worker counts"
+
+
 class TestDependencies:
     def test_cli_import_leaves_out_requests(self):
         src = str(Path(seedrank.__file__).resolve().parents[1])
         code = "import sys, seedrank.cli; print('requests' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(seedrank.__file__).resolve().parents[1])
+        code = "import sys, seedrank.cli; print('scipy.stats' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, check=True,

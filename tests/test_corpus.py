@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -244,7 +245,42 @@ class TestLexiconAndEmbeddings:
         write_lines(p, ["2 2", "a 1 0", "b 0 1"])
         table = load_embeddings(p)
         assert table.dimension == 2
-        assert list(table.vectors["a"]) == [1.0, 0.0]
+        assert list(table.lookup("a")) == [1.0, 0.0]
+
+    def test_vectors_equal_a_per_value_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = {f"w{i}": rng.normal(size=6) * 10.0 ** rng.integers(-8, 8) for i in range(300)}
+        lines = [f"{len(rows)} 6"]
+        for i, (token, vec) in enumerate(rows.items()):
+            values = [repr(float(v)) if i % 2 else f"{v:.6f}" for v in vec]
+            lines.append(f"{token} " + " ".join(values))
+        p = tmp_path / "e.txt"
+        write_lines(p, lines + ["w0 " + " ".join(["1e-3"] * 6)])  # a repeated token keeps its last vector
+        table = load_embeddings(p)
+        for line in lines[1:]:
+            token, *values = line.split()
+            expected = np.array([float(v) for v in values]) if token != "w0" else np.full(6, 1e-3)
+            assert table.lookup(token).tobytes() == expected.tobytes()
+
+    def test_unparsable_value_names_its_line(self, tmp_path):
+        p = tmp_path / "e.txt"
+        write_lines(p, ["3 2", "a 1 0", "", "b 0 x1", "c 1 1"])
+        with pytest.raises(ParseError) as err:
+            load_embeddings(p)
+        assert err.value.lineno == 4 and str(err.value).startswith(f"{p}:4:")
+
+    def test_token_without_values(self, tmp_path):
+        p = tmp_path / "e.txt"
+        write_lines(p, ["2 2", "a 1 0", "b"])
+        with pytest.raises(ParseError) as err:
+            load_embeddings(p)
+        assert err.value.lineno == 3
+
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "e.txt"
+        write_lines(p, ["0 3"])
+        table = load_embeddings(p)
+        assert table.dimension == 3 and table.lookup("a") is None
 
     def test_wrong_arity(self, tmp_path):
         p = tmp_path / "e.txt"

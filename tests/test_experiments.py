@@ -14,6 +14,7 @@ from seedrank import (
     SeedGroup,
     Topic,
     bow,
+    build_index,
     concat_group,
     evaluate_entries,
     intra_similarity,
@@ -25,8 +26,9 @@ from seedrank import (
     term_commonality,
     write_run,
 )
+from scipy import sparse
+
 from seedrank.experiments import _pairwise_mean_cosine
-from seedrank.vectors import TfIdfVector
 
 
 def run_bytes(entries, tmp_path, name):
@@ -37,7 +39,7 @@ def run_bytes(entries, tmp_path, name):
 
 class TestLoocvSingle:
     def test_one_run_per_seed_and_mean(self, params, pipeline, hand_corpus, hand_topic):
-        report, runs = loocv_single(hand_topic, hand_corpus, "qlm", "bow", params, pipeline)
+        report, runs = loocv_single(build_index(hand_topic, hand_corpus, "bow", pipeline), "qlm", params)
         assert set(runs) == {"s", "c1", "c3"}
         units = report.values["T1"]
         aps = [units[seed]["map"] for seed in runs]
@@ -50,7 +52,7 @@ class TestLoocvSingle:
     def test_single_relevant_is_error(self, params, pipeline, hand_corpus):
         topic = Topic("T1", list(hand_corpus), {"s": 1})
         with pytest.raises(InsufficientSeedsError):
-            loocv_single(topic, hand_corpus, "qlm", "bow", params, pipeline)
+            loocv_single(build_index(topic, hand_corpus, "bow", pipeline), "qlm", params)
 
     def test_cross_topic_mean_is_unweighted(self):
         report = ExperimentReport()
@@ -152,17 +154,14 @@ def multi_topic(multi_corpus):
 class TestMultiSdr:
     def test_singleton_group_equals_single(self, params, pipeline, multi_corpus, multi_topic, tmp_path):
         group = SeedGroup("T9", ("s1",), 0)
-        multi = multi_sdr(
-            multi_topic, multi_corpus, group, "sdr", "bow", params, pipeline, run_key="K"
-        )
-        single = rank(
-            multi_topic, multi_corpus, ["s1"], "sdr", "bow", params, pipeline, run_key="K"
-        )
+        index = build_index(multi_topic, multi_corpus, "bow", pipeline)
+        multi = multi_sdr(index, group, "sdr", params, run_key="K")
+        single = rank(index, ["s1"], "sdr", params, run_key="K")
         assert run_bytes(multi, tmp_path, "m.run") == run_bytes(single, tmp_path, "s.run")
 
     def test_group_excludes_all_members(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1", "s2"), 0)
-        entries = multi_sdr(multi_topic, multi_corpus, group, "sdr", "bow", params, pipeline)
+        entries = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
         assert {e.doc_id for e in entries} == {"c1", "c2", "c3", "c4", "c5"}
         assert all(e.topic_id == "T9.w0" for e in entries)
 
@@ -175,13 +174,13 @@ class TestMultiSdr:
         }
         topic = Topic("T", list(corpus), {"s1": 1, "s2": 1, "c1": 1})
         group = SeedGroup("T", ("s1", "s2"), 0)
-        entries = multi_sdr(topic, corpus, group, "qlm", "bow", params, pipeline)
+        entries = multi_sdr(build_index(topic, corpus, "bow", pipeline), group, "qlm", params)
         # both candidates score > 0 because the pseudo-seed covers both vocabularies
         assert all(e.score > 0 for e in entries)
 
     def test_two_seed_group_matches_reference(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1", "s2"), 0)
-        entries = multi_sdr(multi_topic, multi_corpus, group, "sdr", "bow", params, pipeline)
+        entries = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
         assert [e.doc_id for e in entries] == ["c1", "c5", "c3", "c2", "c4"]  # frozen from the oracle
 
         counts = {d: bow(doc, pipeline).counts for d, doc in multi_corpus.items()}
@@ -248,9 +247,10 @@ class TestOracleSingle:
             oracle_single(self.topic(), group, self.runs())
 
     def test_oracle_and_multi_cover_same_docs(self, params, pipeline, multi_corpus, multi_topic):
-        _, singles = loocv_single(multi_topic, multi_corpus, "sdr", "bow", params, pipeline)
+        index = build_index(multi_topic, multi_corpus, "bow", pipeline)
+        _, singles = loocv_single(index, "sdr", params)
         for group in make_groups("T9", multi_topic.relevant_ids):
-            multi = multi_sdr(multi_topic, multi_corpus, group, "sdr", "bow", params, pipeline)
+            multi = multi_sdr(index, group, "sdr", params)
             oracle = oracle_single(multi_topic, group, singles)
             assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
             assert len(multi) == len(oracle)
@@ -275,28 +275,25 @@ class TestIntraSimilarity:
             ["aspirin heart unique1", "aspirin heart unique1"],
             ["stroke brain", "glucose insulin", "kidney renal"],
         )
-        rel_mean, _ = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=1)
+        rel_mean, _ = intra_similarity(build_index(topic, corpus, "bow", pipeline), rng_seed=1)
         assert rel_mean == pytest.approx(1.0)
 
     def test_pairwise_mean_hand_example(self):
         # Three unit vectors with pairwise cosines exactly {0.5, 0.2, 0.1}.
         gram = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]])
         rows = np.linalg.cholesky(gram)
-        vectors = []
-        for row in rows:
-            weights = {f"t{j}": float(w) for j, w in enumerate(row) if w != 0.0}
-            vectors.append(TfIdfVector(weights, float(np.linalg.norm(row))))
-        assert _pairwise_mean_cosine(vectors) == pytest.approx(0.26666666, abs=1e-7)
+        weights = sparse.csr_matrix(rows)
+        assert _pairwise_mean_cosine(weights, np.linalg.norm(rows, axis=1)) == pytest.approx(0.26666666, abs=1e-7)
 
     def test_single_relevant_is_error(self, pipeline):
         topic, corpus = self.make_topic_corpus(["one doc"], ["a", "b"])
         with pytest.raises(InsufficientDocumentsError, match="relevant"):
-            intra_similarity(topic, corpus, "bow", pipeline)
+            intra_similarity(build_index(topic, corpus, "bow", pipeline))
 
     def test_too_few_irrelevant_is_error(self, pipeline):
         topic, corpus = self.make_topic_corpus(["a b", "a c", "a d"], ["x y"])
         with pytest.raises(InsufficientDocumentsError, match="irrelevant"):
-            intra_similarity(topic, corpus, "bow", pipeline)
+            intra_similarity(build_index(topic, corpus, "bow", pipeline))
 
     def test_deterministic_and_rel_mean_seed_free(self, pipeline):
         rng = np.random.default_rng(11)
@@ -304,9 +301,10 @@ class TestIntraSimilarity:
         rel = [" ".join(rng.choice(words[:10], size=8)) for _ in range(3)]
         irrel = [" ".join(rng.choice(words, size=8)) for _ in range(8)]
         topic, corpus = self.make_topic_corpus(rel, irrel)
-        a = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=5)
-        b = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=5)
-        c = intra_similarity(topic, corpus, "bow", pipeline, rng_seed=6)
+        index = build_index(topic, corpus, "bow", pipeline)
+        a = intra_similarity(index, rng_seed=5)
+        b = intra_similarity(index, rng_seed=5)
+        c = intra_similarity(index, rng_seed=6)
         assert a == b
         assert a[0] == c[0]  # relevant side never sampled
 
@@ -320,7 +318,7 @@ class TestTermCommonality:
             "r3": Document("r3", "", "shared delta"),
         }
         topic = Topic("T", list(corpus), {d: 1 for d in corpus})
-        fractions, histogram = term_commonality(topic, corpus, "bow", pipeline)
+        fractions, histogram = term_commonality(build_index(topic, corpus, "bow", pipeline))
         assert fractions["shared"] == 1.0
         assert fractions["alpha"] == 0.25
         assert histogram == {1: 4, 4: 1}
@@ -334,11 +332,11 @@ class TestTermCommonality:
         }
         topic = Topic("T", list(corpus), {d: 1 for d in corpus})
         lex = Lexicon(frozenset({"heart"}))
-        fractions, _ = term_commonality(topic, corpus, "boc", pipeline, lexicon=lex)
+        fractions, _ = term_commonality(build_index(topic, corpus, "boc", pipeline, lexicon=lex))
         assert fractions == {"heart": 1.0}
 
     def test_no_relevant_is_error(self, pipeline):
         corpus = {"d": Document("d", "", "x")}
         topic = Topic("T", ["d"], {"d": 0})
         with pytest.raises(InsufficientDocumentsError):
-            term_commonality(topic, corpus, "bow", pipeline)
+            term_commonality(build_index(topic, corpus, "bow", pipeline))

@@ -1,38 +1,46 @@
 import math
 
+import numpy as np
 import pytest
 
-from oracles import ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores
+from oracles import ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores, ref_tfidf
 from seedrank import (
     ConfigError,
     ContractError,
+    Document,
     EmbeddingTable,
     EmptyTopicError,
+    PipelineConfig,
     ScoringParams,
     TermCounts,
     Topic,
     aes_score,
+    aes_vector,
     bm25_score,
+    build_index,
     build_stats,
     interpolate,
     minmax,
     phi_weights,
     rank,
     sdr_score,
-    tfidf,
 )
 from seedrank.scoring import derive_rng, sort_scored
-from seedrank.vectors import TfIdfVector
-
-import numpy as np
+from seedrank.text import bow, tokenize
+from synth import by_term, count_index
 
 
 def tc(**counts):
     return TermCounts(dict(counts), sum(counts.values()))
 
 
-def vec(**weights):
-    return TfIdfVector(dict(weights), math.sqrt(sum(w * w for w in weights.values())))
+def unit(seed_ids=("s",), **docs):
+    """Statistics of the unit ranking the hand-built docs against ``seed_ids``."""
+    return build_stats(count_index(**docs), list(seed_ids))
+
+
+def per_doc(stats, scores):
+    return {stats.index.doc_ids[row]: score for row, score in zip(stats.candidates.tolist(), scores)}
 
 
 class TestScoringParams:
@@ -63,45 +71,27 @@ class TestGamma:
 
 
 class TestPhi:
-    # Two single-term candidates and a two-term seed: both partitions see the
-    # same similarity, so the weight must be exactly neutral.
-    def hand_setup(self):
-        stats = build_stats({"d1": tc(a=1), "d2": tc(b=1)})
-        seed_counts = tc(a=1, b=1)
-        seed_vec = tfidf(seed_counts, stats)
-        candidates = [
-            (tc(a=1), tfidf(tc(a=1), stats)),
-            (tc(b=1), tfidf(tc(b=1), stats)),
-        ]
-        return seed_counts, seed_vec, candidates
-
     def test_balanced_partitions_give_ln2(self, params):
-        seed_counts, seed_vec, candidates = self.hand_setup()
-        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == pytest.approx(
-            math.log(2), abs=1e-9
-        )
+        # Two single-term candidates and a two-term seed: both partitions see
+        # the same similarity, so the weight must be exactly neutral.
+        stats = unit(s=tc(a=1, b=1), d1=tc(a=1), d2=tc(b=1))
+        assert by_term(stats, phi_weights(stats, params))["a"] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_empty_present_partition_gives_zero(self, params):
-        seed_counts = tc(a=1, b=1)
-        seed_vec = vec(a=1.0, b=1.0)
-        candidates = [(tc(b=1), vec(b=1.0))]  # no candidate contains "a"
-        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == 0.0
+        # No candidate holds "a"; d1 shares "b" with the seed, so the rest is seed-like.
+        stats = unit(s=tc(a=1, b=1), d1=tc(b=1), d2=tc(c=1))
+        assert by_term(stats, phi_weights(stats, params))["a"] == 0.0
 
     def test_double_similarity_gives_ln3(self, params):
-        seed_counts = tc(a=1)
-        seed_vec = vec(a=1.0)
-        candidates = [
-            (tc(a=1), vec(a=1.0)),                      # cosine 1.0
-            (tc(b=1), vec(a=1.0, b=math.sqrt(3.0))),    # cosine 0.5
-        ]
-        result = phi_weights(seed_counts, seed_vec, candidates, params)["a"]
+        # d1 and d2 have cosine 1/sqrt(2) to the seed, d3 has 0: "a" splits
+        # {d1} (mean 1/sqrt(2)) from {d2, d3} (mean half that).
+        stats = unit(s=tc(a=1, b=1), d1=tc(a=1), d2=tc(b=1), d3=tc(x=1))
+        result = by_term(stats, phi_weights(stats, params))["a"]
         assert result == pytest.approx(math.log(3), abs=1e-12)
 
     def test_term_in_every_candidate_is_neutral(self, params):
-        seed_counts = tc(a=1)
-        seed_vec = vec(a=1.0)
-        candidates = [(tc(a=1), vec(a=1.0)), (tc(a=2), vec(a=2.0))]
-        assert phi_weights(seed_counts, seed_vec, candidates, params)["a"] == pytest.approx(math.log(2))
+        stats = unit(s=tc(a=1), d1=tc(a=1), d2=tc(a=2))
+        assert by_term(stats, phi_weights(stats, params))["a"] == pytest.approx(math.log(2))
 
     def test_phi_weights_matches_per_term_phi(self, params):
         rng = np.random.default_rng(7)
@@ -109,34 +99,32 @@ class TestPhi:
         candidates = []
         for _ in range(30):
             chosen = rng.choice(terms, size=rng.integers(2, 6), replace=False)
-            counts = tc(**{t: int(rng.integers(1, 4)) for t in chosen})
-            candidates.append(counts)
-        stats = build_stats({f"d{i}": c for i, c in enumerate(candidates)})
-        pairs = [(c, tfidf(c, stats)) for c in candidates]
-        seed_counts = tc(t0=2, t1=1, t5=1, t11=3)
-        seed_vec = tfidf(seed_counts, stats)
-        bulk = phi_weights(seed_counts, seed_vec, pairs, params)
-        ref_pairs = [(c.counts, v.weights) for c, v in pairs]
-        for term in seed_counts.counts:
-            single = ref_phi(term, seed_vec.weights, ref_pairs)
-            assert bulk[term] == pytest.approx(single, abs=1e-9)
+            candidates.append(tc(**{t: int(rng.integers(1, 4)) for t in chosen}))
+        seed = tc(t0=2, t1=1, t5=1, t11=3)
+        stats = unit(s=seed, **{f"d{i}": c for i, c in enumerate(candidates)})
+        bulk = by_term(stats, phi_weights(stats, params))
+        collection = [c.counts for c in candidates]
+        seed_vec = ref_tfidf(seed.counts, collection)
+        ref_pairs = [(c, ref_tfidf(c, collection)) for c in collection]
+        for term in seed.counts:
+            assert bulk[term] == pytest.approx(ref_phi(term, seed_vec, ref_pairs), abs=1e-9)
 
     def test_undersampling_is_deterministic(self):
         params = ScoringParams(undersample_cap=5, rng_seed=42)
-        candidates = []
+        candidates = {}
         for i in range(40):
             term = "a" if i % 2 == 0 else "b"
-            counts = tc(**{term: 1, f"u{i}": 1 + i % 5})  # varied weights, varied cosines
-            candidates.append(counts)
-        stats = build_stats({f"d{i}": c for i, c in enumerate(candidates)})
-        pairs = [(c, tfidf(c, stats)) for c in candidates]
-        seed_counts = tc(a=1, b=1)
-        seed_vec = tfidf(seed_counts, stats)
-        w1 = phi_weights(seed_counts, seed_vec, pairs, params, undersample=True, rng_key=("T", "g"))
-        w2 = phi_weights(seed_counts, seed_vec, pairs, params, undersample=True, rng_key=("T", "g"))
-        assert w1 == w2
-        w3 = phi_weights(seed_counts, seed_vec, pairs, params, undersample=True, rng_key=("T", "other"))
-        assert w3 != w1  # different sampling context, different samples
+            candidates[f"d{i}"] = tc(**{term: 1, f"u{i}": 1 + i % 5})  # varied weights, varied cosines
+        stats = unit(s=tc(a=1, b=1), **candidates)
+        w1 = phi_weights(stats, params, undersample=True, rng_key=("T", "g"))
+        w2 = phi_weights(stats, params, undersample=True, rng_key=("T", "g"))
+        assert list(w1) == list(w2)
+        w3 = phi_weights(stats, params, undersample=True, rng_key=("T", "other"))
+        assert list(w3) != list(w1)  # different sampling context, different samples
+
+
+def qlm(stats, params):
+    return per_doc(stats, sdr_score(stats, params, np.ones(len(stats.seed_terms))))
 
 
 class TestQlmScore:
@@ -144,134 +132,131 @@ class TestQlmScore:
 
     def test_hand_example_ln3(self):
         # c(a, cand)=2, L=10, p(a|C)=0.1, lambda=0.5 -> ln 3
-        params = ScoringParams(jm_lambda=0.5)
-        cand = tc(a=2, x=8)
-        stats = build_stats({"cand": cand, "other": tc(x=10)})
-        assert stats.p_collection("a") == pytest.approx(0.1)
-        score = sdr_score(tc(a=1), cand, stats, params, {"a": 1.0})
-        assert score == pytest.approx(math.log(3), abs=1e-9)
+        stats = unit(s=tc(a=1), cand=tc(a=2, x=8), other=tc(x=10))
+        a = stats.index.terms.index("a")
+        assert stats.collection_counts[a] / stats.total_tokens == pytest.approx(0.1)
+        assert qlm(stats, ScoringParams(jm_lambda=0.5))["cand"] == pytest.approx(math.log(3), abs=1e-9)
 
     def test_empty_intersection(self, params):
-        stats = build_stats({"d": tc(a=1)})
-        assert sdr_score(tc(b=1), tc(a=1), stats, params, {"b": 1.0}) == 0.0
+        assert qlm(unit(s=tc(b=1), d=tc(a=1)), params)["d"] == 0.0
 
     def test_lambda_near_one_vanishes(self):
-        stats = build_stats({"d": tc(a=3, b=2)})
-        cand = tc(a=3, b=2)
-        score = sdr_score(tc(a=1), cand, stats, ScoringParams(jm_lambda=0.999999), {"a": 1.0})
+        score = qlm(unit(s=tc(a=1), d=tc(a=3, b=2)), ScoringParams(jm_lambda=0.999999))["d"]
         assert abs(score) < 1e-4
 
     def test_monotone_in_candidate_count(self, params):
-        seed = tc(a=1)
         scores = []
         for c in (1, 2, 3, 4):
-            cand = tc(a=c, x=10 - c)
-            stats = build_stats({"cand": cand, "o": tc(a=1, x=9)})
-            scores.append(sdr_score(seed, cand, stats, params, {"a": 1.0}))
+            scores.append(qlm(unit(s=tc(a=1), cand=tc(a=c, x=10 - c), o=tc(a=1, x=9)), params)["cand"])
         assert scores == sorted(scores)
 
 
 class TestSdrScore:
-    def setup_scores(self, params):
-        cands = {"d1": tc(a=2, b=1), "d2": tc(b=3), "d3": tc(a=1, c=4)}
-        stats = build_stats(cands)
-        seed = tc(a=1, b=2, c=1)
-        return seed, cands, stats
+    CANDIDATES = {"d1": tc(a=2, b=1), "d2": tc(b=3), "d3": tc(a=1, c=4)}
+    SEED = tc(a=1, b=2, c=1)
 
     def test_unit_weights_reduce_to_qlm(self, params):
-        seed, cands, stats = self.setup_scores(params)
-        weights = {t: 1.0 for t in seed.counts}
-        expected = ref_qlm_scores(seed.counts, {d: c.counts for d, c in cands.items()}, params.jm_lambda)
-        for d, cand in cands.items():
-            assert sdr_score(seed, cand, stats, params, weights) == pytest.approx(expected[d], abs=1e-9)
+        stats = unit(s=self.SEED, **self.CANDIDATES)
+        expected = ref_qlm_scores(
+            self.SEED.counts, {d: c.counts for d, c in self.CANDIDATES.items()}, params.jm_lambda
+        )
+        for d, score in qlm(stats, params).items():
+            assert score == pytest.approx(expected[d], abs=1e-9)
 
-    def test_single_term_product(self, params):
-        cand = tc(a=2, x=8)
-        stats = build_stats({"cand": cand, "other": tc(x=10)})
+    def test_single_term_product(self):
+        stats = unit(s=tc(a=1), cand=tc(a=2, x=8), other=tc(x=10))
         p = ScoringParams(jm_lambda=0.5)
-        addend = sdr_score(tc(a=1), cand, stats, p, {"a": 1.0})
+        addend = qlm(stats, p)["cand"]
         weight = math.log(2)
-        score = sdr_score(tc(a=1), cand, stats, p, {"a": weight})
+        score = per_doc(stats, sdr_score(stats, p, np.array([weight])))["cand"]
         assert score == pytest.approx(weight * addend, abs=1e-9)
         assert score == pytest.approx(0.7614, abs=2e-4)  # ln2 * ln3
 
     def test_zero_weights_zero_score(self, params):
-        seed, cands, stats = self.setup_scores(params)
-        weights = {t: 0.0 for t in seed.counts}
-        assert sdr_score(seed, cands["d1"], stats, params, weights) == 0.0
+        stats = unit(s=self.SEED, **self.CANDIDATES)
+        assert per_doc(stats, sdr_score(stats, params, np.zeros(3)))["d1"] == 0.0
 
     def test_missing_weight_is_contract_error(self, params):
-        seed, cands, stats = self.setup_scores(params)
+        stats = unit(s=self.SEED, **self.CANDIDATES)
         with pytest.raises(ContractError):
-            sdr_score(seed, cands["d1"], stats, params, {"a": 1.0})
+            sdr_score(stats, params, np.ones(1))
 
 
 class TestBm25Score:
     def test_hand_example(self, params):
         # N=2, df=1 -> idf = ln 2; c=1 and L = avg_L make the tf factor 1.
-        cand = tc(a=1, x=1)
-        stats = build_stats({"cand": cand, "other": tc(y=1, z=1)})
-        assert stats.avg_doc_length == cand.length
-        assert bm25_score(tc(a=1), cand, stats, params) == pytest.approx(math.log(2), abs=1e-9)
+        stats = unit(s=tc(a=1), cand=tc(a=1, x=1), other=tc(y=1, z=1))
+        assert stats.avg_doc_length == 2
+        assert per_doc(stats, bm25_score(stats, params))["cand"] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_empty_intersection(self, params):
-        stats = build_stats({"d": tc(a=1)})
-        assert bm25_score(tc(b=1), tc(a=1), stats, params) == 0.0
+        stats = unit(s=tc(b=1), d=tc(a=1))
+        assert per_doc(stats, bm25_score(stats, params))["d"] == 0.0
 
     def test_b_zero_removes_length_dependence(self):
         params = ScoringParams(bm25_b=0.0)
-        short = tc(a=1, x=1)
-        long = tc(a=1, **{f"y{i}": 1 for i in range(20)})
-        stats = build_stats({"s": short, "l": long})
-        assert bm25_score(tc(a=1), short, stats, params) == pytest.approx(
-            bm25_score(tc(a=1), long, stats, params)
-        )
+        stats = unit(s=tc(a=1), short=tc(a=1, x=1), long=tc(a=1, **{f"y{i}": 1 for i in range(20)}))
+        scores = per_doc(stats, bm25_score(stats, params))
+        assert scores["short"] == pytest.approx(scores["long"])
 
 
 class TestAesScore:
-    TABLE = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    TABLE = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"alpha": 0, "beta": 1})
+
+    def aes(self, seed_ids, **texts):
+        corpus = {d: Document(d, "", text) for d, text in texts.items()}
+        index = build_index(Topic("T", list(corpus)), corpus, "bow", PipelineConfig(), embeddings=self.TABLE)
+        stats = build_stats(index, seed_ids)
+        return per_doc(stats, aes_score(stats))
 
     def test_identical_token_lists(self):
-        assert aes_score(["a", "b"], ["a", "b"], self.TABLE) == pytest.approx(1.0)
+        assert self.aes(["s"], s="alpha beta", c="alpha beta")["c"] == pytest.approx(1.0)
 
     def test_seed_all_oov(self):
-        assert aes_score(["zz"], ["a"], self.TABLE) == 0.0
+        assert self.aes(["s"], s="zz", c="alpha")["c"] == 0.0
 
     def test_hand_example(self):
-        assert aes_score(["a"], ["a", "b"], self.TABLE) == pytest.approx(0.7071067811, abs=1e-9)
+        assert self.aes(["s"], s="alpha", c="alpha beta")["c"] == pytest.approx(0.7071067811, abs=1e-9)
+
+    def test_seed_group_is_mean_over_concatenated_tokens(self):
+        score = self.aes(["s1", "s2"], s1="alpha", s2="beta beta zz", c="alpha beta")["c"]
+        pipeline = PipelineConfig()
+        seed_vec, _ = aes_vector(tokenize("alpha beta beta zz", pipeline), self.TABLE)
+        cand_vec, _ = aes_vector(["alpha", "beta"], self.TABLE)
+        expected = seed_vec @ cand_vec / (np.linalg.norm(seed_vec) * np.linalg.norm(cand_vec))
+        assert score == pytest.approx(expected, abs=1e-12)
 
 
 class TestMinMax:
     def test_linear_rescale(self):
-        out = dict(minmax([("d1", 2.0), ("d2", 4.0), ("d3", 6.0)]))
-        assert out == {"d1": 0.0, "d2": 0.5, "d3": 1.0}
+        assert list(minmax(np.array([2.0, 4.0, 6.0]))) == [0.0, 0.5, 1.0]
 
     def test_constant_scores(self):
-        assert dict(minmax([("d1", 3.0), ("d2", 3.0)])) == {"d1": 0.0, "d2": 0.0}
+        assert list(minmax(np.array([3.0, 3.0]))) == [0.0, 0.0]
 
     def test_singleton(self):
-        assert minmax([("d1", 5.0)]) == [("d1", 0.0)]
+        assert list(minmax(np.array([5.0]))) == [0.0]
 
     def test_empty_is_error(self):
         with pytest.raises(ContractError):
-            minmax([])
+            minmax(np.array([]))
 
 
 class TestInterpolate:
     def test_alpha_mixes(self):
-        out = dict(interpolate([("d", 1.0), ("e", 0.0)], [("d", 0.0), ("e", 1.0)], 0.3))
-        assert out["d"] == pytest.approx(0.7)
-        assert out["e"] == pytest.approx(0.3)
+        out = interpolate(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.3)
+        assert out[0] == pytest.approx(0.7)
+        assert out[1] == pytest.approx(0.3)
 
     def test_alpha_zero_keeps_first_ordering(self):
-        sdr = [("d1", 1.0), ("d2", 0.4), ("d3", 0.0)]
-        aes = [("d3", 1.0), ("d2", 0.5), ("d1", 0.0)]
-        assert [d for d, _ in interpolate(sdr, aes, 0.0)] == [d for d, _ in sdr]
-        assert [d for d, _ in interpolate(sdr, aes, 1.0)] == [d for d, _ in aes]
+        sdr = np.array([1.0, 0.4, 0.0])
+        aes = np.array([0.0, 0.5, 1.0])
+        assert list(interpolate(sdr, aes, 0.0)) == list(sdr)
+        assert list(interpolate(sdr, aes, 1.0)) == list(aes)
 
     def test_mismatched_doc_sets(self):
         with pytest.raises(ContractError):
-            interpolate([("d1", 1.0)], [("d2", 1.0)], 0.3)
+            interpolate(np.array([1.0]), np.array([1.0, 0.0]), 0.3)
 
 
 class TestSortScored:
@@ -290,22 +275,18 @@ class TestDeriveRng:
 
 class TestRank:
     def test_only_shared_terms_rank_first(self, params, pipeline):
-        from seedrank import Document
-
         corpus = {
             "s": Document("s", "", "aspirin heart"),
             "d1": Document("d1", "", "aspirin trial"),
             "d2": Document("d2", "", "unrelated words"),
         }
         topic = Topic("T1", ["s", "d1", "d2"], {"s": 1, "d1": 1})
-        entries = rank(topic, corpus, ["s"], "qlm", "bow", params, pipeline)
+        entries = rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params)
         assert entries[0].doc_id == "d1" and entries[0].rank == 1
         assert {e.doc_id for e in entries} == {"d1", "d2"}
 
     def test_sdr_matches_reference_script(self, params, pipeline, hand_corpus, hand_topic):
-        from seedrank.text import bow
-
-        entries = rank(hand_topic, hand_corpus, ["s"], "sdr", "bow", params, pipeline)
+        entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params)
         assert [e.doc_id for e in entries] == ["c1", "c3", "c2", "c4"]  # frozen from the oracle
 
         counts = {d: bow(doc, pipeline).counts for d, doc in hand_corpus.items()}
@@ -315,9 +296,7 @@ class TestRank:
             assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
 
     def test_qlm_matches_reference_script(self, params, pipeline, hand_corpus, hand_topic):
-        from seedrank.text import bow
-
-        entries = rank(hand_topic, hand_corpus, ["s"], "qlm", "bow", params, pipeline)
+        entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "qlm", params)
         counts = {d: bow(doc, pipeline).counts for d, doc in hand_corpus.items()}
         seed_counts = counts.pop("s")
         expected = ref_qlm_scores(seed_counts, counts, params.jm_lambda)
@@ -325,38 +304,40 @@ class TestRank:
             assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
 
     def test_runs_are_reproducible(self, params, pipeline, hand_corpus, hand_topic):
-        a = rank(hand_topic, hand_corpus, ["s"], "sdr", "bow", params, pipeline)
-        b = rank(hand_topic, hand_corpus, ["s"], "sdr", "bow", params, pipeline)
-        assert a == b
+        index = build_index(hand_topic, hand_corpus, "bow", pipeline)
+        a = rank(index, ["s"], "sdr", params)
+        rank(index, ["c1"], "sdr", params)
+        b = rank(index, ["s"], "sdr", params)
+        assert a == b == rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params)
 
     def test_empty_topic_after_exclusion(self, params, pipeline):
-        from seedrank import Document
-
         corpus = {"s": Document("s", "", "x")}
         topic = Topic("T1", ["s"], {"s": 1})
         with pytest.raises(EmptyTopicError):
-            rank(topic, corpus, ["s"], "qlm", "bow", params, pipeline)
+            rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params)
 
-    def test_candidate_missing_from_corpus(self, params, pipeline, hand_corpus):
+    def test_candidate_missing_from_corpus(self, pipeline, hand_corpus):
         topic = Topic("T1", ["s", "c1", "ghost"], {"s": 1, "c1": 1})
         with pytest.raises(ContractError, match="ghost"):
-            rank(topic, hand_corpus, ["s"], "qlm", "bow", params, pipeline)
+            build_index(topic, hand_corpus, "bow", pipeline)
 
-    def test_boc_requires_lexicon(self, params, pipeline, hand_corpus, hand_topic):
+    def test_seed_outside_the_topic(self, params, pipeline, hand_corpus):
+        topic = Topic("T1", ["c1", "c2"], {"c1": 1})
+        with pytest.raises(ContractError, match="'s'"):
+            rank(build_index(topic, hand_corpus, "bow", pipeline), ["s"], "qlm", params)
+
+    def test_boc_requires_lexicon(self, pipeline, hand_corpus, hand_topic):
         with pytest.raises(ContractError):
-            rank(hand_topic, hand_corpus, ["s"], "qlm", "boc", params, pipeline)
+            build_index(hand_topic, hand_corpus, "boc", pipeline)
 
     def test_aes_requires_embeddings(self, params, pipeline, hand_corpus, hand_topic):
         with pytest.raises(ContractError):
-            rank(hand_topic, hand_corpus, ["s"], "aes", "bow", params, pipeline)
+            rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "aes", params)
 
     def test_interpolated_ranking_runs(self, params, pipeline, hand_corpus, hand_topic):
-        dim = 3
-        vocab = {"heart": [1.0, 0, 0], "aspirin": [0, 1.0, 0], "stroke": [0, 0, 1.0]}
-        table = EmbeddingTable(dim, {t: np.array(v) for t, v in vocab.items()})
-        entries = rank(
-            hand_topic, hand_corpus, ["s"], "sdr+aes", "bow", params, pipeline, embeddings=table
-        )
+        table = EmbeddingTable(np.eye(3), {"heart": 0, "aspirin": 1, "stroke": 2})
+        index = build_index(hand_topic, hand_corpus, "bow", pipeline, embeddings=table)
+        entries = rank(index, ["s"], "sdr+aes", params)
         assert len(entries) == 4
         scores = [e.score for e in entries]
         assert scores == sorted(scores, reverse=True)

@@ -4,85 +4,193 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seedrank import EmbeddingTable, EmptyCollectionError, TermCounts, build_stats, cosine, tfidf
-from seedrank.vectors import TfIdfVector, aes_vector, dense_cosine
+from oracles import ref_cosine, ref_tfidf
+from seedrank import (
+    Document,
+    EmbeddingTable,
+    EmptyTopicError,
+    PipelineConfig,
+    TermCounts,
+    Topic,
+    aes_vector,
+    build_index,
+    build_stats,
+    cosine,
+    tfidf,
+)
+from seedrank.vectors import seed_similarities
+from synth import count_index
 
 
 def tc(**counts):
     return TermCounts(dict(counts), sum(counts.values()))
 
 
+def per_term(stats, values):
+    return {term: int(values[col]) for col, term in enumerate(stats.index.terms) if values[col]}
+
+
+class TestTopicIndex:
+    def test_rows_keep_first_occurrence_order(self):
+        index = count_index(d1=tc(b=1, a=2), d2=tc(c=1, a=1))
+        assert index.terms == ("b", "a", "c")
+        assert index.counts.toarray().tolist() == [[1, 2, 0], [0, 1, 1]]
+        assert list(index.counts.indices) == [0, 1, 2, 1]  # not sorted: d2 holds c before a
+        assert list(index.doc_lengths) == [3, 2]
+
+    def test_postings_in_candidate_order(self):
+        index = count_index(d1=tc(a=1), d2=tc(b=1), d3=tc(a=4))
+        assert index.postings.has_sorted_indices
+        a = index.terms.index("a")
+        start, end = index.postings.indptr[a], index.postings.indptr[a + 1]
+        assert list(index.postings.indices[start:end]) == [0, 2]
+
+    def test_each_candidate_counted_once(self, pipeline, monkeypatch):
+        import seedrank.text
+
+        calls = []
+        real_bow = seedrank.text.bow
+
+        def counting_bow(doc, config):
+            calls.append(doc.doc_id)
+            return real_bow(doc, config)
+
+        monkeypatch.setattr(seedrank.text, "bow", counting_bow)
+        corpus = {d: Document(d, "", f"word{d} shared") for d in ("a", "b", "c")}
+        index = build_index(Topic("T", ["a", "b", "c", "b"]), corpus, "bow", pipeline)
+        assert calls == ["a", "b", "c"]
+        assert index.doc_ids == ("a", "b", "c")
+
+
 class TestBuildStats:
     def test_hand_example(self):
-        stats = build_stats({"d1": tc(a=1), "d2": tc(a=2, b=1)})
+        stats = build_stats(count_index(d1=tc(a=1), d2=tc(a=2, b=1)), [])
         assert stats.num_docs == 2
-        assert stats.doc_freq == {"a": 2, "b": 1}
-        assert stats.collection_counts == {"a": 3, "b": 1}
+        assert per_term(stats, stats.doc_freq) == {"a": 2, "b": 1}
+        assert per_term(stats, stats.collection_counts) == {"a": 3, "b": 1}
         assert stats.total_tokens == 4
-        assert stats.p_collection("a") == pytest.approx(0.75)
+        assert stats.collection_counts[stats.index.terms.index("a")] / stats.total_tokens == pytest.approx(0.75)
+
+    def test_seed_rows_are_removed(self):
+        stats = build_stats(count_index(s=tc(a=5, c=1), d1=tc(a=1), d2=tc(a=2, b=1)), ["s"])
+        assert list(stats.candidates) == [1, 2]
+        assert per_term(stats, stats.doc_freq) == {"a": 2, "b": 1}
+        assert per_term(stats, stats.collection_counts) == {"a": 3, "b": 1}
+        assert stats.total_tokens == 4 and stats.avg_doc_length == 2.0
+
+    def test_seed_terms_in_order_of_first_occurrence(self):
+        index = count_index(s1=tc(b=1, a=1), s2=tc(c=2, a=3), d=tc(a=1))
+        stats = build_stats(index, ["s1", "s2"])
+        assert [index.terms[c] for c in stats.seed_terms] == ["b", "a", "c"]
+        assert list(stats.seed_counts) == [1, 4, 2]
 
     def test_single_doc(self):
-        stats = build_stats({"d1": tc(a=1)})
-        assert stats.p_collection("a") == 1.0
+        stats = build_stats(count_index(d1=tc(a=1)), [])
+        assert stats.collection_counts[0] / stats.total_tokens == 1.0
 
     def test_empty_collection(self):
-        with pytest.raises(EmptyCollectionError):
-            build_stats({})
+        with pytest.raises(EmptyTopicError):
+            build_stats(count_index(d1=tc(a=1)), ["d1"])
 
     @given(st.lists(
         st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), min_size=1, max_size=6),
         min_size=1, max_size=10,
     ))
     def test_background_probabilities_sum_to_one(self, docs):
-        stats = build_stats({f"d{i}": tc(**d) for i, d in enumerate(docs)})
-        total = sum(stats.p_collection(t) for t in stats.collection_counts)
+        stats = build_stats(count_index(**{f"d{i}": tc(**d) for i, d in enumerate(docs)}), [])
+        total = sum(stats.collection_counts[col] / stats.total_tokens for col in range(len(stats.index.terms)))
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert stats.total_tokens == sum(stats.doc_lengths.values())
-        for term, df in stats.doc_freq.items():
-            assert df <= stats.num_docs
-            assert stats.collection_counts[term] >= df
+        assert stats.total_tokens == sum(stats.index.doc_lengths)
+        assert all(stats.doc_freq <= stats.num_docs)
+        assert all(stats.collection_counts >= stats.doc_freq)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), max_size=6),
+            min_size=2, max_size=10,
+        ),
+        st.data(),
+    )
+    def test_subtraction_equals_recount(self, docs, data):
+        counts = {f"d{i}": tc(**d) for i, d in enumerate(docs)}
+        seeds = data.draw(st.lists(st.sampled_from(sorted(counts)), min_size=1, max_size=len(docs) - 1, unique=True))
+        stats = build_stats(count_index(**counts), seeds)
+        kept = [c for d, c in counts.items() if d not in seeds]
+        assert stats.num_docs == len(kept)
+        assert stats.total_tokens == sum(c.length for c in kept)
+        for col, term in enumerate(stats.index.terms):
+            assert stats.doc_freq[col] == sum(1 for c in kept if term in c.counts)
+            assert stats.collection_counts[col] == sum(c.counts.get(term, 0) for c in kept)
 
 
 class TestTfidf:
     def test_hand_example(self):
-        stats = build_stats({"d1": tc(a=1), "d2": tc(b=1)})
-        vec = tfidf(tc(a=1), stats)
-        assert vec.weights["a"] == pytest.approx(math.log(2), abs=1e-12)
+        stats = build_stats(count_index(s=tc(a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
+        weights, _, _ = tfidf(stats)
+        assert weights[0, stats.index.terms.index("a")] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_df_equals_n_dropped(self):
-        stats = build_stats({"d1": tc(a=1), "d2": tc(a=1)})
-        assert tfidf(tc(a=3), stats).weights == {}
+        stats = build_stats(count_index(s=tc(a=3), d1=tc(a=1), d2=tc(a=1)), ["s"])
+        weights, norms, _ = tfidf(stats)
+        assert weights.toarray().tolist() == [[0.0], [0.0], [0.0]] and list(norms) == [0.0, 0.0, 0.0]
 
     def test_unseen_term_dropped(self):
-        stats = build_stats({"d1": tc(a=1), "d2": tc(b=1)})
-        assert "z" not in tfidf(tc(z=5, a=1), stats).weights
+        stats = build_stats(count_index(s=tc(z=5, a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
+        _, _, idf = tfidf(stats)
+        assert idf[stats.index.terms.index("z")] == 0.0
 
     def test_norm_is_consistent(self):
-        stats = build_stats({"d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1)})
-        vec = tfidf(tc(a=2, b=1, c=3), stats)
-        assert vec.norm == pytest.approx(math.sqrt(sum(w * w for w in vec.weights.values())), abs=1e-9)
-        assert all(w >= 0 for w in vec.weights.values())
+        stats = build_stats(count_index(s=tc(a=2, b=1, c=3), d1=tc(a=1, b=2), d2=tc(b=1), d3=tc(c=1)), ["s"])
+        weights, norms, _ = tfidf(stats)
+        dense = weights.toarray()
+        assert norms == pytest.approx(np.sqrt((dense * dense).sum(axis=1)), abs=1e-9)
+        assert (dense >= 0).all()
+
+    def test_matches_reference(self):
+        counts = {"s": tc(a=2, b=1, c=3), "d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1)}
+        stats = build_stats(count_index(**counts), ["s"])
+        weights, norms, _ = tfidf(stats)
+        collection = [counts[d].counts for d in ("d1", "d2", "d3")]
+        for row, doc_id in enumerate(stats.index.doc_ids):
+            expected = ref_tfidf(counts[doc_id].counts, collection)
+            got = {t: weights[row, col] for col, t in enumerate(stats.index.terms) if weights[row, col]}
+            assert got == pytest.approx(expected, abs=1e-12)
+            assert norms[row] == pytest.approx(math.sqrt(sum(w * w for w in expected.values())), abs=1e-12)
+
+    def test_seed_similarities_match_reference(self):
+        counts = {"s": tc(a=1, b=1), "d1": tc(a=1, c=2), "d2": tc(b=3), "d3": tc(c=1), "d4": tc(a=1, b=1, c=1)}
+        stats = build_stats(count_index(**counts), ["s"])
+        collection = [c.counts for d, c in counts.items() if d != "s"]
+        seed_vec = ref_tfidf(counts["s"].counts, collection)
+        cos = seed_similarities(stats)
+        for row in stats.candidates:
+            expected = ref_cosine(ref_tfidf(counts[stats.index.doc_ids[row]].counts, collection), seed_vec)
+            assert cos[row] == pytest.approx(expected, abs=1e-12)
 
 
-def unit_vec(**weights):
-    return TfIdfVector(dict(weights), math.sqrt(sum(w * w for w in weights.values())))
+def cos(wu, wv):
+    """Cosine of two term -> weight dicts through ``cosine``."""
+    terms = sorted(set(wu) | set(wv))
+    u = np.array([wu.get(t, 0.0) for t in terms])
+    v = np.array([wv.get(t, 0.0) for t in terms])
+    return cosine(np.array([u @ v]), np.array([np.linalg.norm(u)]), np.linalg.norm(v))[0]
 
 
 class TestCosine:
     def test_self_similarity(self):
-        v = unit_vec(a=1.0, b=1.0)
-        assert cosine(v, v) == pytest.approx(1.0)
+        assert cos({"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 1.0}) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        assert cosine(unit_vec(a=1.0), unit_vec(b=1.0)) == 0.0
+        assert cos({"a": 1.0}, {"b": 1.0}) == 0.0
 
     def test_hand_example(self):
-        u = unit_vec(a=1.0, b=1.0)
-        v = unit_vec(a=1.0, c=1.0)
-        assert cosine(u, v) == pytest.approx(0.5)
+        assert cos({"a": 1.0, "b": 1.0}, {"a": 1.0, "c": 1.0}) == pytest.approx(0.5)
 
     def test_zero_vector(self):
-        assert cosine(unit_vec(), unit_vec(a=1.0)) == 0.0
+        assert cos({}, {"a": 1.0}) == 0.0
+
+    def test_elementwise_with_zero_norms(self):
+        assert list(cosine(np.array([1.0, 2.0, 0.0]), np.array([2.0, 4.0, 0.0]), 0.5)) == [1.0, 1.0, 0.0]
 
     @given(
         st.dictionaries(st.sampled_from("abcd"), st.floats(0.01, 10), max_size=4),
@@ -90,15 +198,14 @@ class TestCosine:
         st.floats(0.1, 10),
     )
     def test_symmetry_and_scale_invariance(self, wu, wv, k):
-        u, v = unit_vec(**wu), unit_vec(**wv)
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
-        ku = unit_vec(**{t: k * w for t, w in wu.items()})
-        assert cosine(ku, v) == pytest.approx(cosine(u, v), abs=1e-9)
-        if u.norm > 0:
-            assert cosine(u, u) == pytest.approx(1.0, abs=1e-9)
+        assert cos(wu, wv) == pytest.approx(cos(wv, wu), abs=1e-12)
+        assert cos(wu, wv) == pytest.approx(ref_cosine(wu, wv), abs=1e-9)
+        assert cos({t: k * w for t, w in wu.items()}, wv) == pytest.approx(cos(wu, wv), abs=1e-9)
+        if wu:
+            assert cos(wu, wu) == pytest.approx(1.0, abs=1e-9)
 
 
-TABLE = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+TABLE = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"a": 0, "b": 1})
 
 
 class TestAesVector:
@@ -115,4 +222,25 @@ class TestAesVector:
         assert hits == 0 and not vec.any()
 
     def test_dense_cosine_zero_vector(self):
-        assert dense_cosine(np.zeros(2), np.array([1.0, 0.0])) == 0.0
+        zero, _ = aes_vector(["x"], TABLE)
+        assert list(cosine(np.array([0.0]), np.array([np.linalg.norm(zero)]), 1.0)) == [0.0]
+
+    def test_sum_in_token_order(self):
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable(rng.normal(size=(5, 7)), {f"w{i}": i for i in range(5)})
+        tokens = [f"w{i}" for i in rng.integers(0, 6, size=40)]  # w5 is out of vocabulary
+        acc = np.zeros(7)
+        hits = 0
+        for token in tokens:
+            if table.lookup(token) is not None:
+                acc += table.lookup(token)
+                hits += 1
+        vec, got_hits = aes_vector(tokens, table)
+        assert got_hits == hits and vec.tobytes() == (acc / hits).tobytes()
+
+    def test_index_rows_are_candidate_means(self):
+        corpus = {"d1": Document("d1", "", "a b b"), "d2": Document("d2", "", "zz")}
+        pipeline = PipelineConfig(stopwords=frozenset())
+        index = build_index(Topic("T", ["d1", "d2"]), corpus, "bow", pipeline, embeddings=TABLE)
+        assert index.embeddings.tolist() == [[1 / 3, 2 / 3], [0.0, 0.0]]
+        assert list(index.embedding_hits) == [3, 0]
