@@ -52,7 +52,6 @@ from .evaluation import (
 from .experiments import (
     ExperimentReport,
     SeedGroup,
-    concat_group,
     evaluate_entries,
     intra_similarity,
     loocv_single,
@@ -71,7 +70,7 @@ from .scoring import (
     rank,
     sdr_score,
 )
-from .text import LEE, OURS, PipelineConfig, TermCounts, boc, bow, default_stopwords, tokenize
+from .text import LEE, OURS, PipelineConfig, default_stopwords, tokenize
 from .vectors import CollectionStats, TopicIndex, aes_vector, build_index, build_stats, cosine, tfidf
 
 __version__ = "0.1.0"

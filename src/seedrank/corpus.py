@@ -286,7 +286,7 @@ def load_lexicon(path) -> Lexicon:
             token = line.strip()
             if not token:
                 continue
-            if any(ch.isspace() for ch in token):
+            if len(token.split()) > 1:
                 raise ParseError(path, lineno, f"lexicon entries must be single tokens: {token!r}")
             terms.add(token.lower())
     return Lexicon(frozenset(terms))

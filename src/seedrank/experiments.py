@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, RunEntry, Topic
+from .corpus import RunEntry, Topic
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, average_precision, metric_set, ranked_ids, restrict_qrels
 from .scoring import ScoringParams, derive_rng, rank
@@ -155,24 +155,6 @@ def make_groups(topic_id: str, seed_pool: Sequence[str], fraction: float = 0.2) 
         SeedGroup(topic_id, tuple(seed_pool[i : i + w]), i)
         for i in range(n - w + 1)
     ]
-
-
-def concat_group(group: SeedGroup, corpus: Mapping[str, Document]) -> Document:
-    """One synthetic document whose text is the member texts in member order.
-
-    Titles and abstracts are concatenated field-wise, so the pseudo
-    document's term counts are the sum of the members' counts under either
-    title setting.
-    """
-    missing = [m for m in group.member_ids if m not in corpus]
-    if missing:
-        raise ContractError(f"group members not in corpus: {missing}")
-    members = [corpus[m] for m in group.member_ids]
-    return Document(
-        doc_id="+".join(group.member_ids),
-        title=" ".join(m.title for m in members),
-        abstract=" ".join(m.abstract for m in members),
-    )
 
 
 def multi_sdr(

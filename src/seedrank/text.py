@@ -1,45 +1,46 @@
-"""Turn raw study text into bag-of-words / bag-of-clinical-words counts.
+"""Turn raw study text into the terms that bag-of-words / bag-of-clinical-words count.
 
 Two tokenization pipelines are supported:
 
-  ``ours``  strip every Unicode punctuation character, split on
-            non-alphanumeric boundaries, lowercase, drop stopwords.
+  ``ours``  split on every character that is not alphanumeric (Unicode
+            punctuation included), lowercase, drop stopwords.
   ``lee``   split on whitespace only (punctuation stays glued to tokens),
             lowercase, drop stopwords.
 
-Neither pipeline stems. Stopword matching always happens on the lowercased
-token, so the case-preserving mode used for embedding lookup removes the
-same stopwords as the default mode.
+Neither pipeline stems. A text is split once, case preserved, into surface
+forms. Each surface form is then normalised on its own: its term is its
+lowercase, and it is dropped when that term is a stopword (or, for the
+``boc`` representation, outside the lexicon). Embedding lookup uses the
+surface form itself, so only kept forms have embedding rows.
 """
 
 from __future__ import annotations
 
-import re
-import unicodedata
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import Document, Lexicon
+from .corpus import Document, EmbeddingTable, Lexicon
 from .errors import ConfigError
 
 OURS = "ours"
 LEE = "lee"
 
-_WORD_RE = re.compile(r"[^\W_]+")
 
+class _NonWordToSpace(dict):
+    """str.translate table mapping every non-alphanumeric character to a space, filled lazily per codepoint.
 
-class _PunctuationTable(dict):
-    """str.translate table mapping punctuation to space, lazily per codepoint."""
+    Alphanumeric is what the regex class ``[^\\W_]`` matches, so
+    ``text.translate(table).split()`` gives the ``[^\\W_]+`` runs of ``text``.
+    """
 
     def __missing__(self, codepoint: int) -> int:
-        replacement = 0x20 if unicodedata.category(chr(codepoint)).startswith("P") else codepoint
+        replacement = codepoint if chr(codepoint).isalnum() else 0x20
         self[codepoint] = replacement
         return replacement
 
 
-_PUNCT_TO_SPACE = _PunctuationTable()
+_NON_WORD_TO_SPACE = _NonWordToSpace()
 
 
 @lru_cache(maxsize=1)
@@ -53,15 +54,12 @@ def default_stopwords() -> frozenset[str]:
 class PipelineConfig:
     """Pre-processing settings, fixed for the duration of an experiment.
 
-    ``lowercase=False`` is meant only for building embedding-lookup token
-    streams; every counting representation lowercases.
     ``include_title`` controls whether ranking text is title+abstract or
     abstract alone.
     """
 
     variant: str = OURS
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
-    lowercase: bool = True
     include_title: bool = True
 
     def __post_init__(self):
@@ -69,32 +67,56 @@ class PipelineConfig:
             raise ConfigError("variant", f"must be '{OURS}' or '{LEE}', got {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class TermCounts:
-    """Sparse term -> count map plus the document length (sum of counts)."""
+def split(text: str, variant: str) -> list[str]:
+    """The case-preserving surface forms of ``text`` under the ``ours`` or ``lee`` split."""
+    if variant == OURS:
+        return text.translate(_NON_WORD_TO_SPACE).split()
+    return text.split()
 
-    counts: dict[str, int]
-    length: int
 
-    @classmethod
-    def from_tokens(cls, tokens: list[str]) -> "TermCounts":
-        counts = dict(Counter(tokens))
-        return cls(counts, sum(counts.values()))
+class SurfaceForms(dict):
+    """Surface form -> column of its term, or -1 for a dropped form; each form is normalised on its first lookup.
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.counts
+    A form's term is its lowercase. The form is dropped when its term is a
+    stopword or, given a lexicon, not in it. ``columns`` numbers the terms
+    in order of first lookup. Given an embedding table, ``embedding_rows``
+    maps every looked-up form to its row (raw form first, then lowercase),
+    -1 when the form is dropped or out of vocabulary.
+
+    One instance serves one text collection in one thread; it holds one
+    entry per distinct surface form seen.
+    """
+
+    def __init__(
+        self,
+        stopwords: frozenset[str],
+        lexicon: Lexicon | None = None,
+        embeddings: EmbeddingTable | None = None,
+    ):
+        super().__init__()
+        self.stopwords = stopwords
+        self.lexicon = lexicon
+        self.embeddings = embeddings
+        self.columns: dict[str, int] = {}
+        self.embedding_rows: dict[str, int] = {}
+
+    def __missing__(self, form: str) -> int:
+        term = form.lower()
+        kept = term not in self.stopwords and (self.lexicon is None or term in self.lexicon)
+        column = self.columns.setdefault(term, len(self.columns)) if kept else -1
+        self[form] = column
+        if self.embeddings is not None:
+            row = self.embeddings.row(form) if kept else None
+            self.embedding_rows[form] = -1 if row is None else row
+        return column
 
 
 def tokenize(text: str, config: PipelineConfig) -> list[str]:
-    """Tokenize one text under the configured pipeline. Empty text -> []."""
-    if config.variant == OURS:
-        raw = _WORD_RE.findall(text.translate(_PUNCT_TO_SPACE))
-    else:
-        raw = text.split()
-    stopwords = config.stopwords
-    if config.lowercase:
-        return [lowered for t in raw if (lowered := t.lower()) not in stopwords]
-    return [t for t in raw if t.lower() not in stopwords]
+    """The terms of one text, in text order, under the configured pipeline. Empty text -> []."""
+    forms = SurfaceForms(config.stopwords)
+    columns = list(map(forms.__getitem__, split(text, config.variant)))
+    terms = list(forms.columns)
+    return [terms[column] for column in columns if column >= 0]
 
 
 def document_text(doc: Document, config: PipelineConfig) -> str:
@@ -102,29 +124,3 @@ def document_text(doc: Document, config: PipelineConfig) -> str:
     if config.include_title:
         return f"{doc.title} {doc.abstract}"
     return doc.abstract
-
-
-def bow(doc: Document, config: PipelineConfig) -> TermCounts:
-    """Bag-of-words counts for one document."""
-    return TermCounts.from_tokens(tokenize(document_text(doc, config), config))
-
-
-def boc(bow_counts: TermCounts, lexicon: Lexicon) -> TermCounts:
-    """Restrict bag-of-words counts to lexicon terms; counts are preserved."""
-    counts = {t: c for t, c in bow_counts.counts.items() if t in lexicon}
-    return TermCounts(counts, sum(counts.values()))
-
-
-def doc_counts(doc: Document, config: PipelineConfig, representation: str, lexicon: Lexicon | None) -> TermCounts:
-    """Counts of one document under the ``bow`` or ``boc`` representation."""
-    counts = bow(doc, config)
-    return boc(counts, lexicon) if representation == "boc" else counts
-
-
-def embedding_tokens(doc: Document, config: PipelineConfig, lexicon: Lexicon | None = None) -> list[str]:
-    """Case-preserving tokens for embedding lookup; with a lexicon, only its terms."""
-    config = replace(config, lowercase=False)
-    tokens = tokenize(document_text(doc, config), config)
-    if lexicon is None:
-        return tokens
-    return [t for t in tokens if t.lower() in lexicon]

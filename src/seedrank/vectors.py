@@ -16,6 +16,7 @@ unit's candidates: p(t|C) = collection_count(t) / total_tokens.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +26,7 @@ from scipy import sparse
 
 from .corpus import Document, EmbeddingTable, Lexicon, Topic
 from .errors import ContractError, EmptyTopicError
-from .text import PipelineConfig, TermCounts, doc_counts, embedding_tokens
+from .text import PipelineConfig, SurfaceForms, document_text, split
 
 REPRESENTATIONS = ("bow", "boc")
 
@@ -54,28 +55,46 @@ class TopicIndex:
     embedding_hits: np.ndarray | None = None
 
     @classmethod
-    def from_counts(cls, topic: Topic, counts: Mapping[str, TermCounts], representation: str = "bow") -> "TopicIndex":
-        """Index doc_id -> counts; the mapping's order is the row order."""
-        entries = [term for tc in counts.values() for term in tc.counts]
-        vocabulary = {term: i for i, term in enumerate(dict.fromkeys(entries))}
+    def from_counts(
+        cls, topic: Topic, counts: Mapping[str, Mapping[str, int]], representation: str = "bow"
+    ) -> "TopicIndex":
+        """Index doc_id -> term -> count; the mapping's order is the row order."""
+        vocabulary: dict[str, int] = {}
+        row_counts = [
+            {vocabulary.setdefault(term, len(vocabulary)): count for term, count in doc.items()}
+            for doc in counts.values()
+        ]
+        return cls.from_rows(topic, tuple(counts), row_counts, tuple(vocabulary), representation)
+
+    @classmethod
+    def from_rows(
+        cls,
+        topic: Topic,
+        doc_ids: tuple[str, ...],
+        row_counts: Sequence[Mapping[int, int]],
+        terms: tuple[str, ...],
+        representation: str,
+    ) -> "TopicIndex":
+        """Index one column -> count mapping per document, in ``doc_ids`` order; columns number ``terms``."""
+        entries = sum(map(len, row_counts))
         matrix = sparse.csr_matrix(
             (
-                np.fromiter(chain.from_iterable(tc.counts.values() for tc in counts.values()), np.int64, len(entries)),
-                np.fromiter(map(vocabulary.__getitem__, entries), np.int64, len(entries)),
-                np.cumsum([0] + [len(tc.counts) for tc in counts.values()]),
+                np.fromiter(chain.from_iterable(row.values() for row in row_counts), np.int64, entries),
+                np.fromiter(chain.from_iterable(row_counts), np.int64, entries),
+                np.cumsum([0] + [len(row) for row in row_counts]),
             ),
-            shape=(len(counts), len(vocabulary)),
+            shape=(len(row_counts), len(terms)),
         )
         postings = matrix.tocsc()
         return cls(
             topic=topic,
             representation=representation,
-            doc_ids=tuple(counts),
-            rows={doc_id: i for i, doc_id in enumerate(counts)},
-            terms=tuple(vocabulary),
+            doc_ids=doc_ids,
+            rows={doc_id: i for i, doc_id in enumerate(doc_ids)},
+            terms=terms,
             counts=matrix,
             postings=postings,
-            doc_lengths=np.array([tc.length for tc in counts.values()], dtype=np.int64),
+            doc_lengths=np.asarray(matrix.sum(axis=1), dtype=np.int64).ravel(),
             doc_freq=np.diff(postings.indptr).astype(np.int64),
             collection_counts=np.asarray(matrix.sum(axis=0), dtype=np.int64).ravel(),
         )
@@ -102,7 +121,12 @@ def build_index(
     lexicon: Lexicon | None = None,
     embeddings: EmbeddingTable | None = None,
 ) -> TopicIndex:
-    """Count every candidate of ``topic`` once; with ``embeddings``, average its token vectors once."""
+    """Count every candidate of ``topic`` once; with ``embeddings``, average its token vectors once.
+
+    Each candidate is split once. Each distinct surface form is normalised
+    once per call, into its column and embedding row (``text.SurfaceForms``),
+    so a document's counts and its embedding rows are lookups of its tokens.
+    """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
     if representation == "boc" and lexicon is None:
@@ -114,16 +138,21 @@ def build_index(
             f"(first: {absent[:3]})"
         )
     docs = {d: corpus[d] for d in topic.candidate_ids}
-    index = TopicIndex.from_counts(
-        topic, {d: doc_counts(doc, pipeline, representation, lexicon) for d, doc in docs.items()}, representation
-    )
-    if embeddings is None:
-        return index
-    token_lexicon = lexicon if representation == "boc" else None
-    means = np.zeros((len(docs), embeddings.dimension))
-    hits = np.zeros(len(docs), dtype=np.int64)
+    forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
+    row_counts = []
+    means = hits = None
+    if embeddings is not None:
+        means = np.zeros((len(docs), embeddings.dimension))
+        hits = np.zeros(len(docs), dtype=np.int64)
     for i, doc in enumerate(docs.values()):
-        means[i], hits[i] = aes_vector(embedding_tokens(doc, pipeline, token_lexicon), embeddings)
+        tokens = split(document_text(doc, pipeline), pipeline.variant)
+        counts = Counter(map(forms.__getitem__, tokens))
+        counts.pop(-1, None)
+        row_counts.append(counts)
+        if embeddings is not None:
+            embedding_rows = np.fromiter(map(forms.embedding_rows.__getitem__, tokens), np.intp, len(tokens))
+            means[i], hits[i] = aes_vector(embedding_rows[embedding_rows >= 0], embeddings)
+    index = TopicIndex.from_rows(topic, tuple(docs), row_counts, tuple(forms.columns), representation)
     return replace(index, embeddings=means, embedding_hits=hits)
 
 
@@ -245,14 +274,12 @@ def seed_embedding(stats: CollectionStats) -> np.ndarray:
     return hits @ index.embeddings[stats.seed_rows] / total
 
 
-def aes_vector(tokens: Iterable[str], table: EmbeddingTable) -> tuple[np.ndarray, int]:
-    """Mean embedding over token occurrences; each occurrence contributes.
+def aes_vector(rows: np.ndarray, table: EmbeddingTable) -> tuple[np.ndarray, int]:
+    """Mean of the embedding ``rows``, one per matched token occurrence, summed in token order.
 
-    Lookup tries the raw token, then its lowercase form. Returns the mean
-    vector and the number of occurrences matched; an all-out-of-vocabulary
-    input yields (zero vector, 0).
+    Returns the mean vector and the number of rows; no rows (an empty or
+    all-out-of-vocabulary text) yields (zero vector, 0).
     """
-    rows = [row for row in map(table.row, tokens) if row is not None]
-    if not rows:
+    if not len(rows):
         return np.zeros(table.dimension), 0
     return table.matrix[rows].sum(axis=0) / len(rows), len(rows)

@@ -6,6 +6,9 @@ so agreement with the library is meaningful.
 """
 
 import math
+import re
+import unicodedata
+from collections import Counter
 
 
 def ref_average_precision(ranked, qrels):
@@ -151,3 +154,27 @@ def ref_bm25_scores(seed_counts, candidates, k1, b):
             s += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * length / avg_length))
         scores[doc_id] = s
     return scores
+
+
+_REF_WORD = re.compile(r"[^\W_]+")
+
+
+def ref_tokenize(text, config):
+    """Tokens of one text, the pipeline written out literally.
+
+    ``ours``: Unicode punctuation (category P*) to spaces, then the
+    ``[^\\W_]+`` runs; ``lee``: whitespace-separated chunks. Each token is
+    lowercased on its own and dropped when that is a stopword.
+    """
+    if config.variant == "ours":
+        punctuation = {ord(ch): " " for ch in set(text) if unicodedata.category(ch).startswith("P")}
+        raw = _REF_WORD.findall(text.translate(punctuation))
+    else:
+        raw = text.split()
+    return [t.lower() for t in raw if t.lower() not in config.stopwords]
+
+
+def ref_counts(doc, config, lexicon=None):
+    """Term counts of one document in order of first occurrence; with a lexicon, only its terms."""
+    text = f"{doc.title} {doc.abstract}" if config.include_title else doc.abstract
+    return {t: c for t, c in Counter(ref_tokenize(text, config)).items() if lexicon is None or t in lexicon}

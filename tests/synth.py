@@ -112,7 +112,7 @@ def write_collection_files(tmp_path, topics, corpus):
 
 
 def count_index(**docs):
-    """A topic index over doc_id -> TermCounts, rows in keyword order."""
+    """A topic index over doc_id -> term counts, rows in keyword order."""
     return TopicIndex.from_counts(Topic("T", list(docs)), docs)
 
 

@@ -25,8 +25,6 @@ from seedrank import (
     PipelineConfig,
     ScoringParams,
     SeedGroup,
-    boc,
-    bow,
     build_index,
     build_stats,
     intra_similarity,
@@ -46,7 +44,6 @@ from seedrank import (
 )
 from seedrank.evaluation import average_precision
 from seedrank.scoring import sort_scored
-from seedrank.text import TermCounts
 from synth import by_term, count_index, synth_collection, synth_topic, write_collection_files
 
 import math
@@ -179,7 +176,7 @@ def test_criterion_3_hand_corpus_formula_check(params):
         # Seed {a, b} against candidates {a} and {b}: both partitions have
         # similarity 1/sqrt(2) to the seed, so the weight is exactly ln 2.
         stats = build_stats(
-            count_index(s=TermCounts({"a": 1, "b": 1}, 2), d1=TermCounts({"a": 1}, 1), d2=TermCounts({"b": 1}, 1)),
+            count_index(s={"a": 1, "b": 1}, d1={"a": 1}, d2={"b": 1}),
             ["s"],
         )
         weight = by_term(stats, phi_weights(stats, params))["a"]
@@ -187,9 +184,7 @@ def test_criterion_3_hand_corpus_formula_check(params):
 
         # c(term, cand)=2, L=10, p(term|C)=0.1, lambda=0.5 -> ln 3.
         stats2 = build_stats(
-            count_index(
-                s=TermCounts({"a": 1}, 1), cand=TermCounts({"a": 2, "x": 8}, 10), other=TermCounts({"x": 10}, 10)
-            ),
+            count_index(s={"a": 1}, cand={"a": 2, "x": 8}, other={"x": 10}),
             ["s"],
         )
         score = sdr_score(stats2, ScoringParams(jm_lambda=0.5), np.ones(1))[0]
@@ -274,10 +269,9 @@ def test_criterion_6_observation_replication(pipeline):
         lexicon = Lexicon(frozenset(f"term{i:04d}" for i in range(0, 150, 2)))
         bow_vocab = set()
         boc_vocab = set()
-        for doc in corpus.values():
-            counts = bow(doc, pipeline)
-            bow_vocab |= counts.counts.keys()
-            boc_vocab |= boc(counts, lexicon).counts.keys()
+        for topic in topics:
+            bow_vocab |= set(build_index(topic, corpus, "bow", pipeline).terms)
+            boc_vocab |= set(build_index(topic, corpus, "boc", pipeline, lexicon=lexicon).terms)
         assert boc_vocab < bow_vocab
 
 

@@ -310,25 +310,37 @@ class TestCmdCompare:
 @pytest.mark.slow
 class TestSubprocessDeterminism:
     def test_bytes_stable_across_hash_seeds(self, tmp_path, collection):
-        outputs = []
-        for hash_seed in ("1", "2"):
-            out_dir = tmp_path / f"hs{hash_seed}"
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            cmd = [
-                sys.executable, "-m", "seedrank.cli", "-q", "rank",
-                "--corpus", collection["corpus"],
-                "--topics", collection["topics"],
-                "--qrels", collection["qrels"],
-                "--method", "bm25",
-                "--output-dir", str(out_dir),
-            ]
-            result = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            content = (out_dir / "metrics.csv").read_bytes()
-            for run_file in sorted((out_dir / "runs" / "bm25-bow").glob("*.run")):
-                content += run_file.read_bytes()
-            outputs.append(content)
-        assert outputs[0] == outputs[1]
+        lexicon = write_lexicon_file(tmp_path, [f"term{i:04d}" for i in range(0, 60)])
+        embeddings = write_embeddings_file(tmp_path, [f"term{i:04d}" for i in range(120)])
+        inputs = {
+            "bm25-bow": ["--method", "bm25"],
+            "sdr+aes-boc": [
+                "--method", "sdr+aes", "--representation", "boc",
+                "--lexicon", str(lexicon), "--embeddings", str(embeddings),
+            ],
+        }
+        for run_name, flags in inputs.items():
+            outputs = []
+            for hash_seed in ("1", "2"):
+                out_dir = tmp_path / f"{run_name}-hs{hash_seed}"
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                cmd = [
+                    sys.executable, "-m", "seedrank.cli", "-q", "rank",
+                    "--corpus", collection["corpus"],
+                    "--topics", collection["topics"],
+                    "--qrels", collection["qrels"],
+                    *flags,
+                    "--output-dir", str(out_dir),
+                ]
+                result = subprocess.run(cmd, env=env, capture_output=True, text=True)
+                assert result.returncode == 0, result.stderr
+                content = (out_dir / "metrics.csv").read_bytes()
+                run_files = sorted((out_dir / "runs" / run_name).glob("*.run"))
+                assert run_files, run_name
+                for run_file in run_files:
+                    content += run_file.read_bytes()
+                outputs.append(content)
+            assert outputs[0] == outputs[1], run_name
 
 
 @pytest.mark.slow

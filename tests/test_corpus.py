@@ -13,7 +13,6 @@ from seedrank import (
     RunEntry,
     RunValidationError,
     Topic,
-    bow,
     filter_topics,
     load_corpus,
     load_embeddings,
@@ -21,8 +20,10 @@ from seedrank import (
     load_qrels,
     load_run,
     load_topics,
+    tokenize,
     write_run,
 )
+from seedrank.text import document_text
 
 
 def write_lines(path, lines):
@@ -54,7 +55,8 @@ class TestLoadCorpus:
         docs = load_corpus(p)
         assert docs["1"] == Document("1", "", "aspirin trial")
         assert docs["2"] == Document("2", "T", "")
-        assert "none" not in bow(docs["1"], PipelineConfig())
+        config = PipelineConfig()
+        assert "none" not in tokenize(document_text(docs["1"], config), config)
 
     @pytest.mark.parametrize("field", ["title", "abstract"])
     def test_non_string_text_field_is_parse_error(self, tmp_path, field):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import ref_seed_driven_scores
+from oracles import ref_counts, ref_seed_driven_scores
 from seedrank import (
     ContractError,
     Document,
@@ -13,9 +13,7 @@ from seedrank import (
     RunEntry,
     SeedGroup,
     Topic,
-    bow,
     build_index,
-    concat_group,
     evaluate_entries,
     intra_similarity,
     loocv_single,
@@ -100,35 +98,6 @@ class TestMakeGroups:
         assert [g.window_index for g in groups] == list(range(len(groups)))
 
 
-class TestConcatGroup:
-    def corpus(self):
-        return {
-            "a": Document("a", "x", "y y"),
-            "b": Document("b", "x z", "y"),
-        }
-
-    def test_counts_are_additive(self, pipeline):
-        group = SeedGroup("T", ("a", "b"), 0)
-        pseudo = concat_group(group, self.corpus())
-        merged = bow(pseudo, pipeline).counts
-        summed = Counter(bow(self.corpus()["a"], pipeline).counts)
-        summed += Counter(bow(self.corpus()["b"], pipeline).counts)
-        assert merged == dict(summed)
-
-    def test_singleton_identity(self, pipeline):
-        pseudo = concat_group(SeedGroup("T", ("a",), 0), self.corpus())
-        assert bow(pseudo, pipeline).counts == bow(self.corpus()["a"], pipeline).counts
-
-    def test_order_permutation_same_counts(self, pipeline):
-        ab = concat_group(SeedGroup("T", ("a", "b"), 0), self.corpus())
-        ba = concat_group(SeedGroup("T", ("b", "a"), 0), self.corpus())
-        assert bow(ab, pipeline).counts == bow(ba, pipeline).counts
-
-    def test_missing_member(self):
-        with pytest.raises(ContractError):
-            concat_group(SeedGroup("T", ("a", "zz"), 0), self.corpus())
-
-
 MULTI_DOCS = [
     Document("s1", "anticoagulant therapy", "warfarin stroke prevention trial"),
     Document("s2", "atrial fibrillation", "anticoagulant stroke risk"),
@@ -183,7 +152,7 @@ class TestMultiSdr:
         entries = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
         assert [e.doc_id for e in entries] == ["c1", "c5", "c3", "c2", "c4"]  # frozen from the oracle
 
-        counts = {d: bow(doc, pipeline).counts for d, doc in multi_corpus.items()}
+        counts = {d: ref_counts(doc, pipeline) for d, doc in multi_corpus.items()}
         seed = dict(Counter(counts.pop("s1")) + Counter(counts.pop("s2")))
         expected = ref_seed_driven_scores(seed, counts, params.jm_lambda)
         for entry in entries:

@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from oracles import ref_bm25_scores, ref_qlm_scores, ref_seed_driven_scores
-from seedrank import ScoringParams, TermCounts, rank
+from seedrank import ScoringParams, rank
 from seedrank.scoring import sort_scored
 from synth import count_index
 
@@ -34,7 +34,7 @@ def topics(draw):
 
 
 def indexed(docs):
-    return count_index(**{d: TermCounts(dict(c), sum(c.values())) for d, c in docs.items()})
+    return count_index(**docs)
 
 
 def seed_counts(docs, seed_ids):

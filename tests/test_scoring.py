@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores, ref_tfidf
+from oracles import ref_counts, ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores, ref_tfidf
 from seedrank import (
     ConfigError,
     ContractError,
@@ -12,10 +12,8 @@ from seedrank import (
     EmptyTopicError,
     PipelineConfig,
     ScoringParams,
-    TermCounts,
     Topic,
     aes_score,
-    aes_vector,
     bm25_score,
     build_index,
     build_stats,
@@ -26,12 +24,12 @@ from seedrank import (
     sdr_score,
 )
 from seedrank.scoring import derive_rng, sort_scored
-from seedrank.text import bow, tokenize
+from seedrank.text import tokenize
 from synth import by_term, count_index
 
 
 def tc(**counts):
-    return TermCounts(dict(counts), sum(counts.values()))
+    return dict(counts)
 
 
 def unit(seed_ids=("s",), **docs):
@@ -103,10 +101,9 @@ class TestPhi:
         seed = tc(t0=2, t1=1, t5=1, t11=3)
         stats = unit(s=seed, **{f"d{i}": c for i, c in enumerate(candidates)})
         bulk = by_term(stats, phi_weights(stats, params))
-        collection = [c.counts for c in candidates]
-        seed_vec = ref_tfidf(seed.counts, collection)
-        ref_pairs = [(c, ref_tfidf(c, collection)) for c in collection]
-        for term in seed.counts:
+        seed_vec = ref_tfidf(seed, candidates)
+        ref_pairs = [(c, ref_tfidf(c, candidates)) for c in candidates]
+        for term in seed:
             assert bulk[term] == pytest.approx(ref_phi(term, seed_vec, ref_pairs), abs=1e-9)
 
     def test_undersampling_is_deterministic(self):
@@ -157,9 +154,7 @@ class TestSdrScore:
 
     def test_unit_weights_reduce_to_qlm(self, params):
         stats = unit(s=self.SEED, **self.CANDIDATES)
-        expected = ref_qlm_scores(
-            self.SEED.counts, {d: c.counts for d, c in self.CANDIDATES.items()}, params.jm_lambda
-        )
+        expected = ref_qlm_scores(self.SEED, self.CANDIDATES, params.jm_lambda)
         for d, score in qlm(stats, params).items():
             assert score == pytest.approx(expected[d], abs=1e-9)
 
@@ -209,6 +204,11 @@ class TestAesScore:
         stats = build_stats(index, seed_ids)
         return per_doc(stats, aes_score(stats))
 
+    def mean_of(self, tokens):
+        """The mean of the tokens' vectors, one occurrence at a time."""
+        vectors = [self.TABLE.lookup(t) for t in tokens if self.TABLE.lookup(t) is not None]
+        return sum(vectors) / len(vectors)
+
     def test_identical_token_lists(self):
         assert self.aes(["s"], s="alpha beta", c="alpha beta")["c"] == pytest.approx(1.0)
 
@@ -220,9 +220,8 @@ class TestAesScore:
 
     def test_seed_group_is_mean_over_concatenated_tokens(self):
         score = self.aes(["s1", "s2"], s1="alpha", s2="beta beta zz", c="alpha beta")["c"]
-        pipeline = PipelineConfig()
-        seed_vec, _ = aes_vector(tokenize("alpha beta beta zz", pipeline), self.TABLE)
-        cand_vec, _ = aes_vector(["alpha", "beta"], self.TABLE)
+        seed_vec = self.mean_of(tokenize("alpha beta beta zz", PipelineConfig()))
+        cand_vec = self.mean_of(["alpha", "beta"])
         expected = seed_vec @ cand_vec / (np.linalg.norm(seed_vec) * np.linalg.norm(cand_vec))
         assert score == pytest.approx(expected, abs=1e-12)
 
@@ -289,7 +288,7 @@ class TestRank:
         entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params)
         assert [e.doc_id for e in entries] == ["c1", "c3", "c2", "c4"]  # frozen from the oracle
 
-        counts = {d: bow(doc, pipeline).counts for d, doc in hand_corpus.items()}
+        counts = {d: ref_counts(doc, pipeline) for d, doc in hand_corpus.items()}
         seed_counts = counts.pop("s")
         expected = ref_seed_driven_scores(seed_counts, counts, params.jm_lambda)
         for entry in entries:
@@ -297,7 +296,7 @@ class TestRank:
 
     def test_qlm_matches_reference_script(self, params, pipeline, hand_corpus, hand_topic):
         entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "qlm", params)
-        counts = {d: bow(doc, pipeline).counts for d, doc in hand_corpus.items()}
+        counts = {d: ref_counts(doc, pipeline) for d, doc in hand_corpus.items()}
         seed_counts = counts.pop("s")
         expected = ref_qlm_scores(seed_counts, counts, params.jm_lambda)
         for entry in entries:

@@ -9,8 +9,8 @@ from seedrank import (
     Document,
     EmbeddingTable,
     EmptyTopicError,
+    Lexicon,
     PipelineConfig,
-    TermCounts,
     Topic,
     aes_vector,
     build_index,
@@ -23,7 +23,7 @@ from synth import count_index
 
 
 def tc(**counts):
-    return TermCounts(dict(counts), sum(counts.values()))
+    return dict(counts)
 
 
 def per_term(stats, values):
@@ -46,19 +46,19 @@ class TestTopicIndex:
         assert list(index.postings.indices[start:end]) == [0, 2]
 
     def test_each_candidate_counted_once(self, pipeline, monkeypatch):
-        import seedrank.text
+        import seedrank.vectors
 
         calls = []
-        real_bow = seedrank.text.bow
+        real_split = seedrank.vectors.split
 
-        def counting_bow(doc, config):
-            calls.append(doc.doc_id)
-            return real_bow(doc, config)
+        def counting_split(text, variant):
+            calls.append(text)
+            return real_split(text, variant)
 
-        monkeypatch.setattr(seedrank.text, "bow", counting_bow)
+        monkeypatch.setattr(seedrank.vectors, "split", counting_split)
         corpus = {d: Document(d, "", f"word{d} shared") for d in ("a", "b", "c")}
-        index = build_index(Topic("T", ["a", "b", "c", "b"]), corpus, "bow", pipeline)
-        assert calls == ["a", "b", "c"]
+        index = build_index(Topic("T", ["a", "b", "c", "b"]), corpus, "bow", pipeline, embeddings=TABLE)
+        assert calls == [" worda shared", " wordb shared", " wordc shared"]
         assert index.doc_ids == ("a", "b", "c")
 
 
@@ -83,6 +83,12 @@ class TestBuildStats:
         stats = build_stats(index, ["s1", "s2"])
         assert [index.terms[c] for c in stats.seed_terms] == ["b", "a", "c"]
         assert list(stats.seed_counts) == [1, 4, 2]
+        # A group's seed counts are the sum of its members' counts, whatever the member order.
+        swapped = build_stats(index, ["s2", "s1"])
+        assert [index.terms[c] for c in swapped.seed_terms] == ["c", "a", "b"]
+        assert list(swapped.seed_counts) == [2, 4, 1]
+        single = build_stats(index, ["s2"])
+        assert [index.terms[c] for c in single.seed_terms] == ["c", "a"] and list(single.seed_counts) == [2, 3]
 
     def test_single_doc(self):
         stats = build_stats(count_index(d1=tc(a=1)), [])
@@ -117,10 +123,10 @@ class TestBuildStats:
         stats = build_stats(count_index(**counts), seeds)
         kept = [c for d, c in counts.items() if d not in seeds]
         assert stats.num_docs == len(kept)
-        assert stats.total_tokens == sum(c.length for c in kept)
+        assert stats.total_tokens == sum(sum(c.values()) for c in kept)
         for col, term in enumerate(stats.index.terms):
-            assert stats.doc_freq[col] == sum(1 for c in kept if term in c.counts)
-            assert stats.collection_counts[col] == sum(c.counts.get(term, 0) for c in kept)
+            assert stats.doc_freq[col] == sum(1 for c in kept if term in c)
+            assert stats.collection_counts[col] == sum(c.get(term, 0) for c in kept)
 
 
 class TestTfidf:
@@ -150,9 +156,9 @@ class TestTfidf:
         counts = {"s": tc(a=2, b=1, c=3), "d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1)}
         stats = build_stats(count_index(**counts), ["s"])
         weights, norms, _ = tfidf(stats)
-        collection = [counts[d].counts for d in ("d1", "d2", "d3")]
+        collection = [counts[d] for d in ("d1", "d2", "d3")]
         for row, doc_id in enumerate(stats.index.doc_ids):
-            expected = ref_tfidf(counts[doc_id].counts, collection)
+            expected = ref_tfidf(counts[doc_id], collection)
             got = {t: weights[row, col] for col, t in enumerate(stats.index.terms) if weights[row, col]}
             assert got == pytest.approx(expected, abs=1e-12)
             assert norms[row] == pytest.approx(math.sqrt(sum(w * w for w in expected.values())), abs=1e-12)
@@ -160,11 +166,11 @@ class TestTfidf:
     def test_seed_similarities_match_reference(self):
         counts = {"s": tc(a=1, b=1), "d1": tc(a=1, c=2), "d2": tc(b=3), "d3": tc(c=1), "d4": tc(a=1, b=1, c=1)}
         stats = build_stats(count_index(**counts), ["s"])
-        collection = [c.counts for d, c in counts.items() if d != "s"]
-        seed_vec = ref_tfidf(counts["s"].counts, collection)
+        collection = [c for d, c in counts.items() if d != "s"]
+        seed_vec = ref_tfidf(counts["s"], collection)
         cos = seed_similarities(stats)
         for row in stats.candidates:
-            expected = ref_cosine(ref_tfidf(counts[stats.index.doc_ids[row]].counts, collection), seed_vec)
+            expected = ref_cosine(ref_tfidf(counts[stats.index.doc_ids[row]], collection), seed_vec)
             assert cos[row] == pytest.approx(expected, abs=1e-12)
 
 
@@ -208,21 +214,29 @@ class TestCosine:
 TABLE = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"a": 0, "b": 1})
 
 
+def aes_row(text, table=TABLE, representation="bow", lexicon=None):
+    """Mean embedding and hits of a one-document index over ``text``, without stopwords."""
+    corpus = {"d": Document("d", "", text)}
+    pipeline = PipelineConfig(stopwords=frozenset())
+    index = build_index(Topic("T", ["d"]), corpus, representation, pipeline, lexicon=lexicon, embeddings=table)
+    return index.embeddings[0], int(index.embedding_hits[0])
+
+
 class TestAesVector:
     def test_mean(self):
-        vec, hits = aes_vector(["a", "b"], TABLE)
+        vec, hits = aes_row("a b")
         assert list(vec) == [0.5, 0.5] and hits == 2
 
     def test_occurrence_multiplicity(self):
-        vec, hits = aes_vector(["a", "a", "b"], TABLE)
+        vec, hits = aes_row("a a b")
         assert vec == pytest.approx([2 / 3, 1 / 3]) and hits == 3
 
     def test_all_oov_flagged(self):
-        vec, hits = aes_vector(["x", "y"], TABLE)
+        vec, hits = aes_row("x y")
         assert hits == 0 and not vec.any()
 
     def test_dense_cosine_zero_vector(self):
-        zero, _ = aes_vector(["x"], TABLE)
+        zero, _ = aes_row("x")
         assert list(cosine(np.array([0.0]), np.array([np.linalg.norm(zero)]), 1.0)) == [0.0]
 
     def test_sum_in_token_order(self):
@@ -235,8 +249,19 @@ class TestAesVector:
             if table.lookup(token) is not None:
                 acc += table.lookup(token)
                 hits += 1
-        vec, got_hits = aes_vector(tokens, table)
+        vec, got_hits = aes_row(" ".join(tokens), table)
         assert got_hits == hits and vec.tobytes() == (acc / hits).tobytes()
+        vec, got_hits = aes_vector(np.array([table.rows[t] for t in tokens if t in table.rows]), table)
+        assert got_hits == hits and vec.tobytes() == (acc / hits).tobytes()
+
+    def test_raw_form_before_lowercase(self):
+        table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"MRI": 0, "mri": 1})
+        vec, hits = aes_row("MRI Mri mri MRI", table)
+        assert list(vec) == [0.5, 0.5] and hits == 4
+
+    def test_boc_rows_only_for_lexicon_terms(self):
+        vec, hits = aes_row("A b B", representation="boc", lexicon=Lexicon(frozenset({"b"})))
+        assert list(vec) == [0.0, 1.0] and hits == 2
 
     def test_index_rows_are_candidate_means(self):
         corpus = {"d1": Document("d1", "", "a b b"), "d2": Document("d2", "", "zz")}
