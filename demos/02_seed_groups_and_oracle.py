@@ -58,13 +58,15 @@ print(f"seed pool of {len(topic.relevant_ids)} -> {len(groups)} windows of width
 
 # One index serves the single runs and every window's multi run.
 index = build_index(topic, corpus, "bow", pipeline)
-_, single_runs = loocv_single(index, "sdr", params)
+# The oracle picks each window's best member by the single runs' MAP in the
+# leave-one-out report.
+single_report, single_runs = loocv_single(index, "sdr", params)
 
 print(f"\n{'window':>6s} {'members':<12s} {'oracle MAP':>10s} {'multi MAP':>10s}")
 oracle_maps, multi_maps = [], []
 for group in groups:
     multi_run = multi_sdr(index, group, "sdr", params)
-    oracle_run = oracle_single(topic, group, single_runs)
+    oracle_run = oracle_single(single_report, group, single_runs)
     o_map = evaluate_entries(oracle_run, topic.judgments)["map"]
     m_map = evaluate_entries(multi_run, topic.judgments)["map"]
     oracle_maps.append(o_map)

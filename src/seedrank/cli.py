@@ -32,8 +32,8 @@ import yaml
 
 from . import corpus as corpus_io
 from .corpus import filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
-from .errors import ConfigError, SeedRankError
-from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
+from .errors import ConfigError, InsufficientDocumentsError, SeedRankError
+from .evaluation import DEFAULT_CUTOFFS, metric_set, ranked_ids, significance_rows
 from .experiments import (
     ExperimentReport,
     evaluate_entries,
@@ -46,7 +46,7 @@ from .experiments import (
 )
 from .scoring import AES_METHODS, METHODS, ScoringParams
 from .text import OURS, PipelineConfig, default_stopwords
-from .vectors import REPRESENTATIONS, TopicIndex, build_index
+from .vectors import REPRESENTATIONS, build_index
 
 log = logging.getLogger("seedrank")
 
@@ -204,24 +204,13 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
     topics = filter_topics(load_topics(config.topics, config.qrels), min_relevant)
     if not topics:
         raise ConfigError("qrels", f"no topic has >= {min_relevant} relevant studies")
-    if config.stopwords:
-        with open(config.stopwords, encoding="utf-8") as fh:
-            stopwords = frozenset(line.strip().lower() for line in fh if line.strip())
-    else:
-        stopwords = default_stopwords()
+    stopwords = load_lexicon(config.stopwords).terms if config.stopwords else None
     pipeline, params = _settings(config, stopwords)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     if lexicon is not None and len(lexicon) == 0:
         log.warning("lexicon %s is empty; every boc representation degenerates", config.lexicon)
     embeddings = load_embeddings(config.embeddings) if config.embeddings and config.method in AES_METHODS else None
     return _Resources(corpus, topics, pipeline, params, lexicon, embeddings)
-
-
-def _topic_index(topic, res: _Resources, config: RunConfig) -> TopicIndex:
-    """The one index every run and analysis of ``topic`` shares."""
-    return build_index(
-        topic, res.corpus, config.representation, res.pipeline, lexicon=res.lexicon, embeddings=res.embeddings
-    )
 
 
 def _atomic_write_run(entries, path: Path) -> None:
@@ -255,8 +244,8 @@ def _metric_rows(report: ExperimentReport) -> list[list]:
                 rows.append([topic_id, unit, metric, _format_value(value)])
     per_topic = report.per_topic_means()
     for metric in report.metric_names():
-        for topic_id in sorted(per_topic.get(metric, {})):
-            rows.append([topic_id, "mean", metric, _format_value(per_topic[metric][topic_id])])
+        for topic_id, value in per_topic.get(metric, {}).items():
+            rows.append([topic_id, "mean", metric, _format_value(value)])
     for metric, value in report.cross_topic_means().items():
         rows.append(["ALL", "mean", metric, _format_value(value)])
     return rows
@@ -279,22 +268,28 @@ def _run_pool(units, worker, max_workers: int):
         return list(pool.map(worker, units))
 
 
-def _run_topics(topics, work, max_workers: int) -> tuple[list, list]:
-    """work(topic) for every topic; a SeedRankError fails its own topic only.
+def _run_topics(res: _Resources, config: RunConfig, work) -> tuple[list, list]:
+    """work(topic, index) for every topic, on ``config.workers`` threads.
 
-    Returns the results of the topics that finished, in topic order, and
-    (topic_id, error) for the others.
+    Each topic is counted once into the index that all its runs and
+    analyses share. A SeedRankError, in the index or in the work, fails its
+    own topic only. Returns the results of the topics that finished, in
+    topic order, and (topic_id, error) for the others.
     """
 
     def guarded(topic):
         try:
-            return work(topic), None
+            index = build_index(
+                topic, res.corpus, config.representation, res.pipeline,
+                lexicon=res.lexicon, embeddings=res.embeddings,
+            )
+            return work(topic, index), None
         except SeedRankError as exc:
             return None, exc
 
-    outcomes = _run_pool(topics, guarded, max_workers)
+    outcomes = _run_pool(res.topics, guarded, config.workers)
     done = [result for result, exc in outcomes if exc is None]
-    failed = [(topic.topic_id, exc) for topic, (_, exc) in zip(topics, outcomes) if exc is not None]
+    failed = [(topic.topic_id, exc) for topic, (_, exc) in zip(res.topics, outcomes) if exc is not None]
     return done, failed
 
 
@@ -321,16 +316,16 @@ def cmd_rank(config: RunConfig) -> int:
 
     total = len(res.topics)
 
-    def work(topic):
-        report, runs = loocv_single(_topic_index(topic, res, config), config.method, res.params)
+    def work(topic, index):
+        report, runs = loocv_single(index, config.method, res.params)
         entries = [e for seed_id in runs for e in runs[seed_id]]
         _atomic_write_run(entries, run_dir / f"{topic.topic_id}.run")
         log.info("ranked topic %s (%d seeds)", topic.topic_id, len(runs))
         return report
 
-    reports, failed = _run_topics(res.topics, work, config.workers)
+    reports, failed = _run_topics(res, config, work)
     master = ExperimentReport()
-    for report in sorted(reports, key=lambda r: min(r.values)):
+    for report in reports:
         master.merge(report)
     _atomic_write_csv(_metric_rows(master), ["topic_id", "seed_or_window", "metric", "value"], out / "metrics.csv")
     excluded = master.excluded_units()
@@ -353,9 +348,8 @@ def cmd_multi(config: RunConfig) -> int:
     multi_dir.mkdir(parents=True, exist_ok=True)
     oracle_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(topic):
-        index = _topic_index(topic, res, config)
-        _, single_runs = loocv_single(index, config.method, res.params)
+    def work(topic, index):
+        single_report, single_runs = loocv_single(index, config.method, res.params)
         groups = groups_of[topic.topic_id]
         multi_report = ExperimentReport()
         oracle_report = ExperimentReport()
@@ -363,20 +357,20 @@ def cmd_multi(config: RunConfig) -> int:
         oracle_entries = []
         for group in groups:
             m_run = multi_sdr(index, group, config.method, res.params)
-            o_run = oracle_single(topic, group, single_runs)
+            o_run = oracle_single(single_report, group, single_runs)
             multi_entries.extend(m_run)
             oracle_entries.extend(o_run)
-            multi_report.add(topic.topic_id, group.unit, evaluate_entries(m_run, topic.judgments, DEFAULT_CUTOFFS))
-            oracle_report.add(topic.topic_id, group.unit, evaluate_entries(o_run, topic.judgments, DEFAULT_CUTOFFS))
+            multi_report.add(topic.topic_id, group.unit, evaluate_entries(m_run, topic.judgments))
+            oracle_report.add(topic.topic_id, group.unit, evaluate_entries(o_run, topic.judgments))
         _atomic_write_run(multi_entries, multi_dir / f"{topic.topic_id}.run")
         _atomic_write_run(oracle_entries, oracle_dir / f"{topic.topic_id}.run")
         log.info("topic %s: %d seed groups", topic.topic_id, len(groups))
         return multi_report, oracle_report
 
-    results, failed = _run_topics(res.topics, work, config.workers)
+    results, failed = _run_topics(res, config, work)
     multi_master = ExperimentReport()
     oracle_master = ExperimentReport()
-    for multi_report, oracle_report in sorted(results, key=lambda pair: min(pair[0].values)):
+    for multi_report, oracle_report in results:
         multi_master.merge(multi_report)
         oracle_master.merge(oracle_report)
 
@@ -416,8 +410,7 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     rows = []
     sums: dict[str, list[float]] = {}
     for topic_id in shared:
-        ranked = [e.doc_id for e in sorted(by_topic[topic_id], key=lambda e: e.rank)]
-        metrics = metric_set(ranked, qrels[topic_id], cutoffs)
+        metrics = metric_set(ranked_ids(by_topic[topic_id]), qrels[topic_id], cutoffs)
         for metric, value in metrics.items():
             rows.append([topic_id, metric, _format_value(value)])
             sums.setdefault(metric, []).append(value)
@@ -437,42 +430,39 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
 def cmd_analyze(config: RunConfig) -> int:
     """Observation analyses: intra-similarity and term commonality CSVs."""
     validate_config(config)
-    res = _load_resources(config, max(2, config.min_relevant))
+    # The analyses read term counts only; an embedding table would be loaded and averaged for nothing.
+    res = _load_resources(dataclasses.replace(config, embeddings=None), config.min_relevant)
     out = Path(config.output_dir) / "analysis"
     out.mkdir(parents=True, exist_ok=True)
 
-    sim_rows = []
-    common_rows = []
-    skipped = 0
-    for topic in res.topics:
-        n_relevant = len(topic.relevant_ids)
-        if len(topic.irrelevant_ids) < n_relevant:
-            log.warning("topic %s skipped: fewer irrelevant than relevant studies", topic.topic_id)
-            skipped += 1
-            continue
-        index = build_index(topic, res.corpus, config.representation, res.pipeline, lexicon=res.lexicon)
-        rel_mean, irrel_mean = intra_similarity(index, repetitions=config.repetitions, rng_seed=config.rng_seed)
-        sim_rows.append(
-            [topic.topic_id, config.representation, _format_value(rel_mean), _format_value(irrel_mean)]
-        )
+    def work(topic, index):
+        try:
+            rel_mean, irrel_mean = intra_similarity(index, repetitions=config.repetitions, rng_seed=config.rng_seed)
+        except InsufficientDocumentsError as exc:
+            log.warning("skipped: %s", exc)
+            return [], []
+        sim_row = [topic.topic_id, config.representation, _format_value(rel_mean), _format_value(irrel_mean)]
         _, histogram = term_commonality(index)
-        for docs_containing, n_terms in histogram.items():
-            common_rows.append(
-                [topic.topic_id, config.representation, docs_containing, n_relevant, n_terms]
-            )
+        n_relevant = len(topic.relevant_ids)
+        common_rows = [
+            [topic.topic_id, config.representation, docs_containing, n_relevant, n_terms]
+            for docs_containing, n_terms in histogram.items()
+        ]
         log.info("analyzed topic %s", topic.topic_id)
+        return [sim_row], common_rows
 
+    results, failed = _run_topics(res, config, work)
     _atomic_write_csv(
-        sim_rows, ["topic_id", "representation", "rel_mean", "irrel_mean"], out / "intra_similarity.csv"
+        [row for sim_rows, _ in results for row in sim_rows],
+        ["topic_id", "representation", "rel_mean", "irrel_mean"],
+        out / "intra_similarity.csv",
     )
     _atomic_write_csv(
-        common_rows,
+        [row for _, common_rows in results for row in common_rows],
         ["topic_id", "representation", "docs_containing", "n_relevant", "n_terms"],
         out / "term_commonality.csv",
     )
-    if skipped:
-        log.warning("%d topics skipped for lacking irrelevant studies", skipped)
-    return 0
+    return _report_failures(failed, len(res.topics))
 
 
 def _per_topic_means_from_csv(path: str) -> dict[str, dict[str, float]]:

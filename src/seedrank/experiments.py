@@ -24,9 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RunEntry, Topic
+from .corpus import RunEntry
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
-from .evaluation import DEFAULT_CUTOFFS, average_precision, metric_set, ranked_ids, restrict_qrels
+from .evaluation import DEFAULT_CUTOFFS, metric_set, ranked_ids, restrict_qrels
 from .scoring import ScoringParams, derive_rng, rank
 from .vectors import TopicIndex, build_stats, cosine, tfidf
 
@@ -63,17 +63,21 @@ class ExperimentReport:
 
     def metric_names(self) -> list[str]:
         names: dict[str, None] = {}
-        for units in self.values.values():
+        for _, units in sorted(self.values.items()):
             for metrics in units.values():
                 for name in metrics:
                     names.setdefault(name)
         return list(names)
 
     def per_topic_means(self) -> dict[str, dict[str, float]]:
-        """metric -> topic -> mean over the units where the metric is defined."""
+        """metric -> topic -> mean over the units where the metric is defined.
+
+        Topics come in id order, whatever order they were added in, so the
+        cross-topic means sum in the same order on every run.
+        """
         out: dict[str, dict[str, float]] = {}
         for metric in self.metric_names():
-            for topic_id, units in self.values.items():
+            for topic_id, units in sorted(self.values.items()):
                 vals = [m[metric] for m in units.values() if metric in m]
                 if vals:
                     out.setdefault(metric, {})[topic_id] = sum(vals) / len(vals)
@@ -112,8 +116,6 @@ def loocv_single(
     index: TopicIndex,
     method: str,
     params: ScoringParams,
-    *,
-    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> tuple[ExperimentReport, dict[str, list[RunEntry]]]:
     """One run per relevant study used as the seed, plus its metrics.
 
@@ -131,7 +133,7 @@ def loocv_single(
     for seed_id in seeds:
         entries = rank(index, [seed_id], method, params, run_key=f"{topic.topic_id}.{seed_id}")
         runs[seed_id] = entries
-        report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments, cutoffs))
+        report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments))
     return report, runs
 
 
@@ -175,33 +177,25 @@ def multi_sdr(
 
 
 def oracle_single(
-    topic: Topic,
+    report: ExperimentReport,
     group: SeedGroup,
     single_runs: Mapping[str, list[RunEntry]],
-    *,
-    run_key: str | None = None,
 ) -> list[RunEntry]:
     """Best group member's single run, filtered to the multi candidate set.
 
-    The member whose single run has the highest AP wins (ties: smallest
-    seed doc_id); the other members' entries are deleted from the winning
-    run and ranks are compacted to 1..n so the result ranks exactly the
-    documents the group's multi run ranks.
+    ``report`` and ``single_runs`` are what ``loocv_single`` returns. The
+    member whose single run has the highest ``map`` in the report wins
+    (ties: smallest seed doc_id); the other members' entries are deleted
+    from the winning run and ranks are compacted to 1..n so the result
+    ranks exactly the documents the group's multi run ranks.
     """
-    missing = [m for m in group.member_ids if m not in single_runs]
+    seed_metrics = report.values.get(group.topic_id, {})
+    missing = [m for m in group.member_ids if m not in single_runs or m not in seed_metrics]
     if missing:
-        raise ContractError(f"no single run supplied for group members: {missing}")
-    best_seed = None
-    best_ap = -1.0
-    for seed_id in sorted(group.member_ids):
-        entries = single_runs[seed_id]
-        run = ranked_ids(entries)
-        ap = average_precision(run, restrict_qrels(topic.judgments, run))
-        if ap > best_ap:
-            best_ap = ap
-            best_seed = seed_id
+        raise ContractError(f"no leave-one-out run and metrics for group members: {missing}")
+    best_seed = max(sorted(group.member_ids), key=lambda seed_id: seed_metrics[seed_id]["map"])
     others = set(group.member_ids) - {best_seed}
-    key = run_key if run_key is not None else f"{topic.topic_id}.{group.unit}"
+    key = f"{group.topic_id}.{group.unit}"
     kept = [e for e in sorted(single_runs[best_seed], key=lambda e: e.rank) if e.doc_id not in others]
     return [
         RunEntry(key, e.doc_id, i, e.score, f"{e.tag}-oracle")

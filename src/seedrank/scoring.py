@@ -225,7 +225,6 @@ def rank(
     *,
     undersample: bool = False,
     run_key: str | None = None,
-    tag: str | None = None,
 ) -> list[RunEntry]:
     """Rank a topic's candidates against one seed or a group of seeds.
 
@@ -256,7 +255,7 @@ def rank(
             scores = interpolate(minmax(scores), minmax(aes_score(stats)), params.aes_alpha)
 
     key = run_key if run_key is not None else index.topic_id
-    run_tag = tag if tag is not None else f"{method}-{index.representation}"
+    run_tag = f"{method}-{index.representation}"
     doc_ids = [index.doc_ids[row] for row in stats.candidates.tolist()]
     return [
         RunEntry(key, doc_id, i, score, run_tag)

@@ -212,10 +212,10 @@ def test_criterion_4_multi_seed_structure(pipeline, params, tmp_path):
 
         groups = make_groups("M0", topic.relevant_ids)
         assert len(groups) == len(topic.relevant_ids) - len(groups[0].member_ids) + 1
-        _, singles = loocv_single(index, "sdr", params)
+        report, singles = loocv_single(index, "sdr", params)
         for group in groups:
             multi = multi_sdr(index, group, "sdr", params)
-            oracle = oracle_single(topic, group, singles)
+            oracle = oracle_single(report, group, singles)
             assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
 
 

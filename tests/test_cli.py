@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 import seedrank
-from seedrank.cli import RunConfig, load_config, main, validate_config
+from seedrank import cli
+from seedrank.cli import RunConfig, _load_resources, load_config, main, validate_config
 from seedrank.errors import ConfigError
 from synth import synth_collection, write_collection_files, write_embeddings_file, write_lexicon_file
 
@@ -99,6 +100,22 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(config)
         assert err.value.field == "corpus"
+
+    def test_stopwords_file_uses_the_lexicon_parser(self, tmp_path, collection, capsys):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("The\n\nOF\n", encoding="utf-8")
+        config = RunConfig(**collection, stopwords=str(stopwords))
+        assert _load_resources(config, 2).pipeline.stopwords == frozenset({"the", "of"})
+
+        # A line of two tokens could never match a token; it fails at its line.
+        stopwords.write_text("the\nof and\n", encoding="utf-8")
+        argv = [
+            "-q", "rank", "--corpus", collection["corpus"], "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--stopwords", str(stopwords), "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ParseError" and summary["detail"].startswith(f"{stopwords}:2:")
 
     def test_config_error_exit_code_and_summary(self, tmp_path, capsys):
         code = main(["rank", "--config", write_config(tmp_path, method="nope")])
@@ -215,7 +232,7 @@ class TestTopicFailures:
             "--method", "sdr", "--output-dir", str(out_dir),
         ]
 
-    @pytest.mark.parametrize("command", ["rank", "multi"])
+    @pytest.mark.parametrize("command", ["rank", "multi", "analyze"])
     def test_ghost_document_fails_only_its_topic(self, tmp_path, collection, capsys, command):
         # The last of three topics judges a document the corpus lacks.
         ghost_qrels = tmp_path / "qrels_ghost.txt"
@@ -226,17 +243,48 @@ class TestTopicFailures:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert [t["topic_id"] for t in summary["topics"]] == ["T002"]
         assert summary["topics"][0]["error"] == "ContractError" and "ghost" in summary["topics"][0]["detail"]
+        clean_dir = tmp_path / "clean"
+        assert main(self.argv(command, collection, clean_dir)) == 0
 
+        if command == "analyze":
+            # The finished topics' rows are the clean run's rows for them.
+            for name in ("intra_similarity.csv", "term_commonality.csv"):
+                rows = read_metrics(out_dir / "analysis" / name)
+                assert {r["topic_id"] for r in rows} == {"T000", "T001"}
+                assert rows == [r for r in read_metrics(clean_dir / "analysis" / name) if r["topic_id"] != "T002"]
+            return
         assert {r["topic_id"] for r in read_metrics(out_dir / "metrics.csv")} == {"T000", "T001", "ALL"}
         if command == "multi":
             rows = read_metrics(out_dir / "oracle_comparison.csv")
             assert {r["topic_id"] for r in rows} == {"T000", "T001", "ALL"}
-        clean_dir = tmp_path / "clean"
-        assert main(self.argv(command, collection, clean_dir)) == 0
         run_files = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*.run"))
         assert {p.name for p in run_files} == {"T000.run", "T001.run"}
         for rel in run_files:
             assert (out_dir / rel).read_bytes() == (clean_dir / rel).read_bytes()
+
+
+class TestTopicOrder:
+    """Outputs do not depend on the order of the topics in the topics file."""
+
+    def test_reversed_topic_blocks_give_identical_csvs(self, tmp_path, collection):
+        blocks: dict[str, list[str]] = {}
+        for line in Path(collection["topics"]).read_text(encoding="utf-8").splitlines(keepends=True):
+            blocks.setdefault(line.split()[0], []).append(line)
+        reversed_topics = tmp_path / "topics_reversed.txt"
+        reversed_topics.write_text("".join("".join(b) for b in reversed(blocks.values())), encoding="utf-8")
+        assert len(blocks) == 3
+
+        for command, names in (("rank", ["metrics.csv"]), ("multi", ["metrics.csv", "oracle_comparison.csv"])):
+            outputs = []
+            for label, topics in (("file", collection["topics"]), ("reversed", str(reversed_topics))):
+                out_dir = tmp_path / f"{command}-{label}"
+                argv = [
+                    "-q", command, "--corpus", collection["corpus"], "--topics", topics,
+                    "--qrels", collection["qrels"], "--method", "sdr", "--output-dir", str(out_dir),
+                ]
+                assert main(argv) == 0
+                outputs.append([(out_dir / name).read_bytes() for name in names])
+            assert outputs[0] == outputs[1], command
 
 
 class TestCmdEval:
@@ -276,6 +324,20 @@ class TestCmdAnalyze:
         assert all(float(r["rel_mean"]) > float(r["irrel_mean"]) for r in sim_rows)
         common_rows = read_metrics(out_dir / "analysis" / "term_commonality.csv")
         assert common_rows and all(int(r["docs_containing"]) >= 1 for r in common_rows)
+
+    def test_embedding_table_is_not_loaded(self, tmp_path, collection, monkeypatch):
+        # The analyses read term counts only, whatever ranking method the config names.
+        def refuse(path):
+            raise AssertionError(f"analyze loaded {path}")
+
+        monkeypatch.setattr(cli, "load_embeddings", refuse)
+        embeddings = write_embeddings_file(tmp_path, [f"term{i:04d}" for i in range(120)])
+        argv = [
+            "-q", "analyze", "--corpus", collection["corpus"], "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--method", "sdr+aes", "--embeddings", str(embeddings),
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
 
 
 class TestCmdCompare:
@@ -346,26 +408,28 @@ class TestSubprocessDeterminism:
 @pytest.mark.slow
 class TestMultiDeterminism:
     def test_bytes_stable_across_workers_and_hash_seeds(self, tmp_path, collection):
-        outputs = []
-        for hash_seed, workers in (("1", "1"), ("2", "1"), ("1", "3")):
-            out_dir = tmp_path / f"hs{hash_seed}-w{workers}"
-            cmd = [
-                sys.executable, "-m", "seedrank.cli", "-q", "multi",
-                "--corpus", collection["corpus"],
-                "--topics", collection["topics"],
-                "--qrels", collection["qrels"],
-                "--method", "sdr",
-                "--workers", workers,
-                "--output-dir", str(out_dir),
-            ]
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            result = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            files = [out_dir / "metrics.csv", out_dir / "oracle_comparison.csv", *sorted(out_dir.rglob("*.run"))]
-            assert len(files) == 2 + 2 * 3
-            outputs.append([(str(f.relative_to(out_dir)), f.read_bytes()) for f in files])
-        assert outputs[0] == outputs[1], "outputs differ between hash seeds"
-        assert outputs[0] == outputs[2], "outputs differ between worker counts"
+        # multi: two CSVs plus a multi and an oracle run file per topic; analyze: two CSVs.
+        for command, n_files in (("multi", 2 + 2 * 3), ("analyze", 2)):
+            outputs = []
+            for hash_seed, workers in (("1", "1"), ("2", "1"), ("1", "3")):
+                out_dir = tmp_path / f"{command}-hs{hash_seed}-w{workers}"
+                cmd = [
+                    sys.executable, "-m", "seedrank.cli", "-q", command,
+                    "--corpus", collection["corpus"],
+                    "--topics", collection["topics"],
+                    "--qrels", collection["qrels"],
+                    "--method", "sdr",
+                    "--workers", workers,
+                    "--output-dir", str(out_dir),
+                ]
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                result = subprocess.run(cmd, env=env, capture_output=True, text=True)
+                assert result.returncode == 0, result.stderr
+                files = sorted(f for f in out_dir.rglob("*") if f.is_file())
+                assert len(files) == n_files
+                outputs.append([(str(f.relative_to(out_dir)), f.read_bytes()) for f in files])
+            assert outputs[0] == outputs[1], f"{command} outputs differ between hash seeds"
+            assert outputs[0] == outputs[2], f"{command} outputs differ between worker counts"
 
 
 class TestDependencies:

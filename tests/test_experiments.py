@@ -180,9 +180,16 @@ class TestOracleSingle:
         judgments = {"s1": 1, "s2": 1, "d1": 1, "d4": 1, "d3": 0}
         return Topic("T", ["s1", "s2", "d1", "d3", "d4"], judgments)
 
+    def report(self, topic, runs):
+        """The leave-one-out report of ``runs``, as loocv_single builds it."""
+        report = ExperimentReport()
+        for seed_id, entries in runs.items():
+            report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments))
+        return report
+
     def test_picks_best_and_removes_group_mates(self):
         group = SeedGroup("T", ("s1", "s2"), 0)
-        entries = oracle_single(self.topic(), group, self.runs())
+        entries = oracle_single(self.report(self.topic(), self.runs()), group, self.runs())
         assert [e.doc_id for e in entries] == ["d1", "d3", "d4"]
         assert [e.rank for e in entries] == [1, 2, 3]
         assert all(e.topic_id == "T.w0" for e in entries)
@@ -196,7 +203,7 @@ class TestOracleSingle:
         assert before["map"] == pytest.approx((1.0 + 1.0 + 0.75) / 3, abs=1e-12)
         # After removing s2 and compacting: R=2 with hits at 1 and 3.
         group = SeedGroup("T", ("s1", "s2"), 0)
-        after = evaluate_entries(oracle_single(topic, group, self.runs()), topic.judgments)
+        after = evaluate_entries(oracle_single(self.report(topic, self.runs()), group, self.runs()), topic.judgments)
         assert after["map"] == pytest.approx((1.0 + 2.0 / 3.0) / 2, abs=1e-12)
 
     def test_tie_breaks_to_smallest_seed_id(self):
@@ -206,21 +213,21 @@ class TestOracleSingle:
         }
         topic = Topic("T", ["s1", "s2", "d1"], {"s1": 1, "s2": 1, "d1": 1})
         group = SeedGroup("T", ("s2", "s1"), 0)
-        out = oracle_single(topic, group, entries)
+        out = oracle_single(self.report(topic, entries), group, entries)
         # both runs have AP 1.0 on their restricted qrels; s1 wins the tie
         assert out == [RunEntry("T.w0", "d1", 1, 1.0, "x-oracle")]
 
     def test_missing_member_run(self):
         group = SeedGroup("T", ("s1", "missing"), 0)
         with pytest.raises(ContractError):
-            oracle_single(self.topic(), group, self.runs())
+            oracle_single(self.report(self.topic(), self.runs()), group, self.runs())
 
     def test_oracle_and_multi_cover_same_docs(self, params, pipeline, multi_corpus, multi_topic):
         index = build_index(multi_topic, multi_corpus, "bow", pipeline)
-        _, singles = loocv_single(index, "sdr", params)
+        report, singles = loocv_single(index, "sdr", params)
         for group in make_groups("T9", multi_topic.relevant_ids):
             multi = multi_sdr(index, group, "sdr", params)
-            oracle = oracle_single(multi_topic, group, singles)
+            oracle = oracle_single(report, group, singles)
             assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
             assert len(multi) == len(oracle)
 
