@@ -163,16 +163,15 @@ def _settings(config: RunConfig, stopwords: frozenset[str] | None = None) -> tup
     return pipeline, params
 
 
-def validate_config(config: RunConfig, *, need_corpus: bool = True) -> None:
+def validate_config(config: RunConfig) -> None:
     """Field-level validation; raises ConfigError naming the offending field."""
     if config.method not in METHODS:
         raise ConfigError("method", f"must be one of {METHODS}, got {config.method!r}")
     if config.representation not in REPRESENTATIONS:
         raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {config.representation!r}")
     _settings(config)
-    if need_corpus:
-        for field in ("corpus", "topics", "qrels"):
-            _require_file(config, field)
+    for field in ("corpus", "topics", "qrels"):
+        _require_file(config, field)
     if config.representation == "boc":
         _require_file(config, "lexicon")
     if config.method in ("aes", "sdr+aes"):

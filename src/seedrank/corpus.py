@@ -257,8 +257,9 @@ def write_run(entries: list[RunEntry], path) -> None:
 
 
 def load_run(path) -> list[RunEntry]:
-    """Load a TREC run file; malformed lines raise ParseError."""
+    """Load a TREC run file; malformed lines and a document repeated within a topic raise ParseError."""
     entries: list[RunEntry] = []
+    seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -274,6 +275,9 @@ def load_run(path) -> list[RunEntry]:
                 raise ParseError(path, lineno, str(exc)) from exc
             if rank < 1:
                 raise ParseError(path, lineno, f"rank must be positive, got {rank}")
+            if (topic_id, doc_id) in seen:
+                raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
+            seen.add((topic_id, doc_id))
             entries.append(RunEntry(topic_id, doc_id, rank, score, tag))
     return entries
 
@@ -305,6 +309,13 @@ def load_embeddings(path) -> EmbeddingTable:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError(path, 1, "expected header 'vocab_size dimension'")
+        # The vocabulary size is checked but not held to the row count.
+        try:
+            vocab_size = int(header[0])
+        except ValueError as exc:
+            raise ParseError(path, 1, f"vocabulary size {header[0]!r} is not an integer") from exc
+        if vocab_size < 0:
+            raise ParseError(path, 1, f"vocabulary size must be non-negative, got {vocab_size}")
         try:
             dimension = int(header[1])
         except ValueError as exc:

@@ -28,7 +28,7 @@ from .corpus import RunEntry
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, ranked_ids, restrict_qrels
 from .scoring import ScoringParams, derive_rng, rank
-from .vectors import TopicIndex, build_stats, cosine, tfidf
+from .vectors import TopicIndex, build_stats, cosine, line_entries, tfidf
 
 LASTREL_METRICS = ("lastrel%", "wss")
 
@@ -203,11 +203,24 @@ def oracle_single(
     ]
 
 
-def _pairwise_mean_cosine(weights, norms: np.ndarray) -> float:
-    """Mean cosine over the pairs i < j of the rows of ``weights``."""
-    gram = (weights @ weights.T).toarray()
-    i, j = np.triu_indices(len(norms), 1)
-    return float(cosine(gram[i, j], norms[i], norms[j]).mean())
+def _pairwise_mean_cosine(index: TopicIndex, weights: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> float:
+    """Mean cosine over the pairs i < j of ``rows``, under ``weights`` over the index's count entries.
+
+    Each dot product adds row i's products in its stored order, starting
+    from 0, against an m x V dense block of the m rows.
+    """
+    positions, lengths = line_entries(index.counts.indptr, rows)
+    columns, entry_weights = index.counts.indices[positions], weights[positions]
+    m = len(rows)
+    owner = np.repeat(np.arange(m), lengths)
+    dense = np.zeros((m, len(index.terms)))
+    dense[owner, columns] = entry_weights
+    # products[e, k] is entry e (of row i) times row k's weight on its term;
+    # bincount adds them into gram[i, k] in entry order.
+    products = entry_weights[:, None] * dense[:, columns].T
+    gram = np.bincount((owner[:, None] * m + np.arange(m)).ravel(), weights=products.ravel(), minlength=m * m)
+    i, j = np.triu_indices(m, 1)
+    return float(cosine(gram.reshape(m, m)[i, j], norms[rows[i]], norms[rows[j]]).mean())
 
 
 def intra_similarity(
@@ -235,15 +248,14 @@ def intra_similarity(
         )
 
     weights, norms, _ = tfidf(build_stats(index, ()))
-    rows = index.row_numbers(relevant)
-    rel_mean = _pairwise_mean_cosine(weights[rows], norms[rows])
+    rel_mean = _pairwise_mean_cosine(index, weights, index.row_numbers(relevant), norms)
 
     irrelevant_rows = index.row_numbers(irrelevant)
     rng = derive_rng(rng_seed, topic.topic_id, "intra-similarity")
     sample_means = []
     for _ in range(repetitions):
         chosen = irrelevant_rows[np.sort(rng.choice(len(irrelevant), size=len(relevant), replace=False))]
-        sample_means.append(_pairwise_mean_cosine(weights[chosen], norms[chosen]))
+        sample_means.append(_pairwise_mean_cosine(index, weights, chosen, norms))
     return rel_mean, sum(sample_means) / len(sample_means)
 
 
@@ -258,7 +270,8 @@ def term_commonality(index: TopicIndex) -> tuple[dict[str, float], dict[int, int
     relevant = topic.relevant_ids
     if not relevant:
         raise InsufficientDocumentsError(f"topic {topic.topic_id!r} has no relevant studies")
-    containing = index.counts[index.row_numbers(relevant)].getnnz(axis=0).tolist()
+    positions, _ = line_entries(index.counts.indptr, index.row_numbers(relevant))
+    containing = np.bincount(index.counts.indices[positions], minlength=len(index.terms)).tolist()
     n = len(relevant)
     fractions = {index.terms[col]: c / n for col, c in enumerate(containing) if c}
     histogram: dict[int, int] = {}

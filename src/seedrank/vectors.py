@@ -1,9 +1,10 @@
 """The per-topic term matrix, run-unit statistics, tf-idf weights and embedding averages.
 
-A topic's candidates are counted once, into a ``TopicIndex``: a CSR
-doc-term count matrix whose rows keep each document's terms in order of
-first occurrence, a CSC copy whose columns are postings in candidate order,
-and integer document lengths, document frequencies and collection counts.
+A topic's candidates are counted once, into a ``TopicIndex``: doc-term
+counts stored row by row as numpy arrays, each row keeping its document's
+terms in order of first occurrence; a column-by-column copy whose columns
+are postings in candidate order; and integer document lengths, document
+frequencies and collection counts.
 For AES it also holds every candidate's mean embedding. Every run unit of
 the topic (one seed, or one seed group) ranks against that one index.
 
@@ -22,7 +23,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Document, EmbeddingTable, Lexicon, Topic
 from .errors import ContractError, EmptyTopicError
@@ -32,13 +32,61 @@ REPRESENTATIONS = ("bow", "boc")
 
 
 @dataclass(frozen=True, eq=False)
+class Compressed:
+    """A sparse matrix stored line by line: line i holds ``indices[indptr[i]:indptr[i + 1]]``
+    with ``data`` at the same positions.
+
+    A ``TopicIndex`` keeps its counts as lines of rows (indices are columns)
+    and its postings as lines of columns (indices are rows).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def line_entries(indptr: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of ``lines``, line after line in the given order, and each line's length."""
+    starts = indptr[lines]
+    lengths = indptr[lines + 1] - starts
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0), lengths
+
+
+def _line_sums(matrix: Compressed) -> np.ndarray:
+    """Exact integer total of each line's data; 0 for an empty line."""
+    # reduceat gives an empty line the next entry (or the appended 0 at the end).
+    totals = np.add.reduceat(np.append(matrix.data, 0), matrix.indptr[:-1])
+    totals[matrix.indptr[1:] == matrix.indptr[:-1]] = 0
+    return totals
+
+
+def _column_order(indices: np.ndarray, n_columns: int) -> np.ndarray:
+    """Entry positions sorted by column, stably, so each column keeps its entries' order.
+
+    A least-significant-digit radix sort over 16-bit digits (the uint16 cast
+    keeps the low 16 bits): numpy's stable sort of uint16 keys is itself a
+    radix sort, and much faster than a stable sort of the full-width keys.
+    """
+    order = np.argsort(indices.astype(np.uint16), kind="stable")
+    shift = 16
+    while n_columns > 1 << shift:
+        order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
+@dataclass(frozen=True, eq=False)
 class TopicIndex:
     """One topic's candidates, counted once and shared by all its run units.
 
     Rows follow ``doc_ids`` (the topic's candidate order), columns follow
-    ``terms`` (order of first occurrence). ``embeddings`` is the N x d
-    matrix of mean embeddings, None when built without an embedding table;
-    ``embedding_hits`` counts the tokens each row's mean is over.
+    ``terms`` (order of first occurrence). ``counts`` holds the rows, each
+    in order of first occurrence of its terms, and ``entry_rows`` the row of
+    each of its entries; ``postings`` holds the columns, rows ascending.
+    ``embeddings`` is the N x d matrix of mean embeddings, None when built
+    without an embedding table; ``embedding_hits`` counts the tokens each
+    row's mean is over.
     """
 
     topic: Topic
@@ -46,8 +94,9 @@ class TopicIndex:
     doc_ids: tuple[str, ...]
     rows: dict[str, int]
     terms: tuple[str, ...]
-    counts: sparse.csr_matrix
-    postings: sparse.csc_matrix
+    counts: Compressed
+    entry_rows: np.ndarray
+    postings: Compressed
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
     collection_counts: np.ndarray
@@ -76,27 +125,27 @@ class TopicIndex:
         representation: str,
     ) -> "TopicIndex":
         """Index one column -> count mapping per document, in ``doc_ids`` order; columns number ``terms``."""
-        entries = sum(map(len, row_counts))
-        matrix = sparse.csr_matrix(
-            (
-                np.fromiter(chain.from_iterable(row.values() for row in row_counts), np.int64, entries),
-                np.fromiter(chain.from_iterable(row_counts), np.int64, entries),
-                np.cumsum([0] + [len(row) for row in row_counts]),
-            ),
-            shape=(len(row_counts), len(terms)),
-        )
-        postings = matrix.tocsc()
+        lengths = np.fromiter(map(len, row_counts), np.int64, len(row_counts))
+        entries = int(lengths.sum())
+        indices = np.fromiter(chain.from_iterable(row_counts), np.intp, entries)
+        data = np.fromiter(chain.from_iterable(row.values() for row in row_counts), np.int64, entries)
+        entry_rows = np.repeat(np.arange(len(row_counts)), lengths)
+        doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
+        order = _column_order(indices, len(terms))
+        counts = Compressed(np.concatenate(([0], np.cumsum(lengths))), indices, data)
+        postings = Compressed(np.concatenate(([0], np.cumsum(doc_freq))), entry_rows[order], data[order])
         return cls(
             topic=topic,
             representation=representation,
             doc_ids=doc_ids,
             rows={doc_id: i for i, doc_id in enumerate(doc_ids)},
             terms=terms,
-            counts=matrix,
+            counts=counts,
+            entry_rows=entry_rows,
             postings=postings,
-            doc_lengths=np.asarray(matrix.sum(axis=1), dtype=np.int64).ravel(),
-            doc_freq=np.diff(postings.indptr).astype(np.int64),
-            collection_counts=np.asarray(matrix.sum(axis=0), dtype=np.int64).ravel(),
+            doc_lengths=_line_sums(counts),
+            doc_freq=doc_freq,
+            collection_counts=_line_sums(postings),
         )
 
     @property
@@ -193,56 +242,57 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
     candidates = np.flatnonzero(is_candidate)
     if not len(candidates):
         raise EmptyTopicError(f"topic {index.topic_id!r} has no candidates after seed exclusion")
-    removed = index.counts[np.unique(seed_rows)]
+    counts, n_terms = index.counts, len(index.terms)
     total = int(index.doc_lengths[candidates].sum())
 
-    seed: dict[int, int] = {}
-    for row in seed_rows:
-        start, end = index.counts.indptr[row], index.counts.indptr[row + 1]
-        for term, count in zip(index.counts.indices[start:end].tolist(), index.counts.data[start:end].tolist()):
-            seed[term] = seed.get(term, 0) + count
-    seed_terms = np.fromiter(seed.keys(), dtype=np.intp, count=len(seed))
+    # The float sums of integer counts are exact below 2**53.
+    removed, _ = line_entries(counts.indptr, np.flatnonzero(~is_candidate))
+    removed_terms = counts.indices[removed]
+    removed_counts = np.bincount(removed_terms, weights=counts.data[removed], minlength=n_terms).astype(np.int64)
 
-    postings = index.postings[:, seed_terms]
-    kept = is_candidate[postings.indices]
-    posting_terms = np.repeat(np.arange(len(seed_terms)), np.diff(postings.indptr))[kept]
+    seed_entries, _ = line_entries(counts.indptr, seed_rows)
+    terms = counts.indices[seed_entries]
+    # Sorted stably by term, each term's run starts at its first occurrence.
+    by_term = np.argsort(terms, kind="stable")
+    firsts = by_term[np.flatnonzero(np.diff(terms[by_term], prepend=-1))]
+    seed_terms = terms[np.sort(firsts)]
+    seed_counts = np.bincount(terms, weights=counts.data[seed_entries], minlength=n_terms)[seed_terms].astype(np.int64)
+
+    positions, df = line_entries(index.postings.indptr, seed_terms)
+    rows = index.postings.indices[positions]
+    kept = is_candidate[rows]
     return CollectionStats(
         index=index,
         seed_rows=seed_rows,
         candidates=candidates,
         is_candidate=is_candidate,
         num_docs=len(candidates),
-        doc_freq=index.doc_freq - removed.getnnz(axis=0),
-        collection_counts=index.collection_counts - np.asarray(removed.sum(axis=0), dtype=np.int64).ravel(),
+        doc_freq=index.doc_freq - np.bincount(removed_terms, minlength=n_terms),
+        collection_counts=index.collection_counts - removed_counts,
         total_tokens=total,
         avg_doc_length=total / len(candidates),
         seed_terms=seed_terms,
-        seed_counts=np.fromiter(seed.values(), dtype=np.int64, count=len(seed)),
-        posting_terms=posting_terms,
-        posting_rows=postings.indices[kept].astype(np.intp),
-        posting_counts=postings.data[kept],
+        seed_counts=seed_counts,
+        posting_terms=np.repeat(np.arange(len(seed_terms)), df)[kept],
+        posting_rows=rows[kept],
+        posting_counts=index.postings.data[positions][kept],
     )
 
 
-def tfidf(stats: CollectionStats) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+def tfidf(stats: CollectionStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw-count tf times ln(N/df) for every index row, under the unit's statistics.
 
-    Returns the weights, their row norms and the idf per column. Terms no
-    candidate holds (df = 0) have no defined idf, and df = N terms weigh
-    exactly zero; both get idf 0.
+    Returns the weights, one per entry of ``stats.index.counts``, their row
+    norms and the idf per column. Terms no candidate holds (df = 0) have no
+    defined idf, and df = N terms weigh exactly zero; both get idf 0.
     """
     n, df = stats.num_docs, stats.doc_freq
     idf = np.zeros(len(df))
     defined = (df > 0) & (df < n)
     idf[defined] = np.log(n / df[defined])
-    counts = stats.index.counts
-    data = counts.data * idf[counts.indices]
-    entry_rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-    norms = np.sqrt(np.bincount(entry_rows, weights=data * data, minlength=counts.shape[0]))
-    # Copies of the index arrays: some scipy operations sort a matrix's
-    # indices in place, and the index's rows keep their terms in order of
-    # first occurrence.
-    weights = sparse.csr_matrix((data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape)
+    index = stats.index
+    weights = index.counts.data * idf[index.counts.indices]
+    norms = np.sqrt(np.bincount(index.entry_rows, weights=weights * weights, minlength=len(index.doc_ids)))
     return weights, norms, idf
 
 
@@ -256,9 +306,12 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
     """tf-idf cosine between the summed seed rows and every index row."""
     weights, norms, idf = tfidf(stats)
     seed_weights = stats.seed_counts * idf[stats.seed_terms]
-    seed = np.zeros(weights.shape[1])
+    seed = np.zeros(len(idf))
     seed[stats.seed_terms] = seed_weights
-    return cosine(weights @ seed, norms, math.sqrt(float((seed_weights * seed_weights).sum())))
+    index = stats.index
+    # bincount adds each row's products one by one, in stored order.
+    dots = np.bincount(index.entry_rows, weights=weights * seed[index.counts.indices], minlength=len(index.doc_ids))
+    return cosine(dots, norms, math.sqrt(float((seed_weights * seed_weights).sum())))
 
 
 def seed_embedding(stats: CollectionStats) -> np.ndarray:

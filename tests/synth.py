@@ -116,6 +116,16 @@ def count_index(**docs):
     return TopicIndex.from_counts(Topic("T", list(docs)), docs)
 
 
+def dense(index, values=None):
+    """The N x V matrix of ``values`` (default: the counts), one per entry of ``index.counts``, read row by row."""
+    values = index.counts.data if values is None else values
+    out = np.zeros((len(index.doc_ids), len(index.terms)), dtype=values.dtype)
+    for row in range(len(index.doc_ids)):
+        start, end = index.counts.indptr[row], index.counts.indptr[row + 1]
+        out[row, index.counts.indices[start:end]] = values[start:end]
+    return out
+
+
 def by_term(stats, values):
     """Per-seed-term values of a unit (phi weights, say) keyed by term."""
     return {stats.index.terms[col]: value for col, value in zip(stats.seed_terms.tolist(), values)}

@@ -213,6 +213,13 @@ class TestRunFiles:
         with pytest.raises(ParseError):
             load_run(p)
 
+    def test_repeated_document_in_a_topic_rejected(self, tmp_path):
+        p = tmp_path / "r.run"
+        p.write_text("T1 Q0 d1 1 2.0 x\nT2 Q0 d1 1 2.0 x\nT1 Q0 d1 2 1.0 x\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="'d1'") as err:
+            load_run(p)
+        assert err.value.lineno == 3 and str(err.value).startswith(f"{p}:3:")
+
     def test_write_load_write_is_byte_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.run", tmp_path / "b.run"
         write_run(self.entries(), p1)
@@ -283,6 +290,19 @@ class TestLexiconAndEmbeddings:
         write_lines(p, ["0 3"])
         table = load_embeddings(p)
         assert table.dimension == 3 and table.lookup("a") is None
+
+    @pytest.mark.parametrize("vocab_size", ["abc", "-5", "2.0"])
+    def test_bad_vocabulary_size_rejected(self, tmp_path, vocab_size):
+        p = tmp_path / "e.txt"
+        write_lines(p, [f"{vocab_size} 2", "a 1 0", "b 0 1"])
+        with pytest.raises(ParseError) as err:
+            load_embeddings(p)
+        assert err.value.lineno == 1 and str(err.value).startswith(f"{p}:1:")
+
+    def test_vocabulary_size_need_not_match_the_rows(self, tmp_path):
+        p = tmp_path / "e.txt"
+        write_lines(p, ["5 2", "a 1 0", "b 0 1"])
+        assert len(load_embeddings(p).rows) == 2
 
     def test_wrong_arity(self, tmp_path):
         p = tmp_path / "e.txt"

@@ -24,9 +24,10 @@ from seedrank import (
     term_commonality,
     write_run,
 )
-from scipy import sparse
+from hypothesis import given, strategies as st
 
 from seedrank.experiments import _pairwise_mean_cosine
+from synth import count_index
 
 
 def run_bytes(entries, tmp_path, name):
@@ -258,8 +259,32 @@ class TestIntraSimilarity:
         # Three unit vectors with pairwise cosines exactly {0.5, 0.2, 0.1}.
         gram = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]])
         rows = np.linalg.cholesky(gram)
-        weights = sparse.csr_matrix(rows)
-        assert _pairwise_mean_cosine(weights, np.linalg.norm(rows, axis=1)) == pytest.approx(0.26666666, abs=1e-7)
+        index = count_index(d0=dict(a=1, b=1, c=1), d1=dict(a=1, b=1, c=1), d2=dict(a=1, b=1, c=1))
+        norms = np.linalg.norm(rows, axis=1)
+        assert _pairwise_mean_cosine(index, rows.ravel(), np.arange(3), norms) == pytest.approx(0.26666666, abs=1e-7)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 9), max_size=8),
+            min_size=2, max_size=8,
+        ),
+        st.data(),
+    )
+    def test_pairwise_mean_adds_each_row_in_stored_order(self, docs, data):
+        index = count_index(**{f"d{i}": d for i, d in enumerate(docs)})
+        counts = index.counts
+        weights = np.sqrt(counts.data * np.arange(1.0, len(counts.data) + 1))
+        norms = np.sqrt(np.bincount(index.entry_rows, weights=weights * weights, minlength=len(docs)))
+        rows = np.array(data.draw(st.permutations(range(len(docs)))))[: data.draw(st.integers(2, len(docs)))]
+        sims = []
+        for a, i in enumerate(rows):
+            for k in rows[a + 1:]:
+                row_k = dict(zip(counts.indices[counts.indptr[k]:counts.indptr[k + 1]], weights[counts.indptr[k]:]))
+                dot = 0.0
+                for e in range(counts.indptr[i], counts.indptr[i + 1]):
+                    dot += weights[e] * row_k.get(counts.indices[e], 0.0)
+                sims.append(dot / (norms[i] * norms[k]) if norms[i] * norms[k] else 0.0)
+        assert _pairwise_mean_cosine(index, weights, rows, norms) == float(np.mean(sims))
 
     def test_single_relevant_is_error(self, pipeline):
         topic, corpus = self.make_topic_corpus(["one doc"], ["a", "b"])

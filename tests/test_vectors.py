@@ -12,6 +12,7 @@ from seedrank import (
     Lexicon,
     PipelineConfig,
     Topic,
+    TopicIndex,
     aes_vector,
     build_index,
     build_stats,
@@ -19,7 +20,7 @@ from seedrank import (
     tfidf,
 )
 from seedrank.vectors import seed_similarities
-from synth import count_index
+from synth import count_index, dense
 
 
 def tc(**counts):
@@ -30,20 +31,64 @@ def per_term(stats, values):
     return {term: int(values[col]) for col, term in enumerate(stats.index.terms) if values[col]}
 
 
+def check_against_counts(index, counts):
+    """Every array of ``index`` against the doc_id -> term -> count dicts it was built from."""
+    docs = list(counts.values())
+    column = {term: col for col, term in enumerate(index.terms)}
+    for row, doc in enumerate(docs):
+        start, end = index.counts.indptr[row], index.counts.indptr[row + 1]
+        assert index.counts.indices[start:end].tolist() == [column[t] for t in doc]
+        assert index.counts.data[start:end].tolist() == list(doc.values())
+        assert index.entry_rows[start:end].tolist() == [row] * len(doc)
+        assert index.doc_lengths[row] == sum(doc.values())
+    for col, term in enumerate(index.terms):
+        start, end = index.postings.indptr[col], index.postings.indptr[col + 1]
+        holders = [row for row, doc in enumerate(docs) if term in doc]
+        assert index.postings.indices[start:end].tolist() == holders
+        assert index.postings.data[start:end].tolist() == [docs[row][term] for row in holders]
+        assert index.doc_freq[col] == len(holders)
+        assert index.collection_counts[col] == sum(docs[row][term] for row in holders)
+    for values in (index.doc_lengths, index.doc_freq, index.collection_counts):
+        assert values.dtype == np.int64
+
+
 class TestTopicIndex:
     def test_rows_keep_first_occurrence_order(self):
         index = count_index(d1=tc(b=1, a=2), d2=tc(c=1, a=1))
         assert index.terms == ("b", "a", "c")
-        assert index.counts.toarray().tolist() == [[1, 2, 0], [0, 1, 1]]
+        assert dense(index).tolist() == [[1, 2, 0], [0, 1, 1]]
+        assert list(index.counts.indptr) == [0, 2, 4]
         assert list(index.counts.indices) == [0, 1, 2, 1]  # not sorted: d2 holds c before a
+        assert list(index.entry_rows) == [0, 0, 1, 1]
         assert list(index.doc_lengths) == [3, 2]
 
     def test_postings_in_candidate_order(self):
         index = count_index(d1=tc(a=1), d2=tc(b=1), d3=tc(a=4))
-        assert index.postings.has_sorted_indices
+        assert list(index.postings.indptr) == [0, 2, 3]
         a = index.terms.index("a")
         start, end = index.postings.indptr[a], index.postings.indptr[a + 1]
         assert list(index.postings.indices[start:end]) == [0, 2]
+        assert list(index.postings.data[start:end]) == [1, 4]
+
+    @given(st.lists(
+        st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 9), max_size=8),
+        min_size=1, max_size=12,
+    ))
+    def test_columns_and_counts_match_per_term_reference(self, docs):
+        counts = {f"d{i}": d for i, d in enumerate(docs)}
+        check_against_counts(TopicIndex.from_counts(Topic("T", list(counts)), counts), counts)
+
+    def test_more_columns_than_one_radix_digit(self):
+        # 70,000 columns: sorting the entries by column takes a second 16-bit pass.
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(70_000)]
+        counts = {"d0": {words[i]: 1 for i in rng.permutation(len(words))}}
+        for doc_id in ("d1", "d2"):
+            held = rng.choice(len(words), size=20_000, replace=False)
+            counts[doc_id] = {words[i]: int(c) for i, c in zip(held, rng.integers(1, 5, size=len(held)))}
+        index = TopicIndex.from_counts(Topic("T", list(counts)), counts)
+        assert len(index.terms) == 70_000
+        check_against_counts(index, counts)
 
     def test_each_candidate_counted_once(self, pipeline, monkeypatch):
         import seedrank.vectors
@@ -133,12 +178,12 @@ class TestTfidf:
     def test_hand_example(self):
         stats = build_stats(count_index(s=tc(a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
         weights, _, _ = tfidf(stats)
-        assert weights[0, stats.index.terms.index("a")] == pytest.approx(math.log(2), abs=1e-12)
+        assert dense(stats.index, weights)[0, stats.index.terms.index("a")] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_df_equals_n_dropped(self):
         stats = build_stats(count_index(s=tc(a=3), d1=tc(a=1), d2=tc(a=1)), ["s"])
         weights, norms, _ = tfidf(stats)
-        assert weights.toarray().tolist() == [[0.0], [0.0], [0.0]] and list(norms) == [0.0, 0.0, 0.0]
+        assert dense(stats.index, weights).tolist() == [[0.0], [0.0], [0.0]] and list(norms) == [0.0, 0.0, 0.0]
 
     def test_unseen_term_dropped(self):
         stats = build_stats(count_index(s=tc(z=5, a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
@@ -148,18 +193,19 @@ class TestTfidf:
     def test_norm_is_consistent(self):
         stats = build_stats(count_index(s=tc(a=2, b=1, c=3), d1=tc(a=1, b=2), d2=tc(b=1), d3=tc(c=1)), ["s"])
         weights, norms, _ = tfidf(stats)
-        dense = weights.toarray()
-        assert norms == pytest.approx(np.sqrt((dense * dense).sum(axis=1)), abs=1e-9)
-        assert (dense >= 0).all()
+        matrix = dense(stats.index, weights)
+        assert norms == pytest.approx(np.sqrt((matrix * matrix).sum(axis=1)), abs=1e-9)
+        assert (matrix >= 0).all()
 
     def test_matches_reference(self):
         counts = {"s": tc(a=2, b=1, c=3), "d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1)}
         stats = build_stats(count_index(**counts), ["s"])
         weights, norms, _ = tfidf(stats)
+        matrix = dense(stats.index, weights)
         collection = [counts[d] for d in ("d1", "d2", "d3")]
         for row, doc_id in enumerate(stats.index.doc_ids):
             expected = ref_tfidf(counts[doc_id], collection)
-            got = {t: weights[row, col] for col, t in enumerate(stats.index.terms) if weights[row, col]}
+            got = {t: matrix[row, col] for col, t in enumerate(stats.index.terms) if matrix[row, col]}
             assert got == pytest.approx(expected, abs=1e-12)
             assert norms[row] == pytest.approx(math.sqrt(sum(w * w for w in expected.values())), abs=1e-12)
 
@@ -172,6 +218,31 @@ class TestTfidf:
         for row in stats.candidates:
             expected = ref_cosine(ref_tfidf(counts[stats.index.doc_ids[row]], collection), seed_vec)
             assert cos[row] == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 9), max_size=8),
+            min_size=3, max_size=10,
+        ),
+    )
+    def test_seed_similarities_add_each_row_in_stored_order(self, docs):
+        stats = build_stats(count_index(**{f"d{i}": tc(**d) for i, d in enumerate(docs)}), ["d0", "d1"])
+        weights, norms, idf = tfidf(stats)
+        seed = np.zeros(len(idf))
+        seed[stats.seed_terms] = stats.seed_counts * idf[stats.seed_terms]
+        seed_norm = math.sqrt(float((seed[stats.seed_terms] ** 2).sum()))
+        counts = stats.index.counts
+        expected, expected_norms = [], []
+        for row in range(len(docs)):
+            dot = squares = 0.0
+            for e in range(counts.indptr[row], counts.indptr[row + 1]):
+                dot += weights[e] * seed[counts.indices[e]]
+                squares += weights[e] * weights[e]
+            expected_norms.append(math.sqrt(squares))
+            denominator = expected_norms[-1] * seed_norm
+            expected.append(dot / denominator if denominator else 0.0)
+        assert norms.tolist() == expected_norms
+        assert seed_similarities(stats).tolist() == expected
 
 
 def cos(wu, wv):
