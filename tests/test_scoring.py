@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,9 +24,17 @@ from seedrank import (
     rank,
     sdr_score,
 )
-from seedrank.scoring import derive_rng, sort_scored
+from seedrank.scoring import (
+    _keyed_states,
+    _phi_from_gammas,
+    _seed_sequence_states,
+    derive_rng,
+    keyed_generators,
+    sort_scored,
+)
 from seedrank.text import tokenize
-from synth import by_term, count_index
+from seedrank.vectors import seed_similarities
+from synth import by_term, count_index, synth_collection
 
 
 def tc(**counts):
@@ -263,6 +272,132 @@ class TestSortScored:
         assert sort_scored({"b": 1.0, "a": 1.0, "c": 2.0}) == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
 
 
+def reference_derive_rng(*parts) -> np.random.Generator:
+    """The generator derivation that phi's draws are pinned to: default_rng over the key's blake2b words."""
+    digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
+    words = np.frombuffer(digest.digest(), dtype=np.uint64)
+    return np.random.default_rng(words)
+
+
+def reference_phi_weights(stats, params, *, undersample=False, rng_key=()):
+    """phi_weights as a per-term loop: one generator, mask copy and 1-D sum per term."""
+    cos = seed_similarities(stats)
+    n = stats.num_docs
+    cap = params.undersample_cap
+    terms = stats.index.terms
+    bounds = np.searchsorted(stats.posting_terms, np.arange(len(stats.seed_terms) + 1))
+    weights = np.empty(len(stats.seed_terms))
+    for k, column in enumerate(stats.seed_terms.tolist()):
+        present = stats.posting_rows[bounds[k] : bounds[k + 1]]
+        n_present = len(present)
+        n_absent = n - n_present
+        rng = None
+        if undersample and (n_present > cap or n_absent > cap):
+            rng = reference_derive_rng(params.rng_seed, *rng_key, terms[column])
+        if rng is not None and n_present > cap:
+            chosen = rng.choice(n_present, size=cap, replace=False)
+            g_present = float(cos[present[chosen]].sum()) / cap
+        elif n_present:
+            g_present = float(cos[present].sum()) / n_present
+        else:
+            g_present = 0.0
+        if n_absent:
+            # Sum the complement directly: deriving it from the total cancels
+            # catastrophically and can turn an exact zero into noise.
+            mask = stats.is_candidate.copy()
+            mask[present] = False
+            absent = np.flatnonzero(mask)
+            if rng is not None and n_absent > cap:
+                chosen = rng.choice(n_absent, size=cap, replace=False)
+                g_absent = float(cos[absent[chosen]].sum()) / cap
+            else:
+                g_absent = float(cos[absent].sum()) / n_absent
+        else:
+            g_absent = 0.0
+        weights[k] = _phi_from_gammas(g_present, g_absent)
+    return weights
+
+
+def synth_units(seed, n_docs, overlap):
+    """Single-seed and seed-group units over a tests/synth.py collection."""
+    topics, corpus = synth_collection(seed, 2, n_docs, vocab_size=300, n_relevant=6, irrelevant_overlap=overlap)
+    for topic in topics:
+        index = build_index(topic, corpus, "bow", PipelineConfig())
+        relevant = topic.relevant_ids
+        for seeds in (relevant[:1], relevant[1:4], [topic.candidate_ids[-1]]):
+            yield build_stats(index, seeds), (topic.topic_id, "+".join(seeds))
+
+
+def edge_unit():
+    """A term in every candidate (c), one in none (b), and one whose complement has cosine 0 everywhere (a)."""
+    docs = {"s": tc(a=1, b=1, c=1)}
+    docs.update({f"d{i}": tc(a=1, c=1, **{f"u{i}": 1 + i % 3}) for i in range(8)})
+    docs.update({f"e{i}": tc(c=1, x=1) for i in range(4)})
+    return build_stats(count_index(**docs), ["s"])
+
+
+class TestPhiBitIdentity:
+    """phi_weights gives the per-term loop's weights, bit for bit, draws included."""
+
+    @pytest.mark.parametrize("cap", [1, 5, 50])
+    @pytest.mark.parametrize("undersample", [False, True])
+    @pytest.mark.parametrize("seed, n_docs, overlap", [(11, 90, 0.3), (12, 160, 0.1)])
+    def test_synth_collections(self, seed, n_docs, overlap, undersample, cap):
+        params = ScoringParams(undersample_cap=cap, rng_seed=seed)
+        for stats, key in synth_units(seed, n_docs, overlap):
+            got = phi_weights(stats, params, undersample=undersample, rng_key=key)
+            expected = reference_phi_weights(stats, params, undersample=undersample, rng_key=key)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 5, 50])
+    @pytest.mark.parametrize("undersample", [False, True])
+    def test_edge_partitions(self, undersample, cap):
+        stats = edge_unit()
+        params = ScoringParams(undersample_cap=cap)
+        got = phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"))
+        expected = reference_phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"))
+        assert got.tobytes() == expected.tobytes()
+        weights = by_term(stats, got)
+        assert weights["a"] == weights["c"] == math.log(2)  # zero-cosine complement; no complement
+        assert weights["b"] == 0.0  # no candidate holds it
+
+
+class TestKeyedStreams:
+    PREFIX = (7, "CD008", "s1+s2")
+
+    @staticmethod
+    def words(*parts):
+        digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
+        return np.frombuffer(digest.digest(), dtype=np.uint64)
+
+    @pytest.fixture(scope="class")
+    def names(self):
+        rng = np.random.default_rng(5)
+        names = ["i\u0307stanbul", "İstanbul", "", "0", "007", "12345678901234567890", "x" * 500, "a b\x1fc", "β-blocker"]
+        names += [f"term{i}" for i in range(600)] + [str(int(v)) for v in rng.integers(0, 10**12, 300)]
+        names += ["".join(map(chr, rng.integers(0x20, 0x3000, int(rng.integers(1, 40))))) for _ in range(200)]
+        return names
+
+    def test_states_equal_seed_sequence(self, names):
+        expected = [np.random.SeedSequence(self.words(*self.PREFIX, name)).generate_state(4, np.uint64) for name in names]
+        assert np.array_equal(_keyed_states(self.PREFIX, names), np.array(expected))
+
+    def test_short_words_pad_as_seed_sequence_does(self):
+        # SeedSequence drops a zero high half of a uint64 word, which shifts the later words.
+        words = np.array([[0, 0], [5, 1 << 40], [1 << 40, 3], [7, 9], [0, 1 << 63], [2**64 - 1, 1]], dtype=np.uint64)
+        expected = [np.random.SeedSequence(w).generate_state(4, np.uint64) for w in words]
+        assert np.array_equal(_seed_sequence_states(words), np.array(expected))
+
+    def test_draws_equal_derive_rng(self, names):
+        for name, rng in zip(names, keyed_generators(self.PREFIX, names)):
+            drawn = rng.choice(120, size=7, replace=False).tolist()
+            assert drawn == derive_rng(*self.PREFIX, name).choice(120, size=7, replace=False).tolist()
+            assert drawn == reference_derive_rng(*self.PREFIX, name).choice(120, size=7, replace=False).tolist()
+
+    def test_no_names(self):
+        assert list(keyed_generators(self.PREFIX, [])) == []
+
+
 class TestDeriveRng:
     def test_stable_and_distinct(self):
         a = derive_rng(1, "T", "x").integers(0, 1_000_000, size=5)
@@ -270,6 +405,17 @@ class TestDeriveRng:
         c = derive_rng(1, "T", "y").integers(0, 1_000_000, size=5)
         assert list(a) == list(b)
         assert list(a) != list(c)
+
+    @pytest.mark.parametrize("parts, integers, chosen", [
+        ((1, "T", "x"), [679203, 804149, 601159, 750288, 783538], [78, 58, 65, 74, 99]),
+        ((1, "T", "y"), [420377, 812303, 596878, 666254, 110202], [78, 11, 58, 40, 65]),
+        ((0, "T000", "a+b", "i\u0307stanbul"), [511950, 123012, 873798, 350820, 253311], [49, 25, 11, 34, 85]),
+        ((42, ""), [326644, 815275, 962663, 830262, 612185], [61, 82, 79, 94, 31]),
+    ])
+    def test_golden_streams(self, parts, integers, chosen):
+        # Recorded from the blake2b -> np.random.default_rng derivation; a change here changes every sample.
+        assert derive_rng(*parts).integers(0, 1_000_000, size=5).tolist() == integers
+        assert derive_rng(*parts).choice(100, size=5, replace=False).tolist() == chosen
 
 
 class TestRank:
