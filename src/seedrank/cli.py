@@ -111,16 +111,37 @@ def _coerce(field: dataclasses.Field, raw, source: str):
         raise ConfigError(field.name, f"expected {target.__name__}, got {raw!r} (from {source})")
 
 
+def _parse_yaml(path: str, raw: bytes):
+    """The YAML document in ``raw``; bytes that are not UTF-8 and bad YAML raise ConfigError at ``path:line``."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError("config", f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
+    try:
+        return yaml.safe_load(text)
+    except yaml.MarkedYAMLError as exc:
+        # YAML marks count lines from 0.
+        detail = f"{path}:{exc.problem_mark.line + 1}: invalid YAML: {exc.problem}"
+        if exc.context_mark is not None:
+            detail += f" ({exc.context} from line {exc.context_mark.line + 1})"
+        raise ConfigError("config", detail) from None
+    except yaml.reader.ReaderError as exc:
+        line = text.count("\n", 0, exc.position) + 1
+        raise ConfigError("config", f"{path}:{line}: invalid YAML: {exc.reason} {chr(exc.character)!r}") from None
+
+
 def load_config(path: str | None, flag_overrides: dict) -> RunConfig:
     """Build a RunConfig: defaults < config file < environment < flags."""
     values: dict = {}
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = yaml.safe_load(fh) or {}
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise ConfigError("config", str(exc))
+        data = _parse_yaml(path, raw) or {}
         if not isinstance(data, dict):
             raise ConfigError("config", "config file must hold a mapping")
         for key, raw in data.items():

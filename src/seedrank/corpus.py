@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +103,31 @@ class EmbeddingTable:
             row = self.rows.get(token.lower())
         return row
 
-    def lookup(self, token: str) -> np.ndarray | None:
-        """The vector of ``token`` (see ``row``), or None."""
-        row = self.row(token)
-        return None if row is None else self.matrix[row]
+
+@contextmanager
+def _text_file(path):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises ParseError at its line.
+
+    Decoding runs ahead of the line being read, so the line is found by
+    reading the file again, only once it has failed.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise _undecodable_line(path) from None
+
+
+def _undecodable_line(path) -> ParseError:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # surrogateescape maps each undecodable byte b to U+DC00 + b.
+                byte = ord(line[exc.start]) - 0xDC00
+                return ParseError(path, lineno, f"byte 0x{byte:02x} is not valid UTF-8")
+    return ParseError(path, 1, "the file is not valid UTF-8")
 
 
 def load_corpus(path) -> dict[str, Document]:
@@ -116,7 +139,7 @@ def load_corpus(path) -> dict[str, Document]:
     abstracts load as "".
     """
     docs: dict[str, Document] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -154,7 +177,7 @@ def load_topics(topics_path, qrels_path) -> list[Topic]:
     """
     topics: dict[str, Topic] = {}
     seen: dict[str, set[str]] = {}
-    with open(topics_path, encoding="utf-8") as fh:
+    with _text_file(topics_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -190,7 +213,7 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
     grade raises ParseError at the repeat.
     """
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -260,7 +283,7 @@ def load_run(path) -> list[RunEntry]:
     """Load a TREC run file; malformed lines and a document repeated within a topic raise ParseError."""
     entries: list[RunEntry] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -285,7 +308,7 @@ def load_run(path) -> list[RunEntry]:
 def load_lexicon(path) -> Lexicon:
     """One token per line; lowercased and deduplicated. Empty files are accepted."""
     terms = set()
-    with open(path, encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:
@@ -296,54 +319,107 @@ def load_lexicon(path) -> Lexicon:
     return Lexicon(frozenset(terms))
 
 
+# Lines of the embedding body parsed by one np.loadtxt call. Besides the
+# V x d matrix and the token map, the loader holds one chunk of text and
+# values; a call costs about 15 us on top of its lines.
+_EMBEDDING_CHUNK_LINES = 512
+# The widest float64 row numpy can describe.
+_MAX_DIMENSION = np.iinfo(np.intp).max // 8
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Load word2vec text-format embeddings; nan and inf values raise ParseError.
 
-    The values are parsed in one pass into a V x d matrix. When that pass
-    fails, the lines are checked one at a time to name the first bad one.
+    The body is parsed in chunks of lines, each by one ``np.loadtxt``, into
+    one V x d matrix. The matrix is sized from the header's vocabulary size,
+    but to no more rows than the file's bytes can hold, and grows if the file
+    holds more rows. A chunk that does not parse is checked one line at a
+    time to name the first bad line. A non-finite value is raised only after
+    the whole body has parsed, so a malformed line anywhere is reported first.
     """
+    with _text_file(path) as fh:
+        vocab_size, dimension = _embedding_header(path, fh.readline())
+        # A row takes at least 2d + 2 bytes: a token and d values of one character
+        # each, a separator before each value and a line break (+ 1: the last
+        # line may have none).
+        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * dimension + 2)
+        matrix = np.empty((min(vocab_size, fits), dimension))
+        rows: dict[str, int] = {}
+        n = 0
+        non_finite = None
+        for tokens, linenos, block in _embedding_chunks(path, fh, dimension):
+            stop = n + len(block)
+            if stop > len(matrix):
+                grown = np.empty((max(stop, 2 * len(matrix)), dimension))
+                grown[:n] = matrix[:n]
+                matrix = grown
+            matrix[n:stop] = block
+            rows.update(zip(tokens, range(n, stop)))
+            if non_finite is None:
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    non_finite = (linenos[i], tokens[i])
+            n = stop
+    if non_finite is not None:
+        raise ParseError(path, non_finite[0], f"non-finite value in the vector of {non_finite[1]!r}")
+    if n < len(matrix):
+        matrix = matrix[:n].copy()
+    return EmbeddingTable(matrix, rows)
+
+
+def _embedding_header(path, line: str) -> tuple[int, int]:
+    """``(vocab_size, dimension)`` from the header line."""
+    header = line.split()
+    if len(header) != 2:
+        raise ParseError(path, 1, "expected header 'vocab_size dimension'")
+    # The vocabulary size is checked but not held to the row count.
+    try:
+        vocab_size = int(header[0])
+    except ValueError as exc:
+        raise ParseError(path, 1, f"vocabulary size {header[0]!r} is not an integer") from exc
+    if vocab_size < 0:
+        raise ParseError(path, 1, f"vocabulary size must be non-negative, got {vocab_size}")
+    try:
+        dimension = int(header[1])
+    except ValueError as exc:
+        raise ParseError(path, 1, f"dimension {header[1]!r} is not an integer") from exc
+    if dimension < 1:
+        raise ParseError(path, 1, f"dimension must be positive, got {dimension}")
+    if dimension > _MAX_DIMENSION:
+        raise ParseError(path, 1, f"dimension must be at most {_MAX_DIMENSION}, got {dimension}")
+    return vocab_size, dimension
+
+
+def _embedding_chunks(path, lines, dimension: int):
+    """``(tokens, line numbers, values)`` per chunk of the body; the values are a checked float64 block."""
     tokens: list[str] = []
     values: list[str] = []
     linenos: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(path, 1, "expected header 'vocab_size dimension'")
-        # The vocabulary size is checked but not held to the row count.
-        try:
-            vocab_size = int(header[0])
-        except ValueError as exc:
-            raise ParseError(path, 1, f"vocabulary size {header[0]!r} is not an integer") from exc
-        if vocab_size < 0:
-            raise ParseError(path, 1, f"vocabulary size must be non-negative, got {vocab_size}")
-        try:
-            dimension = int(header[1])
-        except ValueError as exc:
-            raise ParseError(path, 1, f"dimension {header[1]!r} is not an integer") from exc
-        if dimension < 1:
-            raise ParseError(path, 1, f"dimension must be positive, got {dimension}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split(maxsplit=1)
-            if not parts:
-                continue
-            if len(parts) == 1:
-                raise ParseError(path, lineno, f"expected token plus {dimension} values, got 0 values")
-            tokens.append(parts[0])
-            values.append(parts[1])
-            linenos.append(lineno)
-    if not values:
-        return EmbeddingTable(np.empty((0, dimension)), {})
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(maxsplit=1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            raise ParseError(path, lineno, f"expected token plus {dimension} values, got 0 values")
+        tokens.append(parts[0])
+        values.append(parts[1])
+        linenos.append(lineno)
+        if len(values) == _EMBEDDING_CHUNK_LINES:
+            yield tokens, linenos, _parse_chunk(path, values, linenos, dimension)
+            tokens, values, linenos = [], [], []
+    if values:
+        yield tokens, linenos, _parse_chunk(path, values, linenos, dimension)
+
+
+def _parse_chunk(path, values: list[str], linenos: list[int], dimension: int) -> np.ndarray:
     try:
-        matrix = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        matrix = None
-    if matrix is None or matrix.shape[1] != dimension:
+        block = None
+    if block is None or block.shape != (len(values), dimension):
         _raise_first_bad_line(path, values, linenos, dimension)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ParseError(path, linenos[i], f"non-finite value in the vector of {tokens[i]!r}")
-    return EmbeddingTable(matrix, {token: i for i, token in enumerate(tokens)})
+    return block
 
 
 def _raise_first_bad_line(path, values: list[str], linenos: list[int], dimension: int) -> None:

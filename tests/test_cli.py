@@ -69,6 +69,19 @@ class TestConfigLoading:
         monkeypatch.setenv("SEEDRANK_INCLUDE_TITLE", "false")
         assert load_config(None, {}).include_title is False
 
+    @pytest.mark.parametrize("content, line, detail", [
+        (b"method: [sdr\n", 2, "invalid YAML: expected ',' or ']', but got '<stream end>' (while parsing a flow sequence from line 1)"),
+        (b"method: sdr\nrng_seed: 1\n  jm_lambda: 0.5\n", 3, "invalid YAML: mapping values are not allowed here"),
+        (b"method: sdr\nvariant: a\x07b\n", 2, "invalid YAML: special characters are not allowed '\\x07'"),
+        (b"method: sdr\n# caf\xe9\n", 2, "byte 0xe9 is not valid UTF-8"),
+    ])
+    def test_unreadable_file_names_its_line(self, tmp_path, content, line, detail):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path), {})
+        assert err.value.field == "config" and str(err.value) == f"config: {path}:{line}: {detail}"
+
     def test_bad_number(self, tmp_path):
         path = write_config(tmp_path, jm_lambda="not-a-number")
         with pytest.raises(ConfigError) as err:
@@ -116,6 +129,27 @@ class TestValidation:
         assert main(argv) == 1
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "ParseError" and summary["detail"].startswith(f"{stopwords}:2:")
+
+    @pytest.mark.parametrize("content, line", [(b"method: [sdr\n", 2), (b"method: sdr\n# caf\xe9\n", 2)])
+    def test_unreadable_config_exit_code_and_summary(self, tmp_path, capsys, content, line):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        assert main(["-q", "rank", "--config", str(path)]) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "config"
+        assert summary["detail"].startswith(f"config: {path}:{line}: ")
+
+    def test_undecodable_corpus_exit_code_and_summary(self, tmp_path, collection, capsys):
+        corpus = Path(collection["corpus"])
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join(lines[:4]) + lines[4].replace(b'"title": "', b'"title": "caf\xe9 ', 1) + b"".join(lines[5:]))
+        argv = [
+            "-q", "rank", "--corpus", str(corpus), "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary == {"error": "ParseError", "detail": f"{corpus}:5: byte 0xe9 is not valid UTF-8"}
 
     def test_config_error_exit_code_and_summary(self, tmp_path, capsys):
         code = main(["rank", "--config", write_config(tmp_path, method="nope")])

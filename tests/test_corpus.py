@@ -1,8 +1,11 @@
 import json
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seedrank import (
     Document,
@@ -12,6 +15,7 @@ from seedrank import (
     PipelineConfig,
     RunEntry,
     RunValidationError,
+    SeedRankError,
     Topic,
     filter_topics,
     load_corpus,
@@ -23,6 +27,7 @@ from seedrank import (
     tokenize,
     write_run,
 )
+from seedrank import corpus
 from seedrank.text import document_text
 
 
@@ -254,7 +259,7 @@ class TestLexiconAndEmbeddings:
         write_lines(p, ["2 2", "a 1 0", "b 0 1"])
         table = load_embeddings(p)
         assert table.dimension == 2
-        assert list(table.lookup("a")) == [1.0, 0.0]
+        assert list(table.matrix[table.row("a")]) == [1.0, 0.0]
 
     def test_vectors_equal_a_per_value_parse(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -269,7 +274,7 @@ class TestLexiconAndEmbeddings:
         for line in lines[1:]:
             token, *values = line.split()
             expected = np.array([float(v) for v in values]) if token != "w0" else np.full(6, 1e-3)
-            assert table.lookup(token).tobytes() == expected.tobytes()
+            assert table.matrix[table.row(token)].tobytes() == expected.tobytes()
 
     def test_unparsable_value_names_its_line(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -289,7 +294,7 @@ class TestLexiconAndEmbeddings:
         p = tmp_path / "e.txt"
         write_lines(p, ["0 3"])
         table = load_embeddings(p)
-        assert table.dimension == 3 and table.lookup("a") is None
+        assert table.dimension == 3 and table.row("a") is None
 
     @pytest.mark.parametrize("vocab_size", ["abc", "-5", "2.0"])
     def test_bad_vocabulary_size_rejected(self, tmp_path, vocab_size):
@@ -298,6 +303,14 @@ class TestLexiconAndEmbeddings:
         with pytest.raises(ParseError) as err:
             load_embeddings(p)
         assert err.value.lineno == 1 and str(err.value).startswith(f"{p}:1:")
+
+    @pytest.mark.parametrize("body", [[], ["a 1 0"]])
+    def test_dimension_numpy_cannot_hold_rejected(self, tmp_path, body):
+        p = tmp_path / "e.txt"
+        write_lines(p, [f"1 {2**63}", *body])
+        with pytest.raises(ParseError, match="dimension must be at most") as err:
+            load_embeddings(p)
+        assert err.value.lineno == 1
 
     def test_vocabulary_size_need_not_match_the_rows(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -323,7 +336,178 @@ class TestLexiconAndEmbeddings:
         p = tmp_path / "e.txt"
         write_lines(p, ["2 2", "MRI 1 0", "scan 0 1"])
         table = load_embeddings(p)
-        assert list(table.lookup("MRI")) == [1.0, 0.0]
-        assert list(table.lookup("SCAN")) == [0.0, 1.0]
-        assert table.lookup("unknown") is None
+        assert list(table.matrix[table.row("MRI")]) == [1.0, 0.0]
+        assert list(table.matrix[table.row("SCAN")]) == [0.0, 1.0]
+        assert table.row("unknown") is None
 
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 fails at its line, whichever loader reads it."""
+
+    GOOD = {
+        "corpus": ['{"doc_id":"1","title":"T","abstract":"A"}', '{"doc_id":"2","title":"U","abstract":"B"}'],
+        "topics": ["T1 d1", "T1 d2"],
+        "qrels": ["T1 0 d1 1", "T1 0 d2 0"],
+        "lexicon": ["heart", "attack"],
+        "embeddings": ["2 2", "a 1 0", "b 0 1"],
+        "run": ["T1 Q0 d1 1 2.0 x", "T1 Q0 d2 2 1.0 x"],
+    }
+    LOADERS = {
+        "corpus": load_corpus,
+        "topics": lambda p: load_topics(p, p.with_name("qrels")),
+        "qrels": load_qrels,
+        "lexicon": load_lexicon,
+        "embeddings": load_embeddings,
+        "run": load_run,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOOD))
+    @pytest.mark.parametrize("filler", [0, 20000])
+    def test_bad_byte_names_its_line(self, tmp_path, kind, filler):
+        # The blank filler lines push the bad byte past the text decoder's first read.
+        write_lines(tmp_path / "qrels", self.GOOD["qrels"])
+        p = tmp_path / kind
+        first, second = (line.encode("utf-8") + b"\n" for line in self.GOOD[kind][:2])
+        p.write_bytes(first + b"\n" * filler + b"\xe9" + second + b"\xff\n")
+        with pytest.raises(ParseError, match="byte 0xe9 is not valid UTF-8") as err:
+            self.LOADERS[kind](p)
+        assert err.value.lineno == filler + 2 and str(err.value).startswith(f"{p}:{filler + 2}:")
+
+    def test_utf8_text_still_loads(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        write_lines(p, ["café", "İstanbul"])
+        assert load_lexicon(p).terms == frozenset({"café", "i̇stanbul"})
+
+
+class TestStreamedEmbeddings:
+    """The body is parsed in chunks of ``_EMBEDDING_CHUNK_LINES`` lines; here 2 or 3."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_EMBEDDING_CHUNK_LINES", 2)
+
+    def load(self, tmp_path, lines, newline="\n"):
+        p = tmp_path / "e.txt"
+        p.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        return p, load_embeddings(p)
+
+    def test_malformed_line_in_a_later_chunk_names_its_line(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            self.load(tmp_path, ["5 2", "a 1 0", "b 0 1", "c 1 1", "d 1 x", "e 0 0"])
+        assert err.value.lineno == 5 and "not a number" in str(err.value)
+
+    def test_non_finite_row_before_a_malformed_row_reports_the_malformed_row(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            self.load(tmp_path, ["5 2", "a 1 nan", "b 0 1", "c 1 1", "d 1 0 7", "e 0 0"])
+        assert err.value.lineno == 5 and "got 3 values" in str(err.value)
+
+    def test_non_finite_row_in_a_later_chunk_is_reported(self, tmp_path):
+        with pytest.raises(ParseError, match="'d'") as err:
+            self.load(tmp_path, ["5 2", "a 1 0", "b 0 1", "c 1 1", "d 1 inf", "e nan 0"])
+        assert err.value.lineno == 5
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_blank_lines_and_crlf_across_chunk_boundaries(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(corpus, "_EMBEDDING_CHUNK_LINES", chunk)
+        lines = ["4 2", "a 1 0", "", "b 0 1", "  ", "", "c 0.5 -2", "d 3 4", "", ""]
+        _, table = self.load(tmp_path, lines, newline="\r\n")
+        assert table.rows == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert table.matrix.tolist() == [[1, 0], [0, 1], [0.5, -2], [3, 4]]
+        with pytest.raises(ParseError) as err:
+            self.load(tmp_path, lines[:6] + ["c 0.5"], newline="\r\n")
+        assert err.value.lineno == 7
+
+    @pytest.mark.parametrize("vocab_size", [0, 1, 7, 10**15])
+    def test_header_row_count_need_not_hold(self, tmp_path, vocab_size):
+        rows = [f"w{i} {i} {-i}" for i in range(7)]
+        _, table = self.load(tmp_path, [f"{vocab_size} 2", *rows])
+        assert table.matrix.tolist() == [[i, -i] for i in range(7)]
+        assert table.matrix.base is None and table.matrix.flags.c_contiguous
+
+    def test_empty_body(self, tmp_path):
+        _, table = self.load(tmp_path, ["3 4", "", " "])
+        assert table.matrix.shape == (0, 4) and table.rows == {}
+
+    def test_repeated_token_keeps_its_last_row(self, tmp_path):
+        _, table = self.load(tmp_path, ["4 1", "a 1", "b 2", "c 3", "a 4"])
+        assert table.matrix[table.row("a")].tolist() == [4.0] and table.row("a") == 3
+        assert table.matrix.tolist() == [[1], [2], [3], [4]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunk=st.integers(1, 4),
+        dimension=st.integers(1, 3),
+        rows=st.lists(
+            st.tuples(
+                st.text(alphabet="abcXYZ019_-éİ中", min_size=1, max_size=4),
+                st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+                st.sampled_from(["{!r}", "{:.3g}", "{:.0f}", "{:e}"]),
+                st.integers(0, 2),
+            ),
+            max_size=12,
+        ),
+        vocab_size=st.one_of(st.none(), st.integers(0, 10**15)),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_matrix_equals_one_loadtxt_over_the_body(self, tmp_path_factory, chunk, dimension, rows, vocab_size, newline):
+        values = [" ".join(fmt.format(v) for v in vector[:dimension]) for _, vector, fmt, _ in rows]
+        lines = [f"{len(rows) if vocab_size is None else vocab_size} {dimension}"]
+        for (token, _, _, blanks), text in zip(rows, values):
+            lines += [""] * blanks + [f"{token} {text}"]
+        p = tmp_path_factory.mktemp("emb") / "e.txt"
+        p.write_bytes(newline.join(lines).encode("utf-8"))
+        with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
+            table = load_embeddings(p)
+        expected = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2).reshape(len(rows), dimension)
+        assert table.matrix.shape == expected.shape and table.matrix.tobytes() == expected.tobytes()
+        assert table.rows == {token: i for i, (token, *_) in enumerate(rows)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chunk=st.integers(1, 3),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10**6), st.binary(min_size=1, max_size=3)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_mutated_files_raise_only_seedrank_errors(self, tmp_path_factory, chunk, edits):
+        data = bytearray(b"4 3\na 1 0 -2.5\n\nb 0 1e-3 7\r\nc 1 1 1\nd 0.25 0 9\n")
+        for op, at, payload in edits:
+            at %= len(data) + 1
+            if op == "insert":
+                data[at:at] = payload
+            elif op == "replace":
+                data[at:at + len(payload)] = payload
+            else:
+                del data[at:at + len(payload)]
+        p = tmp_path_factory.mktemp("emb") / "e.txt"
+        p.write_bytes(bytes(data))
+        try:
+            with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
+                load_embeddings(p)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{p}:{exc.lineno}: ")
+        except SeedRankError:
+            pass
+
+
+def test_embedding_loader_holds_the_table_plus_one_chunk(tmp_path):
+    """tracemalloc peak <= matrix + token map + a fixed allowance for one chunk of lines."""
+    rows, dimension = 4000, 50
+    vectors = np.random.default_rng(8).normal(size=(rows, dimension))
+    p = tmp_path / "e.txt"
+    lines = [f"{rows} {dimension}"] + [f"w{i} " + " ".join(f"{v:.6f}" for v in vec) for i, vec in enumerate(vectors)]
+    write_lines(p, lines)
+    line_bytes = max(map(len, lines))
+    # Per chunk line, about three copies of it: its text and values string, the parsed row and np.loadtxt's buffers.
+    allowance = corpus._EMBEDDING_CHUNK_LINES * 3 * (line_bytes + 8 * dimension) + 128 * 1024
+    tracemalloc.start()
+    try:
+        table = load_embeddings(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    token_map = sys.getsizeof(table.rows) + sum(map(sys.getsizeof, table.rows))
+    assert table.matrix.shape == (rows, dimension)
+    assert peak < table.matrix.nbytes + token_map + allowance

@@ -215,7 +215,7 @@ class TestAesScore:
 
     def mean_of(self, tokens):
         """The mean of the tokens' vectors, one occurrence at a time."""
-        vectors = [self.TABLE.lookup(t) for t in tokens if self.TABLE.lookup(t) is not None]
+        vectors = [self.TABLE.matrix[self.TABLE.row(t)] for t in tokens if self.TABLE.row(t) is not None]
         return sum(vectors) / len(vectors)
 
     def test_identical_token_lists(self):

@@ -317,8 +317,8 @@ class TestAesVector:
         acc = np.zeros(7)
         hits = 0
         for token in tokens:
-            if table.lookup(token) is not None:
-                acc += table.lookup(token)
+            if table.row(token) is not None:
+                acc += table.matrix[table.row(token)]
                 hits += 1
         vec, got_hits = aes_row(" ".join(tokens), table)
         assert got_hits == hits and vec.tobytes() == (acc / hits).tobytes()
