@@ -28,8 +28,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import yaml
-
 from . import corpus as corpus_io
 from .corpus import filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
 from .errors import ConfigError, InsufficientDocumentsError, SeedRankError
@@ -45,7 +43,7 @@ from .experiments import (
     term_commonality,
 )
 from .scoring import AES_METHODS, METHODS, ScoringParams
-from .text import OURS, PipelineConfig, default_stopwords
+from .text import OURS, PipelineConfig, default_stopwords, kept_term
 from .vectors import REPRESENTATIONS, build_index
 
 log = logging.getLogger("seedrank")
@@ -112,14 +110,34 @@ def _coerce(field: dataclasses.Field, raw, source: str):
 
 
 def _parse_yaml(path: str, raw: bytes):
-    """The YAML document in ``raw``; bytes that are not UTF-8 and bad YAML raise ConfigError at ``path:line``."""
+    """The YAML document in ``raw``; undecodable bytes, bad YAML and a repeated key raise ConfigError at ``path:line``."""
+    # Imported here: only a config file needs it, and it costs about 20 ms.
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            first_line = {}
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # merged keys may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                line = key_node.start_mark.line + 1
+                try:
+                    first = first_line.get(key)
+                except TypeError:
+                    continue  # an unhashable key, which the base class reports
+                if first is not None:
+                    raise ConfigError("config", f"{path}:{line}: key {key!r} repeats (first at line {first})")
+                first_line[key] = line
+            return super().construct_mapping(node, deep=deep)
+
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ConfigError("config", f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         # YAML marks count lines from 0.
         detail = f"{path}:{exc.problem_mark.line + 1}: invalid YAML: {exc.problem}"
@@ -229,7 +247,15 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     if lexicon is not None and len(lexicon) == 0:
         log.warning("lexicon %s is empty; every boc representation degenerates", config.lexicon)
-    embeddings = load_embeddings(config.embeddings) if config.embeddings and config.method in AES_METHODS else None
+    embeddings = None
+    if config.embeddings and config.method in AES_METHODS:
+        # The terms build_index keeps: it reads the lexicon under boc only.
+        term_lexicon = lexicon if config.representation == "boc" else None
+        embeddings = load_embeddings(config.embeddings, kept_term(pipeline.stopwords, term_lexicon))
+        log.info(
+            "kept %d of %d embedding rows: those whose token's lowercase is not a stopword%s",
+            len(embeddings.matrix), embeddings.rows_read, "" if term_lexicon is None else " and is in the lexicon",
+        )
     return _Resources(corpus, topics, pipeline, params, lexicon, embeddings)
 
 

@@ -20,8 +20,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -87,10 +89,14 @@ class RunEntry:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Token -> row of one V x d float64 matrix; a repeated token keeps its last row."""
+    """Token -> row of a float64 matrix of the kept rows x d; a repeated token keeps its last row.
+
+    ``rows_read`` counts the file's rows, kept or not (0 for a table built in memory).
+    """
 
     matrix: np.ndarray
     rows: dict[str, int]
+    rows_read: int = 0
 
     @property
     def dimension(self) -> int:
@@ -320,52 +326,67 @@ def load_lexicon(path) -> Lexicon:
 
 
 # Lines of the embedding body parsed by one np.loadtxt call. Besides the
-# V x d matrix and the token map, the loader holds one chunk of text and
+# matrix of kept rows and their token map, the loader holds one chunk of text and
 # values; a call costs about 15 us on top of its lines.
 _EMBEDDING_CHUNK_LINES = 512
 # The widest float64 row numpy can describe.
 _MAX_DIMENSION = np.iinfo(np.intp).max // 8
 
 
-def load_embeddings(path) -> EmbeddingTable:
+def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> EmbeddingTable:
     """Load word2vec text-format embeddings; nan and inf values raise ParseError.
 
     The body is parsed in chunks of lines, each by one ``np.loadtxt``, into
-    one V x d matrix. The matrix is sized from the header's vocabulary size,
-    but to no more rows than the file's bytes can hold, and grows if the file
-    holds more rows. A chunk that does not parse is checked one line at a
-    time to name the first bad line. A non-finite value is raised only after
-    the whole body has parsed, so a malformed line anywhere is reported first.
+    one matrix of the kept rows. Every row is kept when ``keep`` is None;
+    otherwise only the rows whose token's lowercase passes ``keep``, which
+    holds both rows ``EmbeddingTable.row`` can look up for a form whose
+    lowercase passes. Without ``keep`` the matrix is sized from the header's
+    vocabulary size, but to no more rows than the file's bytes can hold; with
+    it the matrix starts empty. It grows, in place where the allocator can,
+    when more rows are kept, and is cut to them at the end. Every line is
+    checked, kept or not: a chunk that does not parse is checked one line at
+    a time to name the first bad line, and a non-finite value is raised only
+    after the whole body has parsed, so a malformed line anywhere is reported
+    first.
     """
     with _text_file(path) as fh:
         vocab_size, dimension = _embedding_header(path, fh.readline())
-        # A row takes at least 2d + 2 bytes: a token and d values of one character
-        # each, a separator before each value and a line break (+ 1: the last
-        # line may have none).
-        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * dimension + 2)
-        matrix = np.empty((min(vocab_size, fits), dimension))
+        if keep is None:
+            # A row takes at least 2d + 2 bytes: a token and d values of one character
+            # each, a separator before each value and a line break (+ 1: the last
+            # line may have none).
+            fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * dimension + 2)
+            matrix = np.empty((min(vocab_size, fits), dimension))
+        else:
+            # How many rows pass is not known ahead.
+            matrix = np.empty((0, dimension))
         rows: dict[str, int] = {}
-        n = 0
+        n = read = 0
         non_finite = None
         for tokens, linenos, block in _embedding_chunks(path, fh, dimension):
-            stop = n + len(block)
-            if stop > len(matrix):
-                grown = np.empty((max(stop, 2 * len(matrix)), dimension))
-                grown[:n] = matrix[:n]
-                matrix = grown
-            matrix[n:stop] = block
-            rows.update(zip(tokens, range(n, stop)))
+            read += len(block)
             if non_finite is None:
                 finite = np.isfinite(block).all(axis=1)
                 if not finite.all():
                     i = int(np.argmin(finite))
                     non_finite = (linenos[i], tokens[i])
+            if keep is not None:
+                kept = [keep(token.lower()) for token in tokens]
+                tokens = list(compress(tokens, kept))
+                block = block[np.array(kept, dtype=bool)]
+            stop = n + len(block)
+            if stop > len(matrix):
+                # No view of the matrix outlives a statement, so it can be
+                # reallocated in place.
+                matrix.resize((max(stop, 2 * len(matrix)), dimension), refcheck=False)
+            matrix[n:stop] = block
+            rows.update(zip(tokens, range(n, stop)))
             n = stop
     if non_finite is not None:
         raise ParseError(path, non_finite[0], f"non-finite value in the vector of {non_finite[1]!r}")
     if n < len(matrix):
-        matrix = matrix[:n].copy()
-    return EmbeddingTable(matrix, rows)
+        matrix.resize((n, dimension), refcheck=False)
+    return EmbeddingTable(matrix, rows, read)
 
 
 def _embedding_header(path, line: str) -> tuple[int, int]:

@@ -11,11 +11,14 @@ Neither pipeline stems. A text is split once, case preserved, into surface
 forms. Each surface form is then normalised on its own: its term is its
 lowercase, and it is dropped when that term is a stopword (or, for the
 ``boc`` representation, outside the lexicon). Embedding lookup uses the
-surface form itself, so only kept forms have embedding rows.
+surface form itself, so only kept forms have embedding rows, and an
+embedding table need hold only the rows whose token's lowercase is a kept
+term (``kept_term``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -74,11 +77,19 @@ def split(text: str, variant: str) -> list[str]:
     return text.split()
 
 
+def kept_term(stopwords: frozenset[str], lexicon: Lexicon | None = None) -> Callable[[str], bool]:
+    """Whether a term (a lowercase surface form) is kept: not a stopword and, given a lexicon, in it."""
+    if lexicon is None:
+        return lambda term: term not in stopwords
+    terms = lexicon.terms
+    return lambda term: term not in stopwords and term in terms
+
+
 class SurfaceForms(dict):
     """Surface form -> column of its term, or -1 for a dropped form; each form is normalised on its first lookup.
 
-    A form's term is its lowercase. The form is dropped when its term is a
-    stopword or, given a lexicon, not in it. ``columns`` numbers the terms
+    A form's term is its lowercase. The form is dropped when its term is not
+    a ``kept_term`` of the stopwords and lexicon. ``columns`` numbers the terms
     in order of first lookup. Given an embedding table, ``embedding_rows``
     maps every looked-up form to its row (raw form first, then lowercase),
     -1 when the form is dropped or out of vocabulary.
@@ -94,15 +105,14 @@ class SurfaceForms(dict):
         embeddings: EmbeddingTable | None = None,
     ):
         super().__init__()
-        self.stopwords = stopwords
-        self.lexicon = lexicon
+        self.kept = kept_term(stopwords, lexicon)
         self.embeddings = embeddings
         self.columns: dict[str, int] = {}
         self.embedding_rows: dict[str, int] = {}
 
     def __missing__(self, form: str) -> int:
         term = form.lower()
-        kept = term not in self.stopwords and (self.lexicon is None or term in self.lexicon)
+        kept = self.kept(term)
         column = self.columns.setdefault(term, len(self.columns)) if kept else -1
         self[form] = column
         if self.embeddings is not None:

@@ -73,6 +73,26 @@ def synth_collection(seed, n_topics, n_docs, vocab_size=500, n_relevant=4, irrel
     return topics, corpus
 
 
+def mixed_case(corpus):
+    """``corpus`` with every third abstract word title-cased and every fifth upper-cased."""
+    def recase(i, word):
+        return word.upper() if i % 5 == 0 else word.title() if i % 3 == 0 else word
+
+    return {
+        doc_id: Document(doc_id, doc.title.title(), " ".join(recase(i, w) for i, w in enumerate(doc.abstract.split())))
+        for doc_id, doc in corpus.items()
+    }
+
+
+def mixed_case_embedding_terms(vocab_size):
+    """Lowercase vocabulary terms, title- and upper-cased variants of some, and a few stopwords."""
+    terms = [f"term{i:04d}" for i in range(vocab_size)]
+    return (
+        terms + [t.title() for t in terms[::3]] + [t.upper() for t in terms[::7]]
+        + ["the", "The", "of", "study", "Study"]
+    )
+
+
 def write_lexicon_file(tmp_path, terms):
     path = tmp_path / "lexicon.txt"
     path.write_text("".join(t + "\n" for t in terms), encoding="utf-8")

@@ -13,7 +13,14 @@ import seedrank
 from seedrank import cli
 from seedrank.cli import RunConfig, _load_resources, load_config, main, validate_config
 from seedrank.errors import ConfigError
-from synth import synth_collection, write_collection_files, write_embeddings_file, write_lexicon_file
+from synth import (
+    mixed_case,
+    mixed_case_embedding_terms,
+    synth_collection,
+    write_collection_files,
+    write_embeddings_file,
+    write_lexicon_file,
+)
 
 
 @pytest.fixture
@@ -74,6 +81,8 @@ class TestConfigLoading:
         (b"method: sdr\nrng_seed: 1\n  jm_lambda: 0.5\n", 3, "invalid YAML: mapping values are not allowed here"),
         (b"method: sdr\nvariant: a\x07b\n", 2, "invalid YAML: special characters are not allowed '\\x07'"),
         (b"method: sdr\n# caf\xe9\n", 2, "byte 0xe9 is not valid UTF-8"),
+        (b"method: sdr\nrng_seed: 1\nmethod: bm25\n", 3, "key 'method' repeats (first at line 1)"),
+        (b"{method: sdr, method: bm25}\n", 1, "key 'method' repeats (first at line 1)"),
     ])
     def test_unreadable_file_names_its_line(self, tmp_path, content, line, detail):
         path = tmp_path / "config.yaml"
@@ -81,6 +90,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as err:
             load_config(str(path), {})
         assert err.value.field == "config" and str(err.value) == f"config: {path}:{line}: {detail}"
+
+    def test_merged_keys_may_be_overridden(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("<<: {method: sdr, rng_seed: 3}\nmethod: bm25\n", encoding="utf-8")
+        config = load_config(str(path), {})
+        assert config.method == "bm25" and config.rng_seed == 3
 
     def test_bad_number(self, tmp_path):
         path = write_config(tmp_path, jm_lambda="not-a-number")
@@ -130,7 +145,9 @@ class TestValidation:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "ParseError" and summary["detail"].startswith(f"{stopwords}:2:")
 
-    @pytest.mark.parametrize("content, line", [(b"method: [sdr\n", 2), (b"method: sdr\n# caf\xe9\n", 2)])
+    @pytest.mark.parametrize("content, line", [
+        (b"method: [sdr\n", 2), (b"method: sdr\n# caf\xe9\n", 2), (b"method: sdr\nmethod: bm25\n", 2),
+    ])
     def test_unreadable_config_exit_code_and_summary(self, tmp_path, capsys, content, line):
         path = tmp_path / "config.yaml"
         path.write_bytes(content)
@@ -213,6 +230,53 @@ class TestCmdRank:
         ]
         assert main(argv) == 0
         assert (out_dir / "runs" / "sdr+aes-boc").is_dir()
+
+
+class TestEmbeddingKeepRule:
+    """The CLI loads only the embedding rows its tokenizer can look up; the outputs do not change."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        topics, corpus = synth_collection(seed=5, n_topics=2, n_docs=24, vocab_size=120, n_relevant=4, irrelevant_overlap=0.3)
+        corpus_path, topics_path, qrels_path = write_collection_files(tmp_path, topics, mixed_case(corpus))
+        lexicon = write_lexicon_file(tmp_path, [f"term{i:04d}" for i in range(60)] + ["the", "study"])
+        embeddings = write_embeddings_file(tmp_path, mixed_case_embedding_terms(120))
+        return [
+            "--corpus", str(corpus_path), "--topics", str(topics_path), "--qrels", str(qrels_path),
+            "--lexicon", str(lexicon), "--embeddings", str(embeddings),
+        ]
+
+    @staticmethod
+    def outputs(out_dir):
+        return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("method, representation", [("sdr+aes", "boc"), ("aes", "boc"), ("sdr+aes", "bow")])
+    def test_outputs_identical_to_a_full_table(self, tmp_path, inputs, monkeypatch, method, representation):
+        def run(name):
+            out_dir = tmp_path / name
+            for command in ("rank", "multi"):
+                argv = ["-q", command, *inputs, "--method", method, "--representation", representation]
+                assert main(argv + ["--output-dir", str(out_dir / command)]) == 0
+            return self.outputs(out_dir)
+
+        kept = run("kept")
+        monkeypatch.setattr(cli, "load_embeddings", lambda path, keep: seedrank.load_embeddings(path))
+        full = run("full")
+        assert kept.keys() == full.keys() and len(kept) == 9
+        assert all(kept[name] == full[name] for name in kept)
+
+    @pytest.mark.parametrize("representation, rule", [
+        ("boc", "not a stopword and is in the lexicon"), ("bow", "not a stopword"),
+    ])
+    def test_kept_rows_are_logged_once(self, inputs, caplog, representation, rule):
+        flags = dict(zip(inputs[::2], inputs[1::2]))
+        config = RunConfig(**{k[2:]: v for k, v in flags.items()}, method="sdr+aes", representation=representation)
+        with caplog.at_level("INFO", logger="seedrank"):
+            res = _load_resources(config, 2)
+        kept = [r.getMessage() for r in caplog.records if "embedding rows" in r.getMessage()]
+        read = len(mixed_case_embedding_terms(120))
+        assert kept == [f"kept {len(res.embeddings.matrix)} of {read} embedding rows: those whose token's lowercase is {rule}"]
+        assert 0 < len(res.embeddings.matrix) < read
 
 
 class TestCmdMulti:
@@ -467,23 +531,25 @@ class TestMultiDeterminism:
 
 
 class TestDependencies:
-    def test_cli_import_leaves_out_requests(self):
+    @staticmethod
+    def after_cli_import(expression):
+        """What a fresh interpreter prints for ``expression`` once it has imported seedrank.cli."""
         src = str(Path(seedrank.__file__).resolve().parents[1])
-        code = "import sys, seedrank.cli; print('requests' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True,
+            [sys.executable, "-c", f"import sys, seedrank.cli; print({expression})"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         )
-        assert result.stdout.strip() == "False"
+        return result.stdout.strip()
+
+    def test_cli_import_leaves_out_requests(self):
+        assert self.after_cli_import("'requests' in sys.modules") == "False"
+
+    def test_cli_import_leaves_out_yaml(self):
+        # Only a --config file needs PyYAML; load_config imports it then.
+        assert self.after_cli_import("'yaml' in sys.modules") == "False"
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        src = str(Path(seedrank.__file__).resolve().parents[1])
-        code = "import sys, seedrank.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True,
-        )
-        assert result.stdout.strip() == "[]"
+        assert self.after_cli_import("sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')") == "[]"
 
     def test_runtime_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from seedrank import (
     Document,
     DuplicateIdError,
+    Lexicon,
     MissingTopicError,
     ParseError,
     PipelineConfig,
@@ -28,7 +30,7 @@ from seedrank import (
     write_run,
 )
 from seedrank import corpus
-from seedrank.text import document_text
+from seedrank.text import default_stopwords, document_text, kept_term
 
 
 def write_lines(path, lines):
@@ -432,7 +434,7 @@ class TestStreamedEmbeddings:
     def test_repeated_token_keeps_its_last_row(self, tmp_path):
         _, table = self.load(tmp_path, ["4 1", "a 1", "b 2", "c 3", "a 4"])
         assert table.matrix[table.row("a")].tolist() == [4.0] and table.row("a") == 3
-        assert table.matrix.tolist() == [[1], [2], [3], [4]]
+        assert table.matrix.tolist() == [[1], [2], [3], [4]] and table.rows_read == 4
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -490,6 +492,94 @@ class TestStreamedEmbeddings:
             assert str(exc).startswith(f"{p}:{exc.lineno}: ")
         except SeedRankError:
             pass
+
+
+class TestKeepRule:
+    """With ``keep``, only the rows whose token's lowercase passes it are stored; every line is still checked."""
+
+    # "the" is in the lexicon but is a stopword, so it is not kept.
+    ASPIRIN = staticmethod(kept_term(default_stopwords(), Lexicon(frozenset({"aspirin", "the"}))))
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_EMBEDDING_CHUNK_LINES", 2)
+
+    def write(self, tmp_path, lines):
+        p = tmp_path / "e.txt"
+        write_lines(p, lines)
+        return p
+
+    def test_both_cases_of_a_lexicon_term_stay(self, tmp_path):
+        p = self.write(tmp_path, ["5 2", "Aspirin 1 0", "heart 0 1", "aspirin 2 2", "the 3 3", "The 4 4"])
+        table = load_embeddings(p, self.ASPIRIN)
+        assert table.rows == {"Aspirin": 0, "aspirin": 1} and table.rows_read == 5
+        assert table.matrix.tolist() == [[1, 0], [2, 2]]
+        assert table.row("ASPIRIN") == table.row("aspirin") == 1 and table.row("Aspirin") == 0
+        assert table.row("heart") is None and table.row("the") is None
+
+    @pytest.mark.parametrize("lines, lineno, detail", [
+        (["3 2", "aspirin 1 0", "heart 0 1", "stroke 0 x1", "Aspirin 1 1"], 4, "not a number among the values"),
+        (["3 2", "aspirin 1 0", "heart 0 1", "stroke 0 nan"], 4, "non-finite value in the vector of 'stroke'"),
+        (["3 2", "heart nan 0", "aspirin 1 1", "stroke 1", "aspirin 0 0"], 4, "got 1 values"),
+        (["3 2", "aspirin 1 0", "heart"], 3, "got 0 values"),
+    ])
+    def test_dropped_rows_are_still_checked(self, tmp_path, lines, lineno, detail):
+        p = self.write(tmp_path, lines)
+        with pytest.raises(ParseError) as unfiltered:
+            load_embeddings(p)
+        with pytest.raises(ParseError) as filtered:
+            load_embeddings(p, self.ASPIRIN)
+        assert filtered.value.lineno == unfiltered.value.lineno == lineno
+        assert str(filtered.value) == str(unfiltered.value) and detail in str(filtered.value)
+
+    def test_repeated_kept_token_keeps_its_last_row(self, tmp_path):
+        p = self.write(tmp_path, ["6 1", "aspirin 1", "heart 2", "Aspirin 3", "aspirin 4", "heart 5", "aspirin 6"])
+        table = load_embeddings(p, self.ASPIRIN)
+        assert table.matrix[table.row("aspirin")].tolist() == [6.0]
+        assert table.matrix[table.row("Aspirin")].tolist() == [3.0]
+        assert table.row("heart") is None and table.rows_read == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunk=st.integers(1, 4),
+        tokens=st.lists(st.text(alphabet="aAbBİıΣς", min_size=1, max_size=3), max_size=12),
+        kept=st.sets(st.text(alphabet="abi̇ıσς", min_size=1, max_size=3)),
+    )
+    def test_every_kept_form_finds_its_unfiltered_vector(self, tmp_path_factory, chunk, tokens, kept):
+        p = tmp_path_factory.mktemp("emb") / "e.txt"
+        write_lines(p, [f"{len(tokens)} 2"] + [f"{token} {i} {-i}" for i, token in enumerate(tokens)])
+        keep = kept_term(frozenset(), Lexicon(frozenset(kept)))
+        with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
+            full = load_embeddings(p)
+            table = load_embeddings(p, keep)
+        assert set(table.rows) == {token for token in tokens if keep(token.lower())}
+        forms = {f for token in tokens for f in (token, token.lower(), token.upper(), token.title())}
+        for form in filter(lambda f: keep(f.lower()), forms):
+            expected = full.row(form)
+            got = table.row(form)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert table.matrix[got].tobytes() == full.matrix[expected].tobytes()
+
+
+def test_filtered_embedding_load_holds_the_kept_rows(tmp_path):
+    """tracemalloc peak of a 20000 x 100 load keeping 6097 rows, the benchmark's hybrid file shape, < 12 MiB."""
+    rows, dimension, kept = 20000, 100, 6097
+    rng = np.random.default_rng(9)
+    body = io.StringIO()
+    np.savetxt(body, rng.normal(size=(rows, dimension)), fmt="%.4f")
+    p = tmp_path / "e.txt"
+    write_lines(p, [f"{rows} {dimension}"] + [f"w{i} {values}" for i, values in enumerate(body.getvalue().splitlines())])
+    lexicon = Lexicon(frozenset(f"w{i}" for i in rng.choice(rows, size=kept, replace=False)))
+    tracemalloc.start()
+    try:
+        table = load_embeddings(p, kept_term(default_stopwords(), lexicon))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.matrix.shape == (kept, dimension) and table.rows_read == rows
+    assert table.matrix.base is None and table.matrix.flags.c_contiguous
+    assert peak < 12 * 2**20
 
 
 def test_embedding_loader_holds_the_table_plus_one_chunk(tmp_path):

@@ -17,10 +17,12 @@ from seedrank import (
     build_index,
     build_stats,
     cosine,
+    load_embeddings,
     tfidf,
 )
+from seedrank.text import kept_term
 from seedrank.vectors import seed_similarities
-from synth import count_index, dense
+from synth import count_index, dense, mixed_case, mixed_case_embedding_terms, synth_collection, write_embeddings_file
 
 
 def tc(**counts):
@@ -329,6 +331,20 @@ class TestAesVector:
         table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"MRI": 0, "mri": 1})
         vec, hits = aes_row("MRI Mri mri MRI", table)
         assert list(vec) == [0.5, 0.5] and hits == 4
+
+    @pytest.mark.parametrize("representation", ["bow", "boc"])
+    def test_kept_rows_give_identical_vectors(self, tmp_path, representation):
+        (topic,), corpus = synth_collection(seed=4, n_topics=1, n_docs=30, vocab_size=120, irrelevant_overlap=0.3)
+        corpus = mixed_case(corpus)
+        path = write_embeddings_file(tmp_path, mixed_case_embedding_terms(120))
+        lexicon = Lexicon(frozenset([f"term{i:04d}" for i in range(60)] + ["the", "study"]))
+        pipeline = PipelineConfig()
+        full = load_embeddings(path)
+        kept = load_embeddings(path, kept_term(pipeline.stopwords, lexicon if representation == "boc" else None))
+        assert len(kept.matrix) < len(full.matrix)
+        a, b = (build_index(topic, corpus, representation, pipeline, lexicon=lexicon, embeddings=t) for t in (full, kept))
+        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+        assert a.embedding_hits.tobytes() == b.embedding_hits.tobytes() and a.embedding_hits.any()
 
     def test_boc_rows_only_for_lexicon_terms(self):
         vec, hits = aes_row("A b B", representation="boc", lexicon=Lexicon(frozenset({"b"})))
