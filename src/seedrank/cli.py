@@ -103,6 +103,10 @@ def _coerce(field: dataclasses.Field, raw, source: str):
         if key not in _BOOL_STRINGS:
             raise ConfigError(field.name, f"expected a boolean, got {raw!r} (from {source})")
         return _BOOL_STRINGS[key]
+    # int() and float() would take True for 1 and cut 2.7 to 2.
+    truncated = target is int and isinstance(raw, float) and not raw.is_integer()
+    if truncated or (isinstance(raw, bool) and target in (int, float)):
+        raise ConfigError(field.name, f"expected {target.__name__}, got {raw!r} (from {source})")
     try:
         return target(raw)
     except (TypeError, ValueError):

@@ -164,16 +164,13 @@ def multi_sdr(
     group: SeedGroup,
     method: str,
     params: ScoringParams,
-    *,
-    run_key: str | None = None,
 ) -> list[RunEntry]:
     """Rank with a concatenated seed group; candidates exclude every member.
 
     Term-weight partitions larger than ``params.undersample_cap`` are
     randomly under-sampled (this is what makes large groups tractable).
     """
-    key = run_key if run_key is not None else f"{index.topic_id}.{group.unit}"
-    return rank(index, group.member_ids, method, params, undersample=True, run_key=key)
+    return rank(index, group.member_ids, method, params, undersample=True, run_key=f"{index.topic_id}.{group.unit}")
 
 
 def oracle_single(

@@ -4,7 +4,10 @@ A topic's candidates are counted once, into a ``TopicIndex``: doc-term
 counts stored row by row as numpy arrays, each row keeping its document's
 terms in order of first occurrence; a column-by-column copy whose columns
 are postings in candidate order; and integer document lengths, document
-frequencies and collection counts.
+frequencies and collection counts. Each candidate's counts are appended to
+flat 32-bit buffers as soon as it is counted, so the build never holds a
+mapping per candidate; column numbers, row numbers and counts stay 32-bit,
+line offsets and totals are 64-bit.
 For AES it also holds every candidate's mean embedding. Every run unit of
 the topic (one seed, or one seed group) ranks against that one index.
 
@@ -17,9 +20,9 @@ unit's candidates: p(t|C) = collection_count(t) / total_tokens.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,26 +57,28 @@ def line_entries(indptr: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _line_sums(matrix: Compressed) -> np.ndarray:
-    """Exact integer total of each line's data; 0 for an empty line."""
+    """Exact int64 total of each line's data; 0 for an empty line."""
     # reduceat gives an empty line the next entry (or the appended 0 at the end).
-    totals = np.add.reduceat(np.append(matrix.data, 0), matrix.indptr[:-1])
+    totals = np.add.reduceat(np.append(matrix.data, 0), matrix.indptr[:-1], dtype=np.int64)
     totals[matrix.indptr[1:] == matrix.indptr[:-1]] = 0
     return totals
 
 
-def _column_order(indices: np.ndarray, n_columns: int) -> np.ndarray:
-    """Entry positions sorted by column, stably, so each column keeps its entries' order.
+def _postings(counts: Compressed, entry_rows: np.ndarray, doc_freq: np.ndarray) -> Compressed:
+    """The column-by-column copy of ``counts``: each column's rows ascending, with their counts.
 
-    A least-significant-digit radix sort over 16-bit digits (the uint16 cast
-    keeps the low 16 bits): numpy's stable sort of uint16 keys is itself a
+    The entries are sorted by column, stably, so rows stay in order: a
+    least-significant-digit radix sort over 16-bit digits (the uint16 cast
+    keeps the low 16 bits). numpy's stable sort of uint16 keys is itself a
     radix sort, and much faster than a stable sort of the full-width keys.
     """
+    indices = counts.indices
     order = np.argsort(indices.astype(np.uint16), kind="stable")
     shift = 16
-    while n_columns > 1 << shift:
+    while len(doc_freq) > 1 << shift:
         order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
         shift += 16
-    return order
+    return Compressed(np.concatenate(([0], np.cumsum(doc_freq))), entry_rows[order], counts.data[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +89,11 @@ class TopicIndex:
     ``terms`` (order of first occurrence). ``counts`` holds the rows, each
     in order of first occurrence of its terms, and ``entry_rows`` the row of
     each of its entries; ``postings`` holds the columns, rows ascending.
+    Column numbers (``counts.indices``), row numbers (``entry_rows``,
+    ``postings.indices``) and counts (both ``data``) are int32; the line
+    offsets (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
+    ``collection_counts`` are int64. Sums over the int32 arrays, and
+    products of a row number with a column number, are taken in int64.
     ``embeddings`` is the N x d matrix of mean embeddings, None when built
     without an embedding table; ``embedding_hits`` counts the tokens each
     row's mean is over.
@@ -109,31 +119,40 @@ class TopicIndex:
     ) -> "TopicIndex":
         """Index doc_id -> term -> count; the mapping's order is the row order."""
         vocabulary: dict[str, int] = {}
-        row_counts = [
+        rows = (
             {vocabulary.setdefault(term, len(vocabulary)): count for term, count in doc.items()}
             for doc in counts.values()
-        ]
-        return cls.from_rows(topic, tuple(counts), row_counts, tuple(vocabulary), representation)
+        )
+        return cls.from_rows(topic, tuple(counts), rows, vocabulary, representation)
 
     @classmethod
     def from_rows(
         cls,
         topic: Topic,
         doc_ids: tuple[str, ...],
-        row_counts: Sequence[Mapping[int, int]],
-        terms: tuple[str, ...],
+        rows: Iterable[Mapping[int, int]],
+        terms: Iterable[str],
         representation: str,
     ) -> "TopicIndex":
-        """Index one column -> count mapping per document, in ``doc_ids`` order; columns number ``terms``."""
-        lengths = np.fromiter(map(len, row_counts), np.int64, len(row_counts))
-        entries = int(lengths.sum())
-        indices = np.fromiter(chain.from_iterable(row_counts), np.intp, entries)
-        data = np.fromiter(chain.from_iterable(row.values() for row in row_counts), np.int64, entries)
-        entry_rows = np.repeat(np.arange(len(row_counts)), lengths)
+        """Index one column -> count mapping per document, in ``doc_ids`` order; ``terms`` names the columns.
+
+        Each row's length, columns and counts are appended to flat 32-bit
+        buffers as the row arrives, so ``rows`` may make each mapping on
+        demand and no list of them is ever held. ``terms`` is read after the
+        last row: it may grow while the rows are made.
+        """
+        lengths, indices, data = array("i"), array("i"), array("i")
+        for row in rows:
+            lengths.append(len(row))
+            indices.fromlist(list(row))
+            data.fromlist(list(row.values()))
+        terms = tuple(terms)
+        # The arrays view the buffers; typecode "i" is a C int, 32 bits wide.
+        lengths, indices, data = (np.frombuffer(buffer, np.int32) for buffer in (lengths, indices, data))
+        entry_rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
-        order = _column_order(indices, len(terms))
-        counts = Compressed(np.concatenate(([0], np.cumsum(lengths))), indices, data)
-        postings = Compressed(np.concatenate(([0], np.cumsum(doc_freq))), entry_rows[order], data[order])
+        counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
+        postings = _postings(counts, entry_rows, doc_freq)
         return cls(
             topic=topic,
             representation=representation,
@@ -188,20 +207,23 @@ def build_index(
         )
     docs = {d: corpus[d] for d in topic.candidate_ids}
     forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
-    row_counts = []
     means = hits = None
     if embeddings is not None:
         means = np.zeros((len(docs), embeddings.dimension))
         hits = np.zeros(len(docs), dtype=np.int64)
-    for i, doc in enumerate(docs.values()):
-        tokens = split(document_text(doc, pipeline), pipeline.variant)
-        counts = Counter(map(forms.__getitem__, tokens))
-        counts.pop(-1, None)
-        row_counts.append(counts)
-        if embeddings is not None:
-            embedding_rows = np.fromiter(map(forms.embedding_rows.__getitem__, tokens), np.intp, len(tokens))
-            means[i], hits[i] = aes_vector(embedding_rows[embedding_rows >= 0], embeddings)
-    index = TopicIndex.from_rows(topic, tuple(docs), row_counts, tuple(forms.columns), representation)
+
+    # Made one at a time as from_rows stores them; each also fills its row's embedding mean.
+    def rows():
+        for i, doc in enumerate(docs.values()):
+            tokens = split(document_text(doc, pipeline), pipeline.variant)
+            counts = Counter(map(forms.__getitem__, tokens))
+            counts.pop(-1, None)
+            if embeddings is not None:
+                embedding_rows = np.fromiter(map(forms.embedding_rows.__getitem__, tokens), np.intp, len(tokens))
+                means[i], hits[i] = aes_vector(embedding_rows[embedding_rows >= 0], embeddings)
+            yield counts
+
+    index = TopicIndex.from_rows(topic, tuple(docs), rows(), forms.columns, representation)
     return replace(index, embeddings=means, embedding_hits=hits)
 
 

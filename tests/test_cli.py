@@ -103,6 +103,29 @@ class TestConfigLoading:
             load_config(path, {})
         assert err.value.field == "jm_lambda"
 
+    @pytest.mark.parametrize("text, field", [
+        ("undersample_cap: 2.7", "undersample_cap"),
+        ("rng_seed: 1.9", "rng_seed"),
+        ("rng_seed: .inf", "rng_seed"),
+        ("workers: true", "workers"),
+        ("aes_alpha: yes", "aes_alpha"),
+        ("jm_lambda: false", "jm_lambda"),
+    ])
+    def test_wrong_type_is_not_coerced(self, tmp_path, text, field):
+        path = tmp_path / "config.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path), {})
+        assert err.value.field == field and str(err.value).endswith(f"(from config file {path})")
+
+    def test_whole_numbers_and_integer_strings_load(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, rng_seed=3.0, aes_alpha=1, undersample_cap=20)
+        monkeypatch.setenv("SEEDRANK_WORKERS", "2")
+        config = load_config(path, {"repetitions": "4"})
+        assert (config.rng_seed, config.aes_alpha, config.undersample_cap) == (3, 1.0, 20)
+        assert (config.workers, config.repetitions) == (2, 4)
+        assert type(config.rng_seed) is int and type(config.aes_alpha) is float
+
 
 class TestValidation:
     def test_missing_embeddings_for_interpolation(self, collection):
@@ -173,6 +196,16 @@ class TestValidation:
         assert code == 2
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "ConfigError" and summary["field"] == "method"
+
+    @pytest.mark.parametrize("keys, field", [
+        ({"undersample_cap": 2.7}, "undersample_cap"), ({"workers": True}, "workers"), ({"aes_alpha": True}, "aes_alpha"),
+    ])
+    def test_wrong_type_exit_code_and_summary(self, tmp_path, collection, capsys, keys, field):
+        path = write_config(tmp_path, **collection, **keys)
+        assert main(["-q", "rank", "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == field
+        assert not (tmp_path / "out").exists()
 
 
 def run_rank(tmp_path, collection, out_name, extra=()):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,18 +23,11 @@ from seedrank import (
     oracle_single,
     rank,
     term_commonality,
-    write_run,
 )
 from hypothesis import given, strategies as st
 
 from seedrank.experiments import _pairwise_mean_cosine
 from synth import count_index
-
-
-def run_bytes(entries, tmp_path, name):
-    path = tmp_path / name
-    write_run(entries, path)
-    return path.read_bytes()
 
 
 class TestLoocvSingle:
@@ -122,12 +116,13 @@ def multi_topic(multi_corpus):
 
 
 class TestMultiSdr:
-    def test_singleton_group_equals_single(self, params, pipeline, multi_corpus, multi_topic, tmp_path):
+    def test_singleton_group_equals_single(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1",), 0)
         index = build_index(multi_topic, multi_corpus, "bow", pipeline)
-        multi = multi_sdr(index, group, "sdr", params, run_key="K")
-        single = rank(index, ["s1"], "sdr", params, run_key="K")
-        assert run_bytes(multi, tmp_path, "m.run") == run_bytes(single, tmp_path, "s.run")
+        multi = multi_sdr(index, group, "sdr", params)
+        single = rank(index, ["s1"], "sdr", params)
+        # The same (doc_id, rank, score, tag) lines; only the run key differs.
+        assert [astuple(e)[1:] for e in multi] == [astuple(e)[1:] for e in single]
 
     def test_group_excludes_all_members(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1", "s2"), 0)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import ref_cosine, ref_tfidf
 from seedrank import (
@@ -20,7 +22,7 @@ from seedrank import (
     load_embeddings,
     tfidf,
 )
-from seedrank.text import kept_term
+from seedrank.text import document_text, kept_term, tokenize
 from seedrank.vectors import seed_similarities
 from synth import count_index, dense, mixed_case, mixed_case_embedding_terms, synth_collection, write_embeddings_file
 
@@ -50,8 +52,21 @@ def check_against_counts(index, counts):
         assert index.postings.data[start:end].tolist() == [docs[row][term] for row in holders]
         assert index.doc_freq[col] == len(holders)
         assert index.collection_counts[col] == sum(docs[row][term] for row in holders)
-    for values in (index.doc_lengths, index.doc_freq, index.collection_counts):
+    rows, columns = index.counts, index.postings
+    for values in (rows.indices, rows.data, index.entry_rows, columns.indices, columns.data):
+        assert values.dtype == np.int32
+    for values in (rows.indptr, columns.indptr, index.doc_lengths, index.doc_freq, index.collection_counts):
         assert values.dtype == np.int64
+
+
+STOPWORDS = ("the", "The", "AND", "of", "i", "I", "with")
+WORDS = ("heart", "Heart", "HEART", "aspirin", "Stroke", "stroke", "\u0130stanbul", "\u0130", "co-op", "x2", "(risk)")
+LEXICON = Lexicon(frozenset({"heart", "stroke", "i\u0307stanbul", "co", "op", "x2", "the"}))
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(WORDS + STOPWORDS), max_size=12).map(" ".join),
+    st.lists(st.sampled_from(STOPWORDS), max_size=4).map(" ".join),  # empty or stopwords only
+    st.text(st.sampled_from("aBi\u0130\u0131 .-%"), max_size=20),
+)
 
 
 class TestTopicIndex:
@@ -80,6 +95,19 @@ class TestTopicIndex:
         counts = {f"d{i}": d for i, d in enumerate(docs)}
         check_against_counts(TopicIndex.from_counts(Topic("T", list(counts)), counts), counts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TEXTS, max_size=8), st.sampled_from(["ours", "lee"]), st.booleans())
+    def test_build_index_counts_each_documents_terms(self, texts, variant, boc):
+        # The reference counts the terms text.tokenize gives each document (under boc, those in the lexicon).
+        pipeline = PipelineConfig(variant=variant)
+        corpus = {f"d{i}": Document(f"d{i}", "", text) for i, text in enumerate(texts)}
+        lexicon = LEXICON if boc else None
+        index = build_index(Topic("T", list(corpus)), corpus, "boc" if boc else "bow", pipeline, lexicon=lexicon)
+        terms = {doc_id: tokenize(document_text(doc, pipeline), pipeline) for doc_id, doc in corpus.items()}
+        counts = {doc_id: Counter(t for t in doc if not boc or t in LEXICON.terms) for doc_id, doc in terms.items()}
+        assert index.terms == tuple(dict.fromkeys(t for doc in counts.values() for t in doc))
+        check_against_counts(index, counts)
+
     def test_more_columns_than_one_radix_digit(self):
         # 70,000 columns: sorting the entries by column takes a second 16-bit pass.
         rng = np.random.default_rng(5)
@@ -91,6 +119,29 @@ class TestTopicIndex:
         index = TopicIndex.from_counts(Topic("T", list(counts)), counts)
         assert len(index.terms) == 70_000
         check_against_counts(index, counts)
+
+    def test_build_holds_one_candidates_counts_at_a_time(self, pipeline):
+        """tracemalloc peak of build_index on 1100 candidates of 150-250 Zipf tokens, the benchmark's loocv shape, < 10 MiB.
+
+        The build appends each candidate's counts to flat 32-bit buffers and
+        drops its Counter; holding every candidate's Counter took 17 MiB here.
+        """
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(20_000)]
+        zipf = 1.0 / np.arange(1, len(words) + 1)
+        lengths = rng.integers(150, 250, size=1100)
+        tokens = rng.choice(len(words), size=int(lengths.sum()), p=zipf / zipf.sum())
+        corpus = {}
+        for i, doc in enumerate(np.split(tokens, np.cumsum(lengths)[:-1])):
+            corpus[f"d{i}"] = Document(f"d{i}", "", " ".join(words[t] for t in doc.tolist()))
+        tracemalloc.start()
+        try:
+            index = build_index(Topic("T", list(corpus)), corpus, "bow", pipeline)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index.counts.data) > 150_000 and len(index.terms) > 15_000
+        assert peak < 10 * 2**20
 
     def test_each_candidate_counted_once(self, pipeline, monkeypatch):
         import seedrank.vectors
