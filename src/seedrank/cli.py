@@ -4,7 +4,8 @@ Every command is a thin composition of library calls driven by one
 declarative config file (YAML or JSON). Config keys can be overridden by
 ``SEEDRANK_``-prefixed environment variables, and those in turn by command
 line flags. All outputs are plain files written atomically; a fixed
-``rng_seed`` makes them byte-reproducible regardless of worker count.
+``rng_seed`` makes them byte-reproducible. Topics run one at a time on the
+calling thread; ``workers`` is accepted and validated but has no effect.
 
 Output layout under ``output_dir``:
     runs/<method>-<repr>/<topic>.run            leave-one-out runs
@@ -25,7 +26,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_io
@@ -79,7 +79,7 @@ class RunConfig:
     repetitions: int = 10
     min_relevant: int = 2
     rng_seed: int = 0
-    workers: int = 1
+    workers: int = 1  # validated but unused: topics run one at a time
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -306,40 +306,26 @@ def _comparison_row(topic_id: str, unit: str, metric: str, single: float, multi:
     return [topic_id, unit, metric, _format_value(single), _format_value(multi), pct]
 
 
-def _run_pool(units, worker, max_workers: int):
-    """Evaluate worker(unit) for every unit, preserving unit order in results.
-
-    A thread pool: workers share the loaded corpus and embedding table
-    without copying them, and each topic's index is private to its worker.
-    """
-    if max_workers <= 1:
-        return [worker(u) for u in units]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(worker, units))
-
-
 def _run_topics(res: _Resources, config: RunConfig, work) -> tuple[list, list]:
-    """work(topic, index) for every topic, on ``config.workers`` threads.
+    """work(topic, index) for every topic, one topic at a time on the calling thread.
 
     Each topic is counted once into the index that all its runs and
     analyses share. A SeedRankError, in the index or in the work, fails its
     own topic only. Returns the results of the topics that finished, in
     topic order, and (topic_id, error) for the others.
     """
-
-    def guarded(topic):
+    if config.workers > 1:
+        log.info("workers=%d has no effect: topics run one at a time", config.workers)
+    done, failed = [], []
+    for topic in res.topics:
         try:
-            index = build_index(
+            # No name holds the index, so it is freed before the next topic's is built.
+            done.append(work(topic, build_index(
                 topic, res.corpus, config.representation, res.pipeline,
                 lexicon=res.lexicon, embeddings=res.embeddings,
-            )
-            return work(topic, index), None
+            )))
         except SeedRankError as exc:
-            return None, exc
-
-    outcomes = _run_pool(res.topics, guarded, config.workers)
-    done = [result for result, exc in outcomes if exc is None]
-    failed = [(topic.topic_id, exc) for topic, (_, exc) in zip(res.topics, outcomes) if exc is not None]
+            failed.append((topic.topic_id, exc))
     return done, failed
 
 

@@ -304,6 +304,8 @@ def load_run(path) -> list[RunEntry]:
                 raise ParseError(path, lineno, str(exc)) from exc
             if rank < 1:
                 raise ParseError(path, lineno, f"rank must be positive, got {rank}")
+            if not math.isfinite(score):
+                raise ParseError(path, lineno, f"score must be finite, got {score_str}")
             if (topic_id, doc_id) in seen:
                 raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
             seen.add((topic_id, doc_id))

@@ -5,9 +5,16 @@ bare ValueError so callers (and the CLI) can tell data problems apart from
 caller bugs.
 """
 
+import copyreg
+
 
 class SeedRankError(Exception):
     """Base class for all library errors."""
+
+    def __reduce__(self):
+        # args holds only the formatted message, not __init__'s arguments, so
+        # rebuild without __init__ and restore path, lineno or field from __dict__.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(SeedRankError):

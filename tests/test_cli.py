@@ -1,9 +1,12 @@
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -563,6 +566,54 @@ class TestMultiDeterminism:
             assert outputs[0] == outputs[2], f"{command} outputs differ between worker counts"
 
 
+class TestTopicDriver:
+    """Topics run one at a time on the calling thread; workers is validated but has no effect."""
+
+    def test_one_topic_index_alive_at_a_time(self, tmp_path, collection, monkeypatch):
+        built = []
+
+        def build_index(*args, **kwargs):
+            assert all(ref() is None for ref in built), "an earlier topic's index is still alive"
+            index = real_build_index(*args, **kwargs)
+            built.append(weakref.ref(index))
+            return index
+
+        real_build_index = cli.build_index
+        monkeypatch.setattr(cli, "build_index", build_index)
+        run_rank(tmp_path, collection, "out")
+        assert len(built) == 3
+
+    def test_multi_starts_no_thread(self, tmp_path, collection, monkeypatch, caplog):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        outputs = {}
+        for workers in ("1", "3"):
+            out_dir = tmp_path / f"w{workers}"
+            argv = [
+                "multi", "--corpus", collection["corpus"], "--topics", collection["topics"],
+                "--qrels", collection["qrels"], "--method", "sdr", "--workers", workers,
+                "--output-dir", str(out_dir),
+            ]
+            with caplog.at_level(logging.INFO, logger="seedrank"):
+                assert main(argv) == 0
+            outputs[workers] = {
+                str(f.relative_to(out_dir)): f.read_bytes() for f in sorted(out_dir.rglob("*")) if f.is_file()
+            }
+        assert len(outputs["1"]) == 2 + 2 * 3 and outputs["3"] == outputs["1"]
+        assert caplog.messages.count("workers=3 has no effect: topics run one at a time") == 1
+        assert not any(m.startswith("workers=1 ") for m in caplog.messages)
+
+    def test_zero_workers_is_refused(self, tmp_path, collection, capsys):
+        # A bool is refused by test_wrong_type_exit_code_and_summary.
+        path = write_config(tmp_path, **collection, workers=0)
+        assert main(["-q", "multi", "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "workers"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDependencies:
     @staticmethod
     def after_cli_import(expression):
@@ -580,6 +631,10 @@ class TestDependencies:
     def test_cli_import_leaves_out_yaml(self):
         # Only a --config file needs PyYAML; load_config imports it then.
         assert self.after_cli_import("'yaml' in sys.modules") == "False"
+
+    def test_cli_import_leaves_out_concurrent_futures(self):
+        # Topics run on the calling thread; no executor is imported.
+        assert self.after_cli_import("'concurrent.futures' in sys.modules") == "False"
 
     def test_cli_import_leaves_out_scipy_stats(self):
         assert self.after_cli_import("sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')") == "[]"

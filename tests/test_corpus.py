@@ -214,6 +214,15 @@ class TestRunFiles:
             write_run(entries, tmp_path / "r.run")
         assert not (tmp_path / "r.run").exists()
 
+    @pytest.mark.parametrize("score", ["nan", "-inf", "1e999"])
+    def test_non_finite_score_in_file_rejected(self, tmp_path, score):
+        # write_run refuses these scores, so a file holding one was not written by it.
+        p = tmp_path / "r.run"
+        p.write_text(f"T1 Q0 d1 1 2.0 x\nT1 Q0 d2 2 {score} x\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="finite") as err:
+            load_run(p)
+        assert err.value.lineno == 2 and str(err.value).startswith(f"{p}:2:")
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "r.run"
         p.write_text("T1 Q0 d1 1 2.5\n", encoding="utf-8")
