@@ -15,7 +15,7 @@ from seedrank import (
     ScoringParams,
     Topic,
     build_index,
-    evaluate_entries,
+    evaluate_unit,
     loocv_single,
     make_groups,
     multi_sdr,
@@ -67,8 +67,9 @@ oracle_maps, multi_maps = [], []
 for group in groups:
     multi_run = multi_sdr(index, group, "sdr", params)
     oracle_run = oracle_single(single_report, group, single_runs)
-    o_map = evaluate_entries(oracle_run, topic.judgments)["map"]
-    m_map = evaluate_entries(multi_run, topic.judgments)["map"]
+    # A run is its candidate rows in rank order; the index flags the relevant rows.
+    o_map = evaluate_unit(oracle_run, index.relevant)["map"]
+    m_map = evaluate_unit(multi_run, index.relevant)["map"]
     oracle_maps.append(o_map)
     multi_maps.append(m_map)
     members = "+".join(m[-2:] for m in group.member_ids)

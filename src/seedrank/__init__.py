@@ -13,7 +13,9 @@ from .corpus import (
     Document,
     EmbeddingTable,
     Lexicon,
+    Run,
     RunEntry,
+    RunUnit,
     Topic,
     filter_topics,
     load_corpus,
@@ -46,13 +48,14 @@ from .evaluation import (
     ndcg_at,
     paired_t_test,
     precision_at,
+    ranked_metrics,
     recall_at,
     wss,
 )
 from .experiments import (
     ExperimentReport,
     SeedGroup,
-    evaluate_entries,
+    evaluate_unit,
     intra_similarity,
     loocv_single,
     make_groups,

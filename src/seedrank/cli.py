@@ -6,6 +6,8 @@ declarative config file (YAML or JSON). Config keys can be overridden by
 line flags. All outputs are plain files written atomically; a fixed
 ``rng_seed`` makes them byte-reproducible. Topics run one at a time on the
 calling thread; ``workers`` is accepted and validated but has no effect.
+``rank`` and ``multi`` evaluate and write each run unit from its arrays
+(``corpus.RunUnit``); only ``eval`` reads runs back as ``RunEntry`` lines.
 
 Output layout under ``output_dir``:
     runs/<method>-<repr>/<topic>.run            leave-one-out runs
@@ -29,12 +31,12 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .corpus import filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
+from .corpus import Run, filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
 from .errors import ConfigError, InsufficientDocumentsError, SeedRankError
-from .evaluation import DEFAULT_CUTOFFS, metric_set, ranked_ids, significance_rows
+from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
     ExperimentReport,
-    evaluate_entries,
+    evaluate_unit,
     loocv_single,
     make_groups,
     multi_sdr,
@@ -263,9 +265,9 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
     return _Resources(corpus, topics, pipeline, params, lexicon, embeddings)
 
 
-def _atomic_write_run(entries, path: Path) -> None:
+def _atomic_write_run(units: list, path: Path) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    corpus_io.write_run(entries, tmp)
+    corpus_io.write_run(Run(tuple(units)), tmp)
     os.replace(tmp, path)
 
 
@@ -354,8 +356,7 @@ def cmd_rank(config: RunConfig) -> int:
 
     def work(topic, index):
         report, runs = loocv_single(index, config.method, res.params)
-        entries = [e for seed_id in runs for e in runs[seed_id]]
-        _atomic_write_run(entries, run_dir / f"{topic.topic_id}.run")
+        _atomic_write_run(list(runs.values()), run_dir / f"{topic.topic_id}.run")
         log.info("ranked topic %s (%d seeds)", topic.topic_id, len(runs))
         return report
 
@@ -389,17 +390,17 @@ def cmd_multi(config: RunConfig) -> int:
         groups = groups_of[topic.topic_id]
         multi_report = ExperimentReport()
         oracle_report = ExperimentReport()
-        multi_entries = []
-        oracle_entries = []
+        multi_units = []
+        oracle_units = []
         for group in groups:
             m_run = multi_sdr(index, group, config.method, res.params)
             o_run = oracle_single(single_report, group, single_runs)
-            multi_entries.extend(m_run)
-            oracle_entries.extend(o_run)
-            multi_report.add(topic.topic_id, group.unit, evaluate_entries(m_run, topic.judgments))
-            oracle_report.add(topic.topic_id, group.unit, evaluate_entries(o_run, topic.judgments))
-        _atomic_write_run(multi_entries, multi_dir / f"{topic.topic_id}.run")
-        _atomic_write_run(oracle_entries, oracle_dir / f"{topic.topic_id}.run")
+            multi_units.append(m_run)
+            oracle_units.append(o_run)
+            multi_report.add(topic.topic_id, group.unit, evaluate_unit(m_run, index.relevant))
+            oracle_report.add(topic.topic_id, group.unit, evaluate_unit(o_run, index.relevant))
+        _atomic_write_run(multi_units, multi_dir / f"{topic.topic_id}.run")
+        _atomic_write_run(oracle_units, oracle_dir / f"{topic.topic_id}.run")
         log.info("topic %s: %d seed groups", topic.topic_id, len(groups))
         return multi_report, oracle_report
 
@@ -433,7 +434,11 @@ def cmd_multi(config: RunConfig) -> int:
 
 
 def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int:
-    """Evaluate any TREC run against a qrels file (no candidate restriction)."""
+    """Evaluate any TREC run against a qrels file (no candidate restriction).
+
+    A shared topic with no relevant judgment has no AP or recall; it is
+    skipped with a warning that names it.
+    """
     entries = load_run(run_path)
     qrels = corpus_io.load_qrels(qrels_path)
     by_topic: dict[str, list] = {}
@@ -442,11 +447,18 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     shared = [t for t in sorted(by_topic) if t in qrels]
     if not shared:
         raise ConfigError("run", "no run topic has judgments in the qrels file")
+    unjudged = [t for t in shared if not any(g >= 1 for g in qrels[t].values())]
+    if unjudged:
+        log.warning("skipped topics without a relevant judgment: %s", ", ".join(unjudged))
+        shared = [t for t in shared if t not in unjudged]
+    if not shared:
+        raise ConfigError("qrels", "no run topic has a relevant judgment in the qrels file")
 
     rows = []
     sums: dict[str, list[float]] = {}
     for topic_id in shared:
-        metrics = metric_set(ranked_ids(by_topic[topic_id]), qrels[topic_id], cutoffs)
+        run = [e.doc_id for e in sorted(by_topic[topic_id], key=lambda e: e.rank)]
+        metrics = metric_set(run, qrels[topic_id], cutoffs)
         for metric, value in metrics.items():
             rows.append([topic_id, metric, _format_value(value)])
             sums.setdefault(metric, []).append(value)
@@ -552,6 +564,13 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
 
 
+def _cutoff(text: str) -> int:
+    """A metric cutoff from the command line: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"cutoff must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seedrank",
@@ -571,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a TREC run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, nargs="+", default=list(DEFAULT_CUTOFFS))
+    p.add_argument("--k", type=_cutoff, nargs="+", default=list(DEFAULT_CUTOFFS))
     p.add_argument("--output", help="CSV path (default: stdout)")
 
     p = sub.add_parser("compare", help="significance test between two metric CSVs")

@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -85,6 +85,40 @@ class RunEntry:
     rank: int
     score: float
     tag: str
+
+
+@dataclass(frozen=True, eq=False)
+class RunUnit:
+    """One run unit: its key, its tag, and its documents and their scores in rank order.
+
+    Position i holds rank i + 1. A document is a row of ``doc_ids``, a name
+    table that the units of one topic share, so a unit holds two numbers
+    per ranked document (its row and its score). Iterating yields the
+    unit's lines as RunEntry, each made on demand.
+    """
+
+    topic_id: str
+    tag: str
+    doc_ids: Sequence[str]
+    rows: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[RunEntry]:
+        for rank, (row, score) in enumerate(zip(self.rows.tolist(), self.scores.tolist()), start=1):
+            yield RunEntry(self.topic_id, self.doc_ids[row], rank, score, self.tag)
+
+
+@dataclass(frozen=True)
+class Run:
+    """The units of one run file, in file order; its length is its number of lines."""
+
+    units: tuple[RunUnit, ...]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.units))
 
 
 @dataclass(frozen=True)
@@ -248,41 +282,61 @@ def filter_topics(topics: list[Topic], min_relevant: int) -> list[Topic]:
     return [t for t in topics if len(t.relevant_ids) >= min_relevant]
 
 
-def _format_score(score: float) -> str:
-    """Shortest representation with >= 6 significant digits that round-trips."""
-    padded = format(score, "#.6g")
-    if float(padded) == score:
-        return padded
-    return repr(score)
+def _run_lines(topic_ids, doc_ids, ranks, scores: np.ndarray, tags) -> Iterator[str]:
+    """The run-file lines of parallel columns, one per document; every run line is made here.
+
+    A score is written with 6 significant digits (``%#.6g``) when that
+    reads back as the same float, else as its shortest repr.
+    """
+    for topic_id, doc_id, rank, score, tag in zip(topic_ids, doc_ids, ranks, scores.tolist(), tags):
+        text = "%#.6g" % score
+        if float(text) != score:
+            text = repr(score)
+        yield f"{topic_id} Q0 {doc_id} {rank} {text} {tag}\n"
 
 
-def write_run(entries: list[RunEntry], path) -> None:
+def _check_scores(topic_id: str, scores: np.ndarray) -> None:
+    """Scores in rank order must be finite and non-increasing."""
+    if not np.isfinite(scores).all():
+        raise RunValidationError(f"topic {topic_id!r}: non-finite score")
+    if (scores[1:] > scores[:-1]).any():
+        raise RunValidationError(f"topic {topic_id!r}: scores increase with rank")
+
+
+def write_run(run: Run | Sequence[RunEntry], path) -> None:
     """Write a TREC run file, validating the per-topic invariants first.
 
-    Within each topic, scores must be finite, ranks must be 1..n without
-    gaps and scores must be non-increasing with rank; otherwise
-    RunValidationError.
+    A Run's units are written in order, each ranked 1..n; RunEntry lines
+    are written in the given order. Within each topic, scores must be
+    finite, ranks must be 1..n without gaps and scores must be
+    non-increasing with rank; otherwise RunValidationError.
     """
-    by_topic: dict[str, list[RunEntry]] = {}
-    for entry in entries:
-        by_topic.setdefault(entry.topic_id, []).append(entry)
-    for topic_id, group in by_topic.items():
-        ordered = sorted(group, key=lambda e: e.rank)
-        ranks = [e.rank for e in ordered]
-        if ranks != list(range(1, len(ordered) + 1)):
-            raise RunValidationError(f"topic {topic_id!r}: ranks are not 1..n without gaps: {ranks}")
-        scores = [e.score for e in ordered]
-        if not all(map(math.isfinite, scores)):
-            raise RunValidationError(f"topic {topic_id!r}: non-finite score")
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise RunValidationError(f"topic {topic_id!r}: scores increase with rank")
-
+    if isinstance(run, Run):
+        seen = set()
+        for unit in run.units:
+            if unit.topic_id in seen:
+                raise RunValidationError(f"topic {unit.topic_id!r}: more than one unit")
+            seen.add(unit.topic_id)
+            _check_scores(unit.topic_id, unit.scores)
+        blocks = (
+            (repeat(unit.topic_id), map(unit.doc_ids.__getitem__, unit.rows.tolist()), count(1), unit.scores, repeat(unit.tag))
+            for unit in run.units
+        )
+    else:
+        by_topic: dict[str, list[RunEntry]] = {}
+        for entry in run:
+            by_topic.setdefault(entry.topic_id, []).append(entry)
+        for topic_id, group in by_topic.items():
+            ordered = sorted(group, key=lambda e: e.rank)
+            ranks = [e.rank for e in ordered]
+            if ranks != list(range(1, len(ordered) + 1)):
+                raise RunValidationError(f"topic {topic_id!r}: ranks are not 1..n without gaps: {ranks}")
+            _check_scores(topic_id, np.array([e.score for e in ordered], dtype=float))
+        columns = ([e.topic_id for e in run], [e.doc_id for e in run], [e.rank for e in run])
+        blocks = [(*columns, np.array([e.score for e in run], dtype=float), [e.tag for e in run])]
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(
-                f"{entry.topic_id} Q0 {entry.doc_id} {entry.rank} "
-                f"{_format_score(entry.score)} {entry.tag}\n"
-            )
+        for block in blocks:
+            fh.writelines(_run_lines(*block))
 
 
 def load_run(path) -> list[RunEntry]:

@@ -8,14 +8,22 @@ shorter than a cutoff are padded with non-relevant documents.
 LastRel% is the rank of the last relevant document normalized by the run
 length; WSS (work saved over sampling) is its complement, so
 WSS + LastRel% = 1 on every evaluable run.
+
+Every metric is computed from a ranking's 0/1 relevance vector in rank
+order (``ranked_metrics``, as array-based evaluators such as ranx do),
+visiting only the ranks of the relevant documents and adding their terms
+one by one in rank order. The functions over doc-id lists build that
+vector and call the same code.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Mapping, Sequence
 
-from .corpus import RunEntry
+import numpy as np
+
 from .errors import ContractError, DegenerateTestError, UndefinedMetricError
 
 DEFAULT_CUTOFFS = (10, 100, 1000)
@@ -25,76 +33,80 @@ def _num_relevant(qrels: Mapping[str, int]) -> int:
     return sum(1 for g in qrels.values() if g >= 1)
 
 
-def ranked_ids(entries: Sequence[RunEntry]) -> list[str]:
-    """Doc ids of one run unit in rank order."""
-    return [e.doc_id for e in sorted(entries, key=lambda e: e.rank)]
+def _relevance(run: Sequence[str], qrels: Mapping[str, int]) -> np.ndarray:
+    """Whether each document of a doc-id list is judged relevant, in rank order."""
+    return np.fromiter((qrels.get(doc_id, 0) >= 1 for doc_id in run), bool, len(run))
 
 
-def restrict_qrels(qrels: Mapping[str, int], doc_ids: Sequence[str]) -> dict[str, int]:
-    """Drop judgments for documents outside the ranked candidate set.
-
-    Used whenever seeds or group members were removed from the pool: a
-    document that was never up for screening cannot count as missed.
-    """
-    keep = set(doc_ids)
-    return {d: g for d, g in qrels.items() if d in keep}
+def _hit_ranks(relevant: np.ndarray) -> list[int]:
+    """The ranks (from 1) of the relevant documents, ascending."""
+    return (np.flatnonzero(relevant) + 1).tolist()
 
 
-def average_precision(run: Sequence[str], qrels: Mapping[str, int]) -> float:
-    """AP with the qrels total as denominator; unretrieved relevants count 0."""
-    total_relevant = _num_relevant(qrels)
+def _check_cutoff(k: int) -> None:
+    if k < 1:
+        raise ContractError(f"cutoff must be >= 1, got {k}")
+
+
+def _average_precision(hits: list[int], total_relevant: int) -> float:
     if total_relevant == 0:
         raise UndefinedMetricError("average precision is undefined without relevant documents")
-    hits = 0
     precision_sum = 0.0
-    for r, doc_id in enumerate(run, start=1):
-        if qrels.get(doc_id, 0) >= 1:
-            hits += 1
-            precision_sum += hits / r
+    for found, r in enumerate(hits, start=1):
+        precision_sum += found / r
     return precision_sum / total_relevant
 
 
-def precision_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    if k < 1:
-        raise ContractError(f"cutoff must be >= 1, got {k}")
-    hits = sum(1 for doc_id in run[:k] if qrels.get(doc_id, 0) >= 1)
-    return hits / k
+def _precision_at(hits: list[int], k: int) -> float:
+    _check_cutoff(k)
+    return bisect_right(hits, k) / k
 
 
-def recall_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    if k < 1:
-        raise ContractError(f"cutoff must be >= 1, got {k}")
-    total_relevant = _num_relevant(qrels)
+def _recall_at(hits: list[int], total_relevant: int, k: int) -> float:
+    _check_cutoff(k)
     if total_relevant == 0:
         raise UndefinedMetricError("recall is undefined without relevant documents")
-    hits = sum(1 for doc_id in run[:k] if qrels.get(doc_id, 0) >= 1)
-    return hits / total_relevant
+    return bisect_right(hits, k) / total_relevant
 
 
-def ndcg_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    """Binary-gain nDCG@k; 0.0 when the ideal DCG is zero."""
-    if k < 1:
-        raise ContractError(f"cutoff must be >= 1, got {k}")
+def _ndcg_at(hits: list[int], total_relevant: int, k: int) -> float:
+    _check_cutoff(k)
     dcg = 0.0
-    for r, doc_id in enumerate(run[:k], start=1):
-        if qrels.get(doc_id, 0) >= 1:
-            dcg += 1.0 / math.log2(r + 1)
-    total_relevant = _num_relevant(qrels)
+    for r in hits[: bisect_right(hits, k)]:
+        dcg += 1.0 / math.log2(r + 1)
     idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, total_relevant) + 1))
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
 
 
+def _last_rel_percent(hits: list[int], n: int) -> float:
+    if not hits:
+        raise UndefinedMetricError("no relevant document retrieved")
+    return hits[-1] / n
+
+
+def average_precision(run: Sequence[str], qrels: Mapping[str, int]) -> float:
+    """AP with the qrels total as denominator; unretrieved relevants count 0."""
+    return _average_precision(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels))
+
+
+def precision_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
+    return _precision_at(_hit_ranks(_relevance(run, qrels)), k)
+
+
+def recall_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
+    return _recall_at(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels), k)
+
+
+def ndcg_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
+    """Binary-gain nDCG@k; 0.0 when the ideal DCG is zero."""
+    return _ndcg_at(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels), k)
+
+
 def last_rel_percent(run: Sequence[str], qrels: Mapping[str, int]) -> float:
     """Rank of the last relevant document, as a fraction of the run length."""
-    last = 0
-    for r, doc_id in enumerate(run, start=1):
-        if qrels.get(doc_id, 0) >= 1:
-            last = r
-    if last == 0:
-        raise UndefinedMetricError("no relevant document retrieved")
-    return last / len(run)
+    return _last_rel_percent(_hit_ranks(_relevance(run, qrels)), len(run))
 
 
 def wss(run: Sequence[str], qrels: Mapping[str, int]) -> float:
@@ -102,28 +114,38 @@ def wss(run: Sequence[str], qrels: Mapping[str, int]) -> float:
     return 1.0 - last_rel_percent(run, qrels)
 
 
+def ranked_metrics(
+    relevant: np.ndarray,
+    total_relevant: int,
+    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
+) -> dict[str, float]:
+    """All reported metrics of one ranking, from whether each ranked document is relevant.
+
+    ``relevant`` is in rank order; ``total_relevant`` is the AP and recall
+    denominator. The ``lastrel%``/``wss`` keys are present only when at
+    least one relevant document was retrieved; callers track the
+    exclusions.
+    """
+    hits = _hit_ranks(relevant)
+    out = {"map": _average_precision(hits, total_relevant)}
+    for k in cutoffs:
+        out[f"p@{k}"] = _precision_at(hits, k)
+        out[f"r@{k}"] = _recall_at(hits, total_relevant, k)
+        out[f"ndcg@{k}"] = _ndcg_at(hits, total_relevant, k)
+    if hits:
+        lr = _last_rel_percent(hits, len(relevant))
+        out["lastrel%"] = lr
+        out["wss"] = 1.0 - lr
+    return out
+
+
 def metric_set(
     run: Sequence[str],
     qrels: Mapping[str, int],
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> dict[str, float]:
-    """All reported metrics for one run unit.
-
-    The ``lastrel%``/``wss`` keys are present only when at least one
-    relevant document was retrieved; callers track the exclusions.
-    """
-    out = {"map": average_precision(run, qrels)}
-    for k in cutoffs:
-        out[f"p@{k}"] = precision_at(run, qrels, k)
-        out[f"r@{k}"] = recall_at(run, qrels, k)
-        out[f"ndcg@{k}"] = ndcg_at(run, qrels, k)
-    try:
-        lr = last_rel_percent(run, qrels)
-    except UndefinedMetricError:
-        return out
-    out["lastrel%"] = lr
-    out["wss"] = 1.0 - lr
-    return out
+    """All reported metrics for one run of doc ids (``ranked_metrics``)."""
+    return ranked_metrics(_relevance(run, qrels), _num_relevant(qrels), cutoffs)
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:

@@ -14,6 +14,10 @@ width = 20% of the pool, floored at 2) and concatenate each group into one
 pseudo-seed. The comparison baseline is an oracle that picks the best
 group member's single run and drops the other members from it, so both
 runs rank exactly the same candidates.
+
+Runs are ``corpus.RunUnit``s, candidate rows and scores in rank order:
+they are evaluated from the index's relevance flags at their rows, and the
+oracle drops rows with a mask.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RunEntry
+from .corpus import RunUnit
 from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
-from .evaluation import DEFAULT_CUTOFFS, metric_set, ranked_ids, restrict_qrels
+from .evaluation import DEFAULT_CUTOFFS, ranked_metrics
 from .scoring import ScoringParams, derive_rng, rank
 from .vectors import TopicIndex, build_stats, cosine, line_entries, tfidf
 
@@ -102,25 +106,32 @@ class ExperimentReport:
         return out
 
 
-def evaluate_entries(
-    entries: Sequence[RunEntry],
-    judgments: Mapping[str, int],
+def evaluate_unit(
+    unit: RunUnit,
+    relevant: np.ndarray,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> dict[str, float]:
-    """Metrics for one run unit, with the qrels restricted to its candidates."""
-    run = ranked_ids(entries)
-    return metric_set(run, restrict_qrels(judgments, run), cutoffs)
+    """Metrics for one run unit, judged over its own candidates only.
+
+    ``relevant`` flags the relevant rows of the unit's name table
+    (``TopicIndex.relevant``). The relevant total is the relevant
+    candidates the unit ranks: seeds and group members were removed from
+    the pool, and a document that was never up for screening cannot count
+    as missed.
+    """
+    judged = relevant[unit.rows]
+    return ranked_metrics(judged, int(np.count_nonzero(judged)), cutoffs)
 
 
 def loocv_single(
     index: TopicIndex,
     method: str,
     params: ScoringParams,
-) -> tuple[ExperimentReport, dict[str, list[RunEntry]]]:
+) -> tuple[ExperimentReport, dict[str, RunUnit]]:
     """One run per relevant study used as the seed, plus its metrics.
 
-    Returns the per-seed report and the runs keyed by seed id (run entries
-    carry the composite key ``topic_id.seed_id``).
+    Returns the per-seed report and the runs keyed by seed id (each run is
+    keyed ``topic_id.seed_id``).
     """
     topic = index.topic
     seeds = topic.relevant_ids
@@ -129,11 +140,11 @@ def loocv_single(
             f"topic {topic.topic_id!r} has {len(seeds)} relevant studies; leave-one-out needs >= 2"
         )
     report = ExperimentReport()
-    runs: dict[str, list[RunEntry]] = {}
+    runs: dict[str, RunUnit] = {}
     for seed_id in seeds:
-        entries = rank(index, [seed_id], method, params, run_key=f"{topic.topic_id}.{seed_id}")
-        runs[seed_id] = entries
-        report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments))
+        unit = rank(index, [seed_id], method, params, run_key=f"{topic.topic_id}.{seed_id}")
+        runs[seed_id] = unit
+        report.add(topic.topic_id, seed_id, evaluate_unit(unit, index.relevant))
     return report, runs
 
 
@@ -164,7 +175,7 @@ def multi_sdr(
     group: SeedGroup,
     method: str,
     params: ScoringParams,
-) -> list[RunEntry]:
+) -> RunUnit:
     """Rank with a concatenated seed group; candidates exclude every member.
 
     Term-weight partitions larger than ``params.undersample_cap`` are
@@ -176,28 +187,26 @@ def multi_sdr(
 def oracle_single(
     report: ExperimentReport,
     group: SeedGroup,
-    single_runs: Mapping[str, list[RunEntry]],
-) -> list[RunEntry]:
+    single_runs: Mapping[str, RunUnit],
+) -> RunUnit:
     """Best group member's single run, filtered to the multi candidate set.
 
     ``report`` and ``single_runs`` are what ``loocv_single`` returns. The
     member whose single run has the highest ``map`` in the report wins
-    (ties: smallest seed doc_id); the other members' entries are deleted
-    from the winning run and ranks are compacted to 1..n so the result
-    ranks exactly the documents the group's multi run ranks.
+    (ties: smallest seed doc_id); a row mask drops the other members from
+    the winning run, whose ranks close up to 1..n, so the result ranks
+    exactly the documents the group's multi run ranks.
     """
     seed_metrics = report.values.get(group.topic_id, {})
     missing = [m for m in group.member_ids if m not in single_runs or m not in seed_metrics]
     if missing:
         raise ContractError(f"no leave-one-out run and metrics for group members: {missing}")
     best_seed = max(sorted(group.member_ids), key=lambda seed_id: seed_metrics[seed_id]["map"])
-    others = set(group.member_ids) - {best_seed}
-    key = f"{group.topic_id}.{group.unit}"
-    kept = [e for e in sorted(single_runs[best_seed], key=lambda e: e.rank) if e.doc_id not in others]
-    return [
-        RunEntry(key, e.doc_id, i, e.score, f"{e.tag}-oracle")
-        for i, e in enumerate(kept, start=1)
-    ]
+    best = single_runs[best_seed]
+    kept = np.ones(len(best.doc_ids), dtype=bool)
+    kept[[best.doc_ids.index(m) for m in group.member_ids if m != best_seed]] = False
+    kept = kept[best.rows]
+    return RunUnit(f"{group.topic_id}.{group.unit}", f"{best.tag}-oracle", best.doc_ids, best.rows[kept], best.scores[kept])
 
 
 def _pairwise_mean_cosine(index: TopicIndex, weights: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> float:

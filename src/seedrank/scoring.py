@@ -14,7 +14,9 @@ how the ``qlm`` method is computed.
 Every scorer takes one run unit's statistics over a topic index
 (``vectors.build_stats``) and returns one score per candidate, in the
 unit's candidate order. The lexical scorers read only the postings of the
-seed terms and add each candidate's addends in seed-term order.
+seed terms and add each candidate's addends in seed-term order. ``rank``
+returns the unit as arrays (``corpus.RunUnit``): its candidate rows and
+their scores in rank order, from one ``np.lexsort``.
 
 All logarithms are natural. Every function here is pure; rankings are fully
 determined by the inputs and ``ScoringParams.rng_seed``.
@@ -30,7 +32,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RunEntry
+from .corpus import RunUnit
 from .errors import ConfigError, ContractError
 from .vectors import (
     CollectionStats,
@@ -44,8 +46,6 @@ from .vectors import (
 
 METHODS = ("bm25", "qlm", "sdr", "aes", "sdr+aes")
 AES_METHODS = ("aes", "sdr+aes")
-
-ScoredList = list[tuple[str, float]]
 
 LN2 = math.log(2.0)
 
@@ -355,8 +355,8 @@ def aes_score(stats: CollectionStats) -> np.ndarray:
     return scores[stats.candidates]
 
 
-def sort_scored(scores: Mapping[str, float]) -> ScoredList:
-    """Scores sorted descending, ties broken by doc_id ascending."""
+def sort_scored(scores: Mapping[str, float]) -> list[tuple[str, float]]:
+    """Scores sorted descending, ties broken by doc_id ascending: the tie rule ``rank`` follows."""
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -385,13 +385,16 @@ def rank(
     *,
     undersample: bool = False,
     run_key: str | None = None,
-) -> list[RunEntry]:
+) -> RunUnit:
     """Rank a topic's candidates against one seed or a group of seeds.
 
     The seeds are removed from the candidate pool before collection
     statistics are computed (they are judged, not screened). Multiple seeds
-    form one pseudo-seed, their texts concatenated in order. Returns TREC
-    run entries keyed by ``run_key`` (default: the topic id).
+    form one pseudo-seed, their texts concatenated in order. Returns the
+    unit keyed by ``run_key`` (default: the topic id): its candidate rows
+    and their scores, by score descending with ties broken by doc_id
+    ascending (``sort_scored``'s order), from one ``np.lexsort`` on
+    (``index.doc_order``, -score).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -415,9 +418,5 @@ def rank(
             scores = interpolate(minmax(scores), minmax(aes_score(stats)), params.aes_alpha)
 
     key = run_key if run_key is not None else index.topic_id
-    run_tag = f"{method}-{index.representation}"
-    doc_ids = [index.doc_ids[row] for row in stats.candidates.tolist()]
-    return [
-        RunEntry(key, doc_id, i, score, run_tag)
-        for i, (doc_id, score) in enumerate(sort_scored(dict(zip(doc_ids, scores.tolist()))), start=1)
-    ]
+    order = np.lexsort((index.doc_order[stats.candidates], -scores))
+    return RunUnit(key, f"{method}-{index.representation}", index.doc_ids, stats.candidates[order], scores[order])

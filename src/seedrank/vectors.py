@@ -94,9 +94,11 @@ class TopicIndex:
     offsets (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
     ``collection_counts`` are int64. Sums over the int32 arrays, and
     products of a row number with a column number, are taken in int64.
-    ``embeddings`` is the N x d matrix of mean embeddings, None when built
-    without an embedding table; ``embedding_hits`` counts the tokens each
-    row's mean is over.
+    ``doc_order`` is each row's position in ``sorted(doc_ids)`` (Python
+    ``str`` order, which breaks score ties in a ranking); ``relevant`` marks
+    the rows judged relevant (grade >= 1). ``embeddings`` is the N x d
+    matrix of mean embeddings, None when built without an embedding table;
+    ``embedding_hits`` counts the tokens each row's mean is over.
     """
 
     topic: Topic
@@ -110,6 +112,8 @@ class TopicIndex:
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
     collection_counts: np.ndarray
+    doc_order: np.ndarray
+    relevant: np.ndarray
     embeddings: np.ndarray | None = None
     embedding_hits: np.ndarray | None = None
 
@@ -153,6 +157,9 @@ class TopicIndex:
         doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
         counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
         postings = _postings(counts, entry_rows, doc_freq)
+        doc_order = np.empty(len(doc_ids), dtype=np.intp)
+        doc_order[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+        judgments = topic.judgments
         return cls(
             topic=topic,
             representation=representation,
@@ -165,6 +172,8 @@ class TopicIndex:
             doc_lengths=_line_sums(counts),
             doc_freq=doc_freq,
             collection_counts=_line_sums(postings),
+            doc_order=doc_order,
+            relevant=np.fromiter((judgments.get(d, 0) >= 1 for d in doc_ids), bool, len(doc_ids)),
         )
 
     @property

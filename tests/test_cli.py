@@ -441,6 +441,37 @@ class TestCmdEval:
         qrels.write_text("T2 0 d1 1\n", encoding="utf-8")
         assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels)]) == 2
 
+    def test_topic_without_relevant_judgment_is_skipped(self, tmp_path, capsys, caplog):
+        run = tmp_path / "r.run"
+        run.write_text("T1 Q0 d1 1 2.0 x\nT1 Q0 d2 2 1.0 x\nT2 Q0 d1 1 1.0 x\nT3 Q0 d1 1 1.0 x\n", encoding="utf-8")
+        qrels = tmp_path / "q.txt"
+        qrels.write_text("T1 0 d2 1\nT2 0 d1 0\nT3 0 d1 0\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="seedrank"):
+            assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels)]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert {r["topic_id"] for r in rows} == {"T1", "ALL"}
+        assert {(r["metric"], r["value"]) for r in rows if r["topic_id"] == "T1" and r["metric"] == "map"} == {("map", "0.5")}
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "T2" in warnings[0] and "T3" in warnings[0]
+
+    def test_no_topic_with_relevant_judgment_fails(self, tmp_path, capsys):
+        run = tmp_path / "r.run"
+        run.write_text("T2 Q0 d1 1 1.0 x\n", encoding="utf-8")
+        qrels = tmp_path / "q.txt"
+        qrels.write_text("T2 0 d1 0\n", encoding="utf-8")
+        assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels)]) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "qrels"
+
+    @pytest.mark.parametrize("k", ["0", "-3", "ten"])
+    def test_cutoff_below_one_rejected_when_parsed(self, tmp_path, capsys, k):
+        # The files do not exist: the arguments are refused before anything is loaded.
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-q", "eval", "--run", missing, "--qrels", missing, "--k", "10", k])
+        assert exit_info.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
 
 class TestCmdAnalyze:
     def test_analysis_csvs(self, tmp_path, collection):
@@ -604,6 +635,27 @@ class TestTopicDriver:
         assert len(outputs["1"]) == 2 + 2 * 3 and outputs["3"] == outputs["1"]
         assert caplog.messages.count("workers=3 has no effect: topics run one at a time") == 1
         assert not any(m.startswith("workers=1 ") for m in caplog.messages)
+
+    def test_commands_make_no_run_entry(self, tmp_path, collection, monkeypatch):
+        made = []
+        real_init = seedrank.RunEntry.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(seedrank.RunEntry, "__init__", counting_init)
+        for command in ("rank", "multi"):
+            out_dir = tmp_path / command
+            argv = [
+                "-q", command, "--corpus", collection["corpus"], "--topics", collection["topics"],
+                "--qrels", collection["qrels"], "--method", "sdr", "--output-dir", str(out_dir),
+            ]
+            assert main(argv) == 0
+            assert len(list(out_dir.rglob("*.run"))) == 3 * (1 if command == "rank" else 2)
+        assert made == []
+        seedrank.RunEntry("T", "d", 1, 1.0, "x")
+        assert len(made) == 1  # the count does see a RunEntry being made
 
     def test_zero_workers_is_refused(self, tmp_path, collection, capsys):
         # A bool is refused by test_wrong_type_exit_code_and_summary.

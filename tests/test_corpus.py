@@ -15,7 +15,9 @@ from seedrank import (
     MissingTopicError,
     ParseError,
     PipelineConfig,
+    Run,
     RunEntry,
+    RunUnit,
     RunValidationError,
     SeedRankError,
     Topic,
@@ -254,6 +256,65 @@ class TestRunFiles:
         assert load_run(p) == entries
 
 
+def reference_format_score(score: float) -> str:
+    """The score text of a run line, one score at a time: the shortest >= 6 significant digits that read back."""
+    padded = format(score, "#.6g")
+    if float(padded) == score:
+        return padded
+    return repr(score)
+
+
+finite_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormal
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]),
+)
+
+
+class TestRunUnitFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(finite_scores, min_size=1, max_size=12), min_size=1, max_size=3), st.data())
+    def test_units_round_trip(self, tmp_path_factory, unit_scores, data):
+        units = []
+        for u, scores in enumerate(unit_scores):
+            scores = sorted(scores + data.draw(st.lists(st.sampled_from(scores), max_size=3)), reverse=True)  # ties
+            names = tuple(f"d{i}" for i in range(len(scores)))
+            rows = np.array(data.draw(st.permutations(range(len(scores)))))
+            units.append(RunUnit(f"T.{u}", "t", names, rows, np.array(scores)))
+        run = Run(tuple(units))
+        p = tmp_path_factory.mktemp("runs") / "r.run"
+        write_run(run, p)
+
+        def lines(entries):
+            return [(e.topic_id, e.doc_id, e.rank, e.score.hex(), e.tag) for e in entries]
+
+        expected = [entry for unit in units for entry in unit]
+        assert len(run) == len(expected) and lines(load_run(p)) == lines(expected)
+        for unit in units:
+            assert [e.rank for e in unit] == list(range(1, len(unit) + 1))
+        texts = [line.split()[4] for line in p.read_text(encoding="utf-8").splitlines()]
+        assert texts == [reference_format_score(e.score) for e in expected]
+
+    def test_unit_and_entries_write_the_same_bytes(self, tmp_path):
+        unit = RunUnit("T1", "sdr", ("d3", "d1", "d2"), np.array([1, 2, 0]), np.array([2.5, 1.25, 0.5]))
+        write_run(Run((unit,)), tmp_path / "unit.run")
+        write_run(list(unit), tmp_path / "entries.run")
+        assert (tmp_path / "unit.run").read_bytes() == (tmp_path / "entries.run").read_bytes()
+        assert load_run(tmp_path / "unit.run") == list(unit)
+
+    @pytest.mark.parametrize("scores", [[1.0, 2.0], [2.0, float("nan")], [float("inf"), 1.0], [1.0, float("-inf")]])
+    def test_bad_scores_rejected(self, tmp_path, scores):
+        unit = RunUnit("T1", "x", ("a", "b"), np.arange(2), np.array(scores))
+        with pytest.raises(RunValidationError, match="'T1'"):
+            write_run(Run((unit,)), tmp_path / "r.run")
+        assert not (tmp_path / "r.run").exists()
+
+    def test_repeated_unit_key_rejected(self, tmp_path):
+        unit = RunUnit("T1", "x", ("a",), np.arange(1), np.ones(1))
+        with pytest.raises(RunValidationError, match="'T1'"):
+            write_run(Run((unit, unit)), tmp_path / "r.run")
+
+
 class TestLexiconAndEmbeddings:
     def test_lexicon_lowercase_dedup(self, tmp_path):
         p = tmp_path / "lex.txt"
@@ -470,7 +531,10 @@ class TestStreamedEmbeddings:
         p.write_bytes(newline.join(lines).encode("utf-8"))
         with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
             table = load_embeddings(p)
-        expected = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2).reshape(len(rows), dimension)
+        if values:
+            expected = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2).reshape(len(rows), dimension)
+        else:
+            expected = np.empty((0, dimension))
         assert table.matrix.shape == expected.shape and table.matrix.tobytes() == expected.tobytes()
         assert table.rows == {token: i for i, (token, *_) in enumerate(rows)}
 

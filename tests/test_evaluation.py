@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import ref_average_precision, ref_ndcg_at, ref_precision_at, ref_recall_at
 from seedrank import (
@@ -16,6 +16,7 @@ from seedrank import (
     ndcg_at,
     paired_t_test,
     precision_at,
+    ranked_metrics,
     recall_at,
     wss,
 )
@@ -180,6 +181,84 @@ class TestMetricSet:
     def test_lastrel_omitted_when_undefined(self):
         out = metric_set(["d1"], qrels(["other"]))
         assert "wss" not in out and "lastrel%" not in out
+
+
+def case(flags, missed=0):
+    """A run whose i-th document is relevant when ``flags[i]``, plus ``missed`` relevant documents it does not retrieve."""
+    run = [f"d{i}" for i in range(len(flags))]
+    return run, {d: int(flag) for d, flag in zip(run, flags)} | {f"m{i}": 1 for i in range(missed)}
+
+
+judged_runs = st.builds(case, st.lists(st.booleans(), min_size=1, max_size=30), st.integers(0, 4))
+
+
+def loop_metric_set(run, judged, cutoffs):
+    """The metrics as a loop over the whole run adds them: the bit-for-bit reference of the vector core."""
+    total = sum(1 for g in judged.values() if g >= 1)
+    flags = [judged.get(d, 0) >= 1 for d in run]
+    hits, precision_sum = 0, 0.0
+    for r, flag in enumerate(flags, start=1):
+        if flag:
+            hits += 1
+            precision_sum += hits / r
+    out = {"map": precision_sum / total}
+    for k in cutoffs:
+        found = sum(1 for flag in flags[:k] if flag)
+        dcg = 0.0
+        for r, flag in enumerate(flags[:k], start=1):
+            if flag:
+                dcg += 1.0 / math.log2(r + 1)
+        idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, total) + 1))
+        out |= {f"p@{k}": found / k, f"r@{k}": found / total, f"ndcg@{k}": dcg / idcg if idcg else 0.0}
+    if any(flags):
+        last = max(r for r, flag in enumerate(flags, start=1) if flag)
+        out |= {"lastrel%": last / len(run), "wss": 1.0 - last / len(run)}
+    return out
+
+
+class TestMetricCore:
+    """``ranked_metrics`` over a 0/1 vector is the one metric core; the list functions adapt to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(judged_runs, st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    @example(case([True]), [1, 5])  # one-document run, k > n
+    @example(case([False, False], missed=2), [1, 3])  # no relevant retrieved
+    @example(case([False, True, False], missed=4), [2, 40])  # more relevant than retrieved
+    def test_core_equals_list_functions_and_references(self, judged_case, cutoffs):
+        run, judged = judged_case
+        relevant = np.array([judged[d] >= 1 for d in run])
+        total = sum(g >= 1 for g in judged.values())
+        if total == 0:
+            with pytest.raises(UndefinedMetricError):
+                ranked_metrics(relevant, total, cutoffs)
+            return
+        core = ranked_metrics(relevant, total, cutoffs)
+        # Bit for bit: the list functions go through the same code, and it adds as a loop over the run adds.
+        bits = [(k, v.hex()) for k, v in core.items()]
+        assert bits == [(k, v.hex()) for k, v in metric_set(run, judged, cutoffs).items()]
+        assert bits == [(k, v.hex()) for k, v in loop_metric_set(run, judged, cutoffs).items()]
+        assert core["map"].hex() == average_precision(run, judged).hex()
+        assert abs(core["map"] - ref_average_precision(run, judged)) <= 1e-12
+        for k in cutoffs:
+            assert core[f"p@{k}"].hex() == precision_at(run, judged, k).hex()
+            assert core[f"r@{k}"].hex() == recall_at(run, judged, k).hex()
+            assert core[f"ndcg@{k}"].hex() == ndcg_at(run, judged, k).hex()
+            assert abs(core[f"p@{k}"] - ref_precision_at(run, judged, k)) <= 1e-12
+            assert abs(core[f"r@{k}"] - ref_recall_at(run, judged, k)) <= 1e-12
+            assert abs(core[f"ndcg@{k}"] - ref_ndcg_at(run, judged, k)) <= 1e-12
+        if relevant.any():
+            last = max(i for i, flag in enumerate(relevant, start=1) if flag)
+            assert core["lastrel%"].hex() == last_rel_percent(run, judged).hex()
+            assert core["wss"].hex() == wss(run, judged).hex()
+            assert core["lastrel%"] == last / len(run)
+        else:
+            assert "lastrel%" not in core and "wss" not in core
+            with pytest.raises(UndefinedMetricError):
+                last_rel_percent(run, judged)
+
+    def test_cutoff_below_one(self):
+        with pytest.raises(ContractError):
+            ranked_metrics(np.array([True]), 1, (0,))
 
 
 class TestPairedTTest:

@@ -12,10 +12,11 @@ from seedrank import (
     InsufficientDocumentsError,
     InsufficientSeedsError,
     RunEntry,
+    RunUnit,
     SeedGroup,
     Topic,
     build_index,
-    evaluate_entries,
+    evaluate_unit,
     intra_similarity,
     loocv_single,
     make_groups,
@@ -155,21 +156,24 @@ class TestMultiSdr:
             assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
 
 
+def hand_unit(key, names, doc_ids, scores):
+    """The unit ranking ``doc_ids`` with ``scores``, over the name table ``names``."""
+    rows = np.array([names.index(d) for d in doc_ids])
+    return RunUnit(key, "x", names, rows, np.array(scores, dtype=float))
+
+
+def relevance(topic, names):
+    """Whether each name is judged relevant in ``topic``, as ``TopicIndex.relevant`` flags its rows."""
+    return np.array([topic.judgments.get(d, 0) >= 1 for d in names])
+
+
 class TestOracleSingle:
+    names = ("s1", "s2", "d1", "d3", "d4")
+
     def runs(self):
         # Winner selection fodder: s1's run places relevants earlier.
-        s1 = [
-            RunEntry("T.s1", "d1", 1, 4.0, "x"),
-            RunEntry("T.s1", "s2", 2, 3.0, "x"),
-            RunEntry("T.s1", "d3", 3, 2.0, "x"),
-            RunEntry("T.s1", "d4", 4, 1.0, "x"),
-        ]
-        s2 = [
-            RunEntry("T.s2", "d3", 1, 4.0, "x"),
-            RunEntry("T.s2", "d4", 2, 3.0, "x"),
-            RunEntry("T.s2", "s1", 3, 2.0, "x"),
-            RunEntry("T.s2", "d1", 4, 1.0, "x"),
-        ]
+        s1 = hand_unit("T.s1", self.names, ["d1", "s2", "d3", "d4"], [4.0, 3.0, 2.0, 1.0])
+        s2 = hand_unit("T.s2", self.names, ["d3", "d4", "s1", "d1"], [4.0, 3.0, 2.0, 1.0])
         return {"s1": s1, "s2": s2}
 
     def topic(self):
@@ -179,13 +183,13 @@ class TestOracleSingle:
     def report(self, topic, runs):
         """The leave-one-out report of ``runs``, as loocv_single builds it."""
         report = ExperimentReport()
-        for seed_id, entries in runs.items():
-            report.add(topic.topic_id, seed_id, evaluate_entries(entries, topic.judgments))
+        for seed_id, unit in runs.items():
+            report.add(topic.topic_id, seed_id, evaluate_unit(unit, relevance(topic, unit.doc_ids)))
         return report
 
     def test_picks_best_and_removes_group_mates(self):
         group = SeedGroup("T", ("s1", "s2"), 0)
-        entries = oracle_single(self.report(self.topic(), self.runs()), group, self.runs())
+        entries = list(oracle_single(self.report(self.topic(), self.runs()), group, self.runs()))
         assert [e.doc_id for e in entries] == ["d1", "d3", "d4"]
         assert [e.rank for e in entries] == [1, 2, 3]
         assert all(e.topic_id == "T.w0" for e in entries)
@@ -195,23 +199,25 @@ class TestOracleSingle:
         # Hand recomputation: before removal (restricted to the 4 ranked docs)
         # R=3 with hits at 1, 2, 4 -> AP = (1 + 1 + 3/4)/3.
         topic = self.topic()
-        before = evaluate_entries(self.runs()["s1"], topic.judgments)
+        relevant = relevance(topic, self.names)
+        before = evaluate_unit(self.runs()["s1"], relevant)
         assert before["map"] == pytest.approx((1.0 + 1.0 + 0.75) / 3, abs=1e-12)
         # After removing s2 and compacting: R=2 with hits at 1 and 3.
         group = SeedGroup("T", ("s1", "s2"), 0)
-        after = evaluate_entries(oracle_single(self.report(topic, self.runs()), group, self.runs()), topic.judgments)
+        after = evaluate_unit(oracle_single(self.report(topic, self.runs()), group, self.runs()), relevant)
         assert after["map"] == pytest.approx((1.0 + 2.0 / 3.0) / 2, abs=1e-12)
 
     def test_tie_breaks_to_smallest_seed_id(self):
+        names = ("s1", "s2", "d1")
         entries = {
-            "s1": [RunEntry("T.s1", "d1", 1, 1.0, "x"), RunEntry("T.s1", "s2", 2, 0.5, "x")],
-            "s2": [RunEntry("T.s2", "d1", 1, 1.0, "x"), RunEntry("T.s2", "s1", 2, 0.5, "x")],
+            "s1": hand_unit("T.s1", names, ["d1", "s2"], [1.0, 0.5]),
+            "s2": hand_unit("T.s2", names, ["d1", "s1"], [1.0, 0.5]),
         }
         topic = Topic("T", ["s1", "s2", "d1"], {"s1": 1, "s2": 1, "d1": 1})
         group = SeedGroup("T", ("s2", "s1"), 0)
         out = oracle_single(self.report(topic, entries), group, entries)
         # both runs have AP 1.0 on their restricted qrels; s1 wins the tie
-        assert out == [RunEntry("T.w0", "d1", 1, 1.0, "x-oracle")]
+        assert list(out) == [RunEntry("T.w0", "d1", 1, 1.0, "x-oracle")]
 
     def test_missing_member_run(self):
         group = SeedGroup("T", ("s1", "missing"), 0)

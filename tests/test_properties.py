@@ -6,11 +6,13 @@ candidate holds.
 """
 
 import math
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import ref_bm25_scores, ref_qlm_scores, ref_seed_driven_scores
-from seedrank import ScoringParams, rank
+from seedrank import ScoringParams, rank, scoring
 from seedrank.scoring import sort_scored
 from synth import count_index
 
@@ -78,7 +80,24 @@ def test_undersampled_runs_do_not_depend_on_unit_order(topic, data):
     groups = data.draw(st.permutations(groups))
     params = ScoringParams(undersample_cap=1, rng_seed=9)
     shared = indexed(docs)
-    forward = [rank(shared, g, "sdr", params, undersample=True) for g in groups]
-    backward = [rank(shared, g, "sdr", params, undersample=True) for g in reversed(groups)][::-1]
-    fresh = [rank(indexed(docs), g, "sdr", params, undersample=True) for g in groups]
+    forward = [list(rank(shared, g, "sdr", params, undersample=True)) for g in groups]
+    backward = [list(rank(shared, g, "sdr", params, undersample=True)) for g in reversed(groups)][::-1]
+    fresh = [list(rank(indexed(docs), g, "sdr", params, undersample=True)) for g in groups]
     assert forward == backward == fresh
+
+
+# Doc ids that differ only in case, by a non-ASCII character or by a numeric-looking suffix.
+TIE_IDS = ["d9", "d10", "d1", "D1", "d01", "d9a", "de", "dé", "dE", "dz", "Ω", "a", "A", "é", "e", "10", "9"]
+TIE_SCORES = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TIE_IDS), min_size=1, unique=True), st.data())
+def test_rank_breaks_ties_as_sort_scored(doc_ids, data):
+    scores = data.draw(st.lists(st.sampled_from(TIE_SCORES), min_size=len(doc_ids), max_size=len(doc_ids)))
+    index = indexed({"seed": {"t": 1}} | {d: {"t": 1} for d in doc_ids})
+    # The unit's candidates are the rows after the seed, in doc_ids order.
+    with mock.patch.object(scoring, "bm25_score", lambda stats, params: np.array(scores)):
+        unit = rank(index, ["seed"], "bm25", ScoringParams())
+    expected = sort_scored(dict(zip(doc_ids, scores)))
+    assert [(e.doc_id, e.score.hex()) for e in unit] == [(d, s.hex()) for d, s in expected]

@@ -426,7 +426,7 @@ class TestRank:
             "d2": Document("d2", "", "unrelated words"),
         }
         topic = Topic("T1", ["s", "d1", "d2"], {"s": 1, "d1": 1})
-        entries = rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params)
+        entries = list(rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params))
         assert entries[0].doc_id == "d1" and entries[0].rank == 1
         assert {e.doc_id for e in entries} == {"d1", "d2"}
 
@@ -450,10 +450,10 @@ class TestRank:
 
     def test_runs_are_reproducible(self, params, pipeline, hand_corpus, hand_topic):
         index = build_index(hand_topic, hand_corpus, "bow", pipeline)
-        a = rank(index, ["s"], "sdr", params)
+        a = list(rank(index, ["s"], "sdr", params))
         rank(index, ["c1"], "sdr", params)
-        b = rank(index, ["s"], "sdr", params)
-        assert a == b == rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params)
+        b = list(rank(index, ["s"], "sdr", params))
+        assert a == b == list(rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params))
 
     def test_empty_topic_after_exclusion(self, params, pipeline):
         corpus = {"s": Document("s", "", "x")}
