@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -85,19 +86,14 @@ class RunConfig:
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# RunConfig's annotations are text (``from __future__ import annotations``); any other is read as str.
+_FIELD_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 def _coerce(field: dataclasses.Field, raw, source: str):
     if raw is None:
         return None
-    base = {str: str, int: int, float: float, bool: bool}
-    target = None
-    for t, conv in base.items():
-        if field.type in (t.__name__, f"{t.__name__} | None"):
-            target = t
-            break
-    if target is None:
-        target = str
+    target = _FIELD_TYPES.get(field.type.removesuffix(" | None"), str)
     if target is bool:
         if isinstance(raw, bool):
             return raw
@@ -278,6 +274,14 @@ def _atomic_write_csv(rows: list[list], header: list[str], path: Path) -> None:
         writer.writerow(header)
         writer.writerows(rows)
     os.replace(tmp, path)
+
+
+def _write_table(rows: list[list], header: list[str], output: str | None) -> None:
+    """Write ``rows`` under ``header`` atomically to ``output``, or to stdout when it is not given."""
+    if output:
+        _atomic_write_csv(rows, header, Path(output))
+    else:
+        csv.writer(sys.stdout).writerows([header, *rows])
 
 
 def _format_value(value) -> str:
@@ -465,13 +469,7 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     for metric, values in sums.items():
         rows.append(["ALL", metric, _format_value(sum(values) / len(values))])
 
-    header = ["topic_id", "metric", "value"]
-    if output:
-        _atomic_write_csv(rows, header, Path(output))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_table(rows, ["topic_id", "metric", "value"], output)
     return 0
 
 
@@ -522,7 +520,13 @@ def _per_topic_means_from_csv(path: str) -> dict[str, dict[str, float]]:
             raise ConfigError("metrics", f"{path}: expected columns {sorted(expected)}")
         for row in reader:
             if row["seed_or_window"] == "mean" and row["topic_id"] != "ALL":
-                out.setdefault(row["metric"], {})[row["topic_id"]] = float(row["value"])
+                try:
+                    value = float(row["value"])
+                except (TypeError, ValueError):  # TypeError: the row has no value column
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError("metrics", f"{path}:{reader.line_num}: not a finite value: {row['value']!r}")
+                out.setdefault(row["metric"], {})[row["topic_id"]] = value
     if not out:
         raise ConfigError("metrics", f"{path}: no per-topic mean rows found")
     return out
@@ -544,13 +548,7 @@ def cmd_compare(
          _format_value(r["p"]), _format_value(r["p_adjusted"]), _format_value(r["significant"])]
         for r in rows
     ]
-    header = ["method_a", "method_b", "metric", "t", "p", "p_adjusted", "significant"]
-    if output:
-        _atomic_write_csv(out_rows, header, Path(output))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(out_rows)
+    _write_table(out_rows, ["method_a", "method_b", "metric", "t", "p", "p_adjusted", "significant"], output)
     return 0
 
 

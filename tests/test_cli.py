@@ -533,6 +533,52 @@ class TestCmdCompare:
             assert row["method_a"] == "sdr" and row["method_b"] == "bm25"
             assert row["significant"] in ("true", "false")
 
+    @staticmethod
+    def write_means(path, rows):
+        """A metrics CSV holding only the per-topic mean rows ``(topic_id, metric, value text)``."""
+        lines = ["topic_id,seed_or_window,metric,value"] + [f"{t},mean,{m},{v}" for t, m, v in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("bad_row", ["T3,mean,map,abc", "T3,mean,map", "T3,mean,map,nan"])
+    def test_bad_value_names_its_line(self, tmp_path, capsys, bad_row):
+        path = tmp_path / "a.csv"
+        path.write_text(
+            "topic_id,seed_or_window,metric,value\nT1,mean,map,0.5\nT2,mean,map,0.25\n" + bad_row + "\n", encoding="utf-8"
+        )
+        good = self.write_means(tmp_path / "b.csv", [("T1", "map", 0.5), ("T2", "map", 0.5), ("T3", "map", 0.5)])
+        output = tmp_path / "sig.csv"
+        argv = ["-q", "compare", "--metrics-a", str(path), "--metrics-b", good, "--output", str(output)]
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "metrics"
+        assert f"{path}:4:" in summary["detail"]
+        assert not output.exists()
+
+    def test_same_bytes_without_scipy(self, tmp_path):
+        # The t distribution is computed in evaluation.py; scipy is a test dependency only.
+        topics = [f"T{i}" for i in range(1, 8)]
+        a = self.write_means(
+            tmp_path / "a.csv",
+            [(t, "map", 0.1 * i + 0.05 * (i % 3)) for i, t in enumerate(topics, 1)]
+            + [(t, "wss", 0.5) for t in topics],
+        )
+        b = self.write_means(
+            tmp_path / "b.csv",
+            [(t, "map", 0.1 * i) for i, t in enumerate(topics, 1)] + [(t, "wss", 0.5) for t in topics],
+        )
+        argv = ["-q", "compare", "--metrics-a", a, "--metrics-b", b, "--name-a", "x", "--name-b", "y"]
+        assert main(argv + ["--output", str(tmp_path / "in_process.csv")]) == 0
+        src = str(Path(seedrank.__file__).resolve().parents[1])
+        script = "import sys; sys.modules['scipy'] = None; import seedrank.cli; sys.exit(seedrank.cli.main(sys.argv[1:]))"
+        subprocess.run(
+            [sys.executable, "-c", script, *argv, "--output", str(tmp_path / "no_scipy.csv")],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        in_process = (tmp_path / "in_process.csv").read_bytes()
+        assert (tmp_path / "no_scipy.csv").read_bytes() == in_process
+        assert b",map," in in_process and b",wss,nan,nan,nan,false" in in_process
+
 
 @pytest.mark.slow
 class TestSubprocessDeterminism:
@@ -668,11 +714,11 @@ class TestTopicDriver:
 
 class TestDependencies:
     @staticmethod
-    def after_cli_import(expression):
-        """What a fresh interpreter prints for ``expression`` once it has imported seedrank.cli."""
+    def after_cli_import(expression, imports="seedrank.cli"):
+        """What a fresh interpreter prints for ``expression`` once it has imported ``imports``."""
         src = str(Path(seedrank.__file__).resolve().parents[1])
         result = subprocess.run(
-            [sys.executable, "-c", f"import sys, seedrank.cli; print({expression})"],
+            [sys.executable, "-c", f"import sys, {imports}; print({expression})"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         )
         return result.stdout.strip()
@@ -689,11 +735,20 @@ class TestDependencies:
         assert self.after_cli_import("'concurrent.futures' in sys.modules") == "False"
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        assert self.after_cli_import("sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')") == "[]"
+        # Neither importing the package nor a paired t-test loads any scipy module.
+        expression = (
+            "seedrank.evaluation.paired_t_test([0.2, 0.5, 0.9], [0.1, 0.1, 0.3])"
+            " and sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+        )
+        assert self.after_cli_import(expression, imports="seedrank, seedrank.evaluation") == "[]"
 
     def test_runtime_dependencies(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-        names = {re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
-        assert names == {"numpy", "scipy", "pyyaml"}
+
+        def names(deps):
+            return {re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0].lower() for dep in deps}
+
+        assert names(project["dependencies"]) == {"numpy", "pyyaml"}
+        assert "scipy" in names(project["optional-dependencies"]["test"])

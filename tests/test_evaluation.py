@@ -20,7 +20,7 @@ from seedrank import (
     recall_at,
     wss,
 )
-from seedrank.evaluation import significance_rows
+from seedrank.evaluation import _t_two_sided_p, significance_rows
 
 
 def qrels(relevant, irrelevant=()):
@@ -276,6 +276,47 @@ class TestPairedTTest:
         with pytest.raises(ContractError):
             paired_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.5, 1.0, 2.0, 3.7, 10.0, 55.5, 1e3, 1e6])
+    @pytest.mark.parametrize(
+        ("df", "closed_form"),
+        [
+            (1, lambda t: 1.0 - 2.0 / math.pi * math.atan(t)),
+            (2, lambda t: 1.0 - t / math.sqrt(2.0 + t * t)),
+        ],
+    )
+    def test_closed_forms(self, t, df, closed_form):
+        for signed in (t, -t):
+            assert _t_two_sided_p(signed, df) == pytest.approx(closed_form(t), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        ("t", "df", "expected"),
+        [
+            # The two closed forms above at t = 2.
+            (2.0, 1, 0.2951672353008665),
+            (2.0, 2, 0.18350341907227385),
+            # 2 * scipy.stats.t.sf(t, df), scipy 1.17.1
+            (1.5, 5, 0.1939036802424733),
+            (2.5, 11, 0.029506374087364163),
+            (0.3, 29, 0.7663170933289678),
+            (4.0, 79, 0.00014170148463914413),
+            (40.0, 3, 3.4380680789158506e-05),
+            # Large df, small t: 1 - x would lose digits here, so the complement is passed exactly.
+            (0.05, 983, 0.9601325457261229),
+        ],
+    )
+    def test_recorded_values(self, t, df, expected):
+        assert _t_two_sided_p(t, df) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert _t_two_sided_p(-t, df) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(("t", "expected"), [(0.0, 1.0), (-0.0, 1.0), (math.inf, 0.0), (-math.inf, 0.0)])
+    def test_edge_values(self, t, expected):
+        assert _t_two_sided_p(t, 7) == expected
+
+    def test_nan_t_gives_nan_p(self):
+        assert math.isnan(_t_two_sided_p(math.nan, 7))
+        t, p = paired_t_test([math.nan, 1.0, 2.0], [0.0, 0.0, 0.0])
+        assert math.isnan(t) and math.isnan(p)
+
     def test_matches_scipy(self):
         from scipy import stats as sps
 
@@ -303,7 +344,8 @@ class TestSignificanceRows:
         (row,) = significance_rows("m1", "m2", a, b, ["map"])
         assert row["method_a"] == "m1" and row["metric"] == "map"
         assert row["p_adjusted"] == pytest.approx(min(1.0, row["p"]))
-        assert isinstance(row["significant"], bool)
+        assert row["significant"] is False  # p = 0.118
+        assert significance_rows("m1", "m2", a, b, ["map"], alpha=0.2)[0]["significant"] is True
 
     def test_degenerate_metric_yields_nan_row(self):
         a = {"map": {"T1": 0.5, "T2": 0.7}}
