@@ -28,9 +28,6 @@ from .errors import ContractError, DegenerateTestError, UndefinedMetricError
 
 DEFAULT_CUTOFFS = (10, 100, 1000)
 
-# Stands in for a zero denominator in the Lentz continued fraction.
-_TINY = 1e-300
-
 
 def _num_relevant(qrels: Mapping[str, int]) -> int:
     return sum(1 for g in qrels.values() if g >= 1)
@@ -153,38 +150,39 @@ def metric_set(
 
 def _betacf(a: float, b: float, x: float) -> float:
     """The incomplete beta's continued fraction, evaluated by the modified Lentz method."""
-    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or _TINY)
+    # 1e-300 stands in for a zero denominator.
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
     h = d
     for m in range(1, 1001):
         for num in (
             m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
             -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
         ):
-            d = 1.0 / ((1.0 + num * d) or _TINY)
-            c = (1.0 + num / c) or _TINY
+            d = 1.0 / ((1.0 + num * d) or 1e-300)
+            c = (1.0 + num / c) or 1e-300
             h *= d * c
         if abs(d * c - 1.0) < 1e-15:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
-def _betainc(a: float, b: float, x: float, y: float) -> float:
-    """I_x(a, b), the regularized incomplete beta; ``y`` is 1 - x, passed exactly by the caller."""
-    if x <= 0.0 or y <= 0.0:
-        return 0.0 if x <= 0.0 else 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y))
-    # The fraction converges fast below this point; above it, use I_x(a, b) = 1 - I_y(b, a).
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, y) / b
-
-
 def _t_two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom; nan for a nan ``t``."""
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom; nan for a nan ``t``.
+
+    This is I_x(df/2, 1/2), the regularized incomplete beta at x = df/(df+t^2),
+    with y = 1 - x passed exactly as t^2/(df+t^2).
+    """
     if math.isnan(t):
         return math.nan
-    t2 = t * t
-    return _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+    a, t2 = df / 2.0, t * t
+    x, y = df / (df + t2), t2 / (df + t2)
+    if x <= 0.0 or y <= 0.0:
+        return 0.0 if x <= 0.0 else 1.0
+    front = math.exp(math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5) + a * math.log(x) + 0.5 * math.log(y))
+    # The fraction converges fast below this point; above it, use I_x(a, b) = 1 - I_y(b, a).
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _betacf(a, 0.5, x) / a
+    return 1.0 - front * _betacf(0.5, a, y) / 0.5
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
