@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import corpus as corpus_io
 from .corpus import Run, filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
-from .errors import ConfigError, InsufficientDocumentsError, SeedRankError
+from .errors import ConfigError, InsufficientDocumentsError, ParseError, SeedRankError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
     ExperimentReport,
@@ -111,8 +111,8 @@ def _coerce(field: dataclasses.Field, raw, source: str):
         raise ConfigError(field.name, f"expected {target.__name__}, got {raw!r} (from {source})")
 
 
-def _parse_yaml(path: str, raw: bytes):
-    """The YAML document in ``raw``; undecodable bytes, bad YAML and a repeated key raise ConfigError at ``path:line``."""
+def _parse_yaml(path: str, text: str):
+    """The YAML document in ``text``; bad YAML and a repeated key raise ConfigError at ``path:line``."""
     # Imported here: only a config file needs it, and it costs about 20 ms.
     import yaml
 
@@ -134,11 +134,6 @@ def _parse_yaml(path: str, raw: bytes):
             return super().construct_mapping(node, deep=deep)
 
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigError("config", f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
-    try:
         return yaml.load(text, Loader=UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         # YAML marks count lines from 0.
@@ -157,11 +152,13 @@ def load_config(path: str | None, flag_overrides: dict) -> RunConfig:
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     if path:
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            with corpus_io._text_file(path) as fh:
+                text = fh.read()
+        except ParseError as exc:  # a byte that is not UTF-8
+            raise ConfigError("config", str(exc)) from None
         except OSError as exc:
             raise ConfigError("config", str(exc))
-        data = _parse_yaml(path, raw) or {}
+        data = _parse_yaml(path, text) or {}
         if not isinstance(data, dict):
             raise ConfigError("config", "config file must hold a mapping")
         for key, raw in data.items():
@@ -562,11 +559,22 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
 
 
-def _cutoff(text: str) -> int:
-    """A metric cutoff from the command line: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """A metric cutoff or a family size from the command line: an integer >= 1."""
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"cutoff must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _alpha(text: str) -> float:
+    """A significance level from the command line: a number in (0, 1)."""
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text!r}")
+    return alpha
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a TREC run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=_cutoff, nargs="+", default=list(DEFAULT_CUTOFFS))
+    p.add_argument("--k", type=_positive_int, nargs="+", default=list(DEFAULT_CUTOFFS))
     p.add_argument("--output", help="CSV path (default: stdout)")
 
     p = sub.add_parser("compare", help="significance test between two metric CSVs")
@@ -596,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-b", required=True)
     p.add_argument("--name-a", default=None)
     p.add_argument("--name-b", default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--family-size", type=int, default=None)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--family-size", type=_positive_int, default=None)
     p.add_argument("--output", help="CSV path (default: stdout)")
     return parser
 

@@ -1,15 +1,21 @@
 """Corpora, topics, qrels, lexicons, embeddings and TREC run files.
 
+Every input file is read the same way: as UTF-8, line by line, each line
+stripped of surrounding whitespace, blank lines skipped. A malformed line,
+or a byte that is not UTF-8, raises ParseError naming ``file:line``. In the
+whitespace-separated formats every line holds exactly the listed columns.
+
 File formats:
-  corpus      UTF-8 JSON lines, one document per line with exactly the
-              fields ``doc_id``, ``title``, ``abstract``.
-  topics      whitespace-separated ``topic_id doc_id``, one candidate per
-              line; line order defines the candidate order of each topic.
-  qrels       whitespace-separated ``topic_id 0 doc_id grade`` (TREC qrels).
+  corpus      JSON lines, one document per line with the fields ``doc_id``,
+              ``title``, ``abstract``.
+  topics      ``topic_id doc_id``, one candidate per line; line order
+              defines the candidate order of each topic.
+  qrels       ``topic_id 0 doc_id grade`` (TREC qrels).
   run         ``topic_id Q0 doc_id rank score tag`` (TREC run).
-  lexicon     one token per line.
-  embeddings  word2vec text format: header ``vocab_size dimension``, then
-              ``token v1 ... vd`` per line.
+  lexicon     ``token``, one per line; stopword lists, the bundled one
+              included, have this format.
+  embeddings  word2vec text format: header ``vocab_size dimension`` on
+              line 1, then ``token v1 ... vd`` per line.
 
 All loaders are pure functions of the file contents; the returned objects
 are treated as immutable afterwards.
@@ -21,7 +27,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 
@@ -170,6 +176,31 @@ def _undecodable_line(path) -> ParseError:
     return ParseError(path, 1, "the file is not valid UTF-8")
 
 
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of ``path``, stripped, read through ``_text_file``.
+
+    The file closes when the generator ends, is closed or is dropped (as by a ``for`` loop that raises).
+    """
+    with _text_file(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
+def _records(path, columns: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of each ``_lines`` line, split on whitespace into the ``columns`` named.
+
+    A line with another number of fields raises ParseError.
+    """
+    width = len(columns.split())
+    for lineno, line in _lines(path):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(path, lineno, f"expected {columns!r}, got {len(fields)} fields")
+        yield lineno, fields
+
+
 def load_corpus(path) -> dict[str, Document]:
     """Load a JSON-lines corpus keyed by doc_id.
 
@@ -179,31 +210,29 @@ def load_corpus(path) -> dict[str, Document]:
     abstracts load as "".
     """
     docs: dict[str, Document] = {}
-    with _text_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, lineno, "expected a JSON object")
-            try:
-                doc_id = record["doc_id"]
-                title = record["title"]
-                abstract = record["abstract"]
-            except KeyError as exc:
-                raise ParseError(path, lineno, f"missing field {exc.args[0]!r}") from exc
-            if not isinstance(doc_id, str) or not doc_id:
-                raise ParseError(path, lineno, "doc_id must be a non-empty string")
-            if doc_id in docs:
-                raise DuplicateIdError(path, lineno, f"duplicate doc_id {doc_id!r}")
-            for name, value in (("title", title), ("abstract", abstract)):
-                if value is not None and not isinstance(value, str):
-                    raise ParseError(path, lineno, f"{name} must be a string or null")
-            docs[doc_id] = Document(doc_id, title or "", abstract or "")
+    for lineno, line in _lines(path):
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # Besides a JSONDecodeError (its msg leaves out the position): an integer of more digits
+            # than int() converts, or arrays nested past the recursion limit.
+            raise ParseError(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+        if not isinstance(record, dict):
+            raise ParseError(path, lineno, "expected a JSON object")
+        try:
+            doc_id = record["doc_id"]
+            title = record["title"]
+            abstract = record["abstract"]
+        except KeyError as exc:
+            raise ParseError(path, lineno, f"missing field {exc.args[0]!r}") from exc
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ParseError(path, lineno, "doc_id must be a non-empty string")
+        if doc_id in docs:
+            raise DuplicateIdError(path, lineno, f"duplicate doc_id {doc_id!r}")
+        for name, value in (("title", title), ("abstract", abstract)):
+            if value is not None and not isinstance(value, str):
+                raise ParseError(path, lineno, f"{name} must be a string or null")
+        docs[doc_id] = Document(doc_id, title or "", abstract or "")
     return docs
 
 
@@ -215,35 +244,16 @@ def load_topics(topics_path, qrels_path) -> list[Topic]:
     rankable). A topic that appears only in the qrels raises
     MissingTopicError.
     """
-    topics: dict[str, Topic] = {}
-    seen: dict[str, set[str]] = {}
-    with _text_file(topics_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(
-                    topics_path, lineno, f"expected 'topic_id doc_id', got {len(parts)} fields"
-                )
-            topic_id, doc_id = parts
-            topic = topics.setdefault(topic_id, Topic(topic_id))
-            ids = seen.setdefault(topic_id, set())
-            if doc_id not in ids:
-                ids.add(doc_id)
-                topic.candidate_ids.append(doc_id)
-
-    for topic_id, judgments in load_qrels(qrels_path).items():
-        if topic_id not in topics:
-            raise MissingTopicError(
-                f"qrels reference topic {topic_id!r} which the topic file does not define"
-            )
-        topic = topics[topic_id]
-        topic.judgments = judgments
-        ids = seen[topic_id]
-        topic.candidate_ids.extend(d for d in judgments if d not in ids)
-
-    return list(topics.values())
+    # topic_id -> its candidates, as dict keys in first-occurrence order.
+    candidates: dict[str, dict[str, None]] = {}
+    for _, (topic_id, doc_id) in _records(topics_path, "topic_id doc_id"):
+        candidates.setdefault(topic_id, {})[doc_id] = None
+    qrels = load_qrels(qrels_path)
+    for topic_id, judgments in qrels.items():
+        if topic_id not in candidates:
+            raise MissingTopicError(f"qrels reference topic {topic_id!r} which the topic file does not define")
+        candidates[topic_id].update(dict.fromkeys(judgments))
+    return [Topic(topic_id, list(ids), qrels.get(topic_id, {})) for topic_id, ids in candidates.items()]
 
 
 def load_qrels(path) -> dict[str, dict[str, int]]:
@@ -253,27 +263,16 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
     grade raises ParseError at the repeat.
     """
     qrels: dict[str, dict[str, int]] = {}
-    with _text_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ParseError(
-                    path, lineno, f"expected 'topic_id 0 doc_id grade', got {len(parts)} fields"
-                )
-            topic_id, _, doc_id, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"grade {grade_str!r} is not an integer") from exc
-            if grade < 0:
-                raise ParseError(path, lineno, f"grade must be >= 0, got {grade}")
-            first = qrels.setdefault(topic_id, {}).setdefault(doc_id, grade)
-            if first != grade:
-                raise ParseError(
-                    path, lineno, f"{topic_id} {doc_id} judged {grade} here but {first} earlier"
-                )
+    for lineno, (topic_id, _, doc_id, grade_str) in _records(path, "topic_id 0 doc_id grade"):
+        try:
+            grade = int(grade_str)
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"grade {grade_str!r} is not an integer") from exc
+        if grade < 0:
+            raise ParseError(path, lineno, f"grade must be >= 0, got {grade}")
+        first = qrels.setdefault(topic_id, {}).setdefault(doc_id, grade)
+        if first != grade:
+            raise ParseError(path, lineno, f"{topic_id} {doc_id} judged {grade} here but {first} earlier")
     return qrels
 
 
@@ -343,42 +342,26 @@ def load_run(path) -> list[RunEntry]:
     """Load a TREC run file; malformed lines and a document repeated within a topic raise ParseError."""
     entries: list[RunEntry] = []
     seen: set[tuple[str, str]] = set()
-    with _text_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ParseError(path, lineno, f"expected 6 fields, got {len(parts)}")
-            topic_id, _, doc_id, rank_str, score_str, tag = parts
-            try:
-                rank = int(rank_str)
-                score = float(score_str)
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-            if rank < 1:
-                raise ParseError(path, lineno, f"rank must be positive, got {rank}")
-            if not math.isfinite(score):
-                raise ParseError(path, lineno, f"score must be finite, got {score_str}")
-            if (topic_id, doc_id) in seen:
-                raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
-            seen.add((topic_id, doc_id))
-            entries.append(RunEntry(topic_id, doc_id, rank, score, tag))
+    for lineno, (topic_id, _, doc_id, rank_str, score_str, tag) in _records(path, "topic_id Q0 doc_id rank score tag"):
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
+        if rank < 1:
+            raise ParseError(path, lineno, f"rank must be positive, got {rank}")
+        if not math.isfinite(score):
+            raise ParseError(path, lineno, f"score must be finite, got {score_str}")
+        if (topic_id, doc_id) in seen:
+            raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
+        seen.add((topic_id, doc_id))
+        entries.append(RunEntry(topic_id, doc_id, rank, score, tag))
     return entries
 
 
 def load_lexicon(path) -> Lexicon:
     """One token per line; lowercased and deduplicated. Empty files are accepted."""
-    terms = set()
-    with _text_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            if len(token.split()) > 1:
-                raise ParseError(path, lineno, f"lexicon entries must be single tokens: {token!r}")
-            terms.add(token.lower())
-    return Lexicon(frozenset(terms))
+    return Lexicon(frozenset(token.lower() for _, (token,) in _records(path, "token")))
 
 
 # Lines of the embedding body parsed by one np.loadtxt call. Besides the
@@ -405,13 +388,15 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
     after the whole body has parsed, so a malformed line anywhere is reported
     first.
     """
-    with _text_file(path) as fh:
-        vocab_size, dimension = _embedding_header(path, fh.readline())
+    with closing(_lines(path)) as lines:
+        # The header is line 1, so a blank first line is not one.
+        lineno, header = next(lines, (1, ""))
+        vocab_size, dimension = _embedding_header(path, header if lineno == 1 else "")
         if keep is None:
             # A row takes at least 2d + 2 bytes: a token and d values of one character
             # each, a separator before each value and a line break (+ 1: the last
             # line may have none).
-            fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * dimension + 2)
+            fits = (os.stat(path).st_size + 1) // (2 * dimension + 2)
             matrix = np.empty((min(vocab_size, fits), dimension))
         else:
             # How many rows pass is not known ahead.
@@ -419,7 +404,7 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
         rows: dict[str, int] = {}
         n = read = 0
         non_finite = None
-        for tokens, linenos, block in _embedding_chunks(path, fh, dimension):
+        for tokens, linenos, block in _embedding_chunks(path, lines, dimension):
             read += len(block)
             if non_finite is None:
                 finite = np.isfinite(block).all(axis=1)
@@ -468,15 +453,13 @@ def _embedding_header(path, line: str) -> tuple[int, int]:
     return vocab_size, dimension
 
 
-def _embedding_chunks(path, lines, dimension: int):
-    """``(tokens, line numbers, values)`` per chunk of the body; the values are a checked float64 block."""
+def _embedding_chunks(path, lines: Iterator[tuple[int, str]], dimension: int):
+    """``(tokens, line numbers, values)`` per chunk of the body's ``_lines``; the values are a checked float64 block."""
     tokens: list[str] = []
     values: list[str] = []
     linenos: list[int] = []
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in lines:
         parts = line.split(maxsplit=1)
-        if not parts:
-            continue
         if len(parts) == 1:
             raise ParseError(path, lineno, f"expected token plus {dimension} values, got 0 values")
         tokens.append(parts[0])

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import RunUnit
-from .errors import ContractError, InsufficientDocumentsError, InsufficientSeedsError
+from .errors import ConfigError, ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, ranked_metrics
 from .scoring import ScoringParams, derive_rng, rank
 from .vectors import TopicIndex, build_stats, cosine, line_entries, tfidf
@@ -241,6 +241,8 @@ def intra_similarity(
     of the relevant set and the per-sample means are averaged. tf-idf
     vectors are built over the topic's full candidate set.
     """
+    if repetitions < 1:
+        raise ConfigError("repetitions", f"must be positive, got {repetitions}")
     topic = index.topic
     relevant = topic.relevant_ids
     if len(relevant) < 2:

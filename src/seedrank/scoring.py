@@ -397,7 +397,7 @@ def rank(
     (``index.doc_order``, -score).
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigError("method", f"must be one of {METHODS}, got {method!r}")
     if method in AES_METHODS and index.embeddings is None:
         raise ContractError(f"method {method!r} requires an index built with an embedding table")
     stats = build_stats(index, seed_ids)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import Document, EmbeddingTable, Lexicon
+from .corpus import Document, EmbeddingTable, Lexicon, load_lexicon
 from .errors import ConfigError
 
 OURS = "ours"
@@ -49,8 +49,8 @@ _NON_WORD_TO_SPACE = _NonWordToSpace()
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     """The bundled 179-word English stopword list."""
-    data = resources.files("seedrank.data").joinpath("stopwords_english.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in data.splitlines() if line.strip())
+    with resources.as_file(resources.files("seedrank.data") / "stopwords_english.txt") as path:
+        return load_lexicon(path).terms
 
 
 @dataclass(frozen=True)

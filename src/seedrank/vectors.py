@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, EmbeddingTable, Lexicon, Topic
-from .errors import ContractError, EmptyTopicError
+from .errors import ConfigError, ContractError, EmptyTopicError
 from .text import PipelineConfig, SurfaceForms, document_text, split
 
 REPRESENTATIONS = ("bow", "boc")
@@ -205,7 +205,7 @@ def build_index(
     so a document's counts and its embedding rows are lookups of its tokens.
     """
     if representation not in REPRESENTATIONS:
-        raise ValueError(f"unknown representation {representation!r}")
+        raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {representation!r}")
     if representation == "boc" and lexicon is None:
         raise ContractError("the boc representation requires a lexicon")
     absent = [d for d in topic.candidate_ids if d not in corpus]

@@ -555,6 +555,18 @@ class TestCmdCompare:
         assert f"{path}:4:" in summary["detail"]
         assert not output.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "7"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--alpha", "x"),
+        ("--family-size", "0"), ("--family-size", "-2"), ("--family-size", "1.5"), ("--family-size", "two"),
+    ])
+    def test_bad_alpha_or_family_size_rejected_when_parsed(self, tmp_path, capsys, flag, value):
+        # The files do not exist: the arguments are refused before anything is read.
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-q", "compare", "--metrics-a", missing, "--metrics-b", missing, flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_same_bytes_without_scipy(self, tmp_path):
         # The t distribution is computed in evaluation.py; scipy is a test dependency only.
         topics = [f"T{i}" for i in range(1, 8)]

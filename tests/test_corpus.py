@@ -94,6 +94,22 @@ class TestLoadCorpus:
                         '{"doc_id":"2","title":"U","abstract":"B"}'])
         assert load_corpus(p) == load_corpus(p)
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param("[" * 100_000, id="deep"),  # nested past the recursion limit
+        pytest.param(
+            '{"doc_id":"2","title":"T","abstract":"A","n":' + "1" * 5000 + "}", id="long-integer",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit here"
+            ),
+        ),
+    ])
+    def test_json_the_decoder_refuses_is_parse_error(self, tmp_path, bad):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"doc_id":"1","title":"T","abstract":"A"}', bad])
+        with pytest.raises(ParseError) as err:
+            load_corpus(p)
+        assert err.value.lineno == 2 and str(err.value).startswith(f"{p}:2: invalid JSON")
+
 
 class TestLoadTopics:
     def make_files(self, tmp_path, topic_lines, qrels_lines):
@@ -450,6 +466,85 @@ class TestUndecodableBytes:
         p = tmp_path / "lex.txt"
         write_lines(p, ["café", "İstanbul"])
         assert load_lexicon(p).terms == frozenset({"café", "i̇stanbul"})
+
+
+def mutated_or_random(valid: bytes):
+    """File contents: random bytes, or ``valid`` with one byte replaced."""
+    replaced = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+        lambda change: valid[:change[0]] + bytes([change[1]]) + valid[change[0] + 1:]
+    )
+    return st.one_of(st.binary(max_size=200), replaced)
+
+
+class TestLoaderRobustness:
+    """Whatever bytes a file holds, a loader returns or raises a SeedRankError; a ParseError names a line of the file."""
+
+    GOOD = {
+        **TestUndecodableBytes.GOOD,
+        "corpus": ['{"doc_id":"1","title":"T","abstract":"A"}', '{"doc_id":"2","title":null,"abstract":"B c"}'],
+        "run": ["T1 Q0 d1 1 2.0 x", "T1 Q0 d2 2 1.0 x", "T2 Q0 d1 1 -0.5 x"],
+    }
+    LOADERS = {
+        "corpus": load_corpus,
+        "topics": lambda p: load_topics(p, p.with_name("valid_qrels")),
+        "qrels": lambda p: load_topics(p.with_name("valid_topics"), p),
+        "lexicon": load_lexicon,
+        "run": load_run,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_only_seedrank_errors_escape(self, tmp_path_factory, kind, data):
+        valid = "".join(line + "\n" for line in self.GOOD[kind]).encode("utf-8")
+        content = data.draw(mutated_or_random(valid))
+        directory = tmp_path_factory.mktemp("robust")
+        write_lines(directory / "valid_topics", self.GOOD["topics"])
+        write_lines(directory / "valid_qrels", self.GOOD["qrels"])
+        p = directory / kind
+        p.write_bytes(content)
+        try:
+            self.LOADERS[kind](p)
+        except ParseError as exc:
+            # bytes.splitlines breaks lines where text-mode reading does: at \n, \r and \r\n.
+            assert str(exc).startswith(f"{p}:{exc.lineno}:") and 1 <= exc.lineno <= len(content.splitlines())
+        except SeedRankError:
+            pass
+
+
+class TestFileHandles:
+    """No loader leaves its file open, whether it returns or raises."""
+
+    @pytest.mark.parametrize("loader, lines", [
+        (load_corpus, ['{"doc_id":"1","title":"T","abstract":"A"}', "{broken"]),
+        (lambda p: load_topics(p, p), ["T1 d1", "T1 d2 d3"]),
+        (load_qrels, ["T1 0 d1 1", "T1 0 d2 x"]),
+        (load_run, ["T1 Q0 d1 1 2.0 x", "T1 Q0 d2 2"]),
+        (load_run, ["T1 Q0 d1 1 2.0 x", "T1 Q0 d1 2 1.0 x"]),
+        (load_lexicon, ["heart", "heart attack"]),
+        (load_embeddings, ["", "2 2", "a 1 0"]),
+        (load_embeddings, ["2 2 2", "a 1 0"]),
+        (load_embeddings, ["2 2", "a 1 0", "b 0"]),
+        (load_embeddings, ["2 2", "a 1 0", "b 0 nan"]),
+        (load_embeddings, ["2 2", "a 1 0", "b 0 1"]),
+        (load_lexicon, ["heart", "attack"]),
+    ])
+    def test_no_file_left_open(self, tmp_path, monkeypatch, loader, lines):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(corpus, "open", recording_open, raising=False)
+        p = tmp_path / "f"
+        write_lines(p, lines)
+        try:
+            loader(p)
+        except ParseError:
+            # The error being handled holds the loader's frames through its traceback.
+            assert all(fh.closed for fh in opened)
+        assert opened and all(fh.closed for fh in opened)
 
 
 class TestStreamedEmbeddings:

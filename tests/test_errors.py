@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from seedrank import errors
+from seedrank import ScoringParams, build_index, errors, intra_similarity, rank
 
 SUBCLASSES = sorted(
     (cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.SeedRankError)),
@@ -35,3 +35,18 @@ def test_round_trip_keeps_message_and_fields(cls, round_trip):
     assert type(back) is cls and back is not exc
     # vars() holds path and lineno of a ParseError and field of a ConfigError.
     assert str(back) == str(exc) and back.args == exc.args and vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("call, field, detail", [
+    (lambda index, corpus, topic, pipeline: rank(index, ["s"], "nope", ScoringParams()), "method",
+     "must be one of ('bm25', 'qlm', 'sdr', 'aes', 'sdr+aes'), got 'nope'"),
+    (lambda index, corpus, topic, pipeline: build_index(topic, corpus, "nope", pipeline), "representation",
+     "must be one of ('bow', 'boc'), got 'nope'"),
+    (lambda index, corpus, topic, pipeline: intra_similarity(index, repetitions=0), "repetitions",
+     "must be positive, got 0"),
+])
+def test_bad_library_argument_is_config_error(hand_corpus, hand_topic, pipeline, call, field, detail):
+    index = build_index(hand_topic, hand_corpus, "bow", pipeline)
+    with pytest.raises(errors.ConfigError) as err:
+        call(index, hand_corpus, hand_topic, pipeline)
+    assert err.value.field == field and str(err.value) == f"{field}: {detail}"
