@@ -36,31 +36,21 @@ from .corpus import Run, filter_topics, load_corpus, load_embeddings, load_lexic
 from .errors import ConfigError, InsufficientDocumentsError, ParseError, SeedRankError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
-    ExperimentReport,
-    evaluate_unit,
-    loocv_single,
-    make_groups,
-    multi_sdr,
-    oracle_single,
-    intra_similarity,
-    term_commonality,
+    FRACTION, MIN_GROUP_SEEDS, REPETITIONS, ExperimentReport, check_fraction, check_repetitions,
+    evaluate_unit, intra_similarity, loocv_single, make_groups, multi_sdr, oracle_single, term_commonality,
 )
-from .scoring import AES_METHODS, METHODS, ScoringParams
-from .text import OURS, PipelineConfig, default_stopwords, kept_term
-from .vectors import REPRESENTATIONS, build_index
+from .scoring import AES_METHODS, ScoringParams, check_method
+from .text import PipelineConfig, default_stopwords, kept_term
+from .vectors import build_index, check_representation
 
 log = logging.getLogger("seedrank")
 
 ENV_PREFIX = "SEEDRANK_"
 
-# Groups evaluated per topic for multi runs need at least one relevant study
-# left over after removing a window of width max(2, ceil(0.2 N)), hence 3.
-MULTI_MIN_RELEVANT = 3
-
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything an experiment needs, mirrored 1:1 by config keys and flags."""
+    """Everything an experiment needs, mirrored 1:1 by config keys and flags; library knobs take their owners' defaults."""
 
     corpus: str | None = None
     topics: str | None = None
@@ -71,17 +61,17 @@ class RunConfig:
     output_dir: str = "out"
     method: str = "sdr"
     representation: str = "bow"
-    variant: str = OURS
-    include_title: bool = True
-    jm_lambda: float = 0.7
-    aes_alpha: float = 0.3
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    undersample_cap: int = 50
-    fraction: float = 0.2
-    repetitions: int = 10
+    variant: str = PipelineConfig.variant
+    include_title: bool = PipelineConfig.include_title
+    jm_lambda: float = ScoringParams.jm_lambda
+    aes_alpha: float = ScoringParams.aes_alpha
+    bm25_k1: float = ScoringParams.bm25_k1
+    bm25_b: float = ScoringParams.bm25_b
+    undersample_cap: int = ScoringParams.undersample_cap
+    fraction: float = FRACTION
+    repetitions: int = REPETITIONS
     min_relevant: int = 2
-    rng_seed: int = 0
+    rng_seed: int = ScoringParams.rng_seed
     workers: int = 1  # validated but unused: topics run one at a time
 
 
@@ -190,36 +180,25 @@ def _settings(config: RunConfig, stopwords: frozenset[str] | None = None) -> tup
         stopwords=default_stopwords() if stopwords is None else stopwords,
         include_title=config.include_title,
     )
-    params = ScoringParams(
-        jm_lambda=config.jm_lambda,
-        aes_alpha=config.aes_alpha,
-        bm25_k1=config.bm25_k1,
-        bm25_b=config.bm25_b,
-        undersample_cap=config.undersample_cap,
-        rng_seed=config.rng_seed,
-    )
+    params = ScoringParams(**{f.name: getattr(config, f.name) for f in dataclasses.fields(ScoringParams)})
     return pipeline, params
 
 
 def validate_config(config: RunConfig) -> None:
-    """Field-level validation; raises ConfigError naming the offending field."""
-    if config.method not in METHODS:
-        raise ConfigError("method", f"must be one of {METHODS}, got {config.method!r}")
-    if config.representation not in REPRESENTATIONS:
-        raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {config.representation!r}")
+    """Field-level validation, each library knob by its owner's rule; raises ConfigError naming the offending field."""
+    check_method(config.method)
+    check_representation(config.representation)
     _settings(config)
     for field in ("corpus", "topics", "qrels"):
         _require_file(config, field)
     if config.representation == "boc":
         _require_file(config, "lexicon")
-    if config.method in ("aes", "sdr+aes"):
+    if config.method in AES_METHODS:
         _require_file(config, "embeddings")
     if config.stopwords:
         _require_file(config, "stopwords")
-    if not 0.0 < config.fraction <= 1.0:
-        raise ConfigError("fraction", f"must be in (0, 1], got {config.fraction}")
-    if config.repetitions < 1:
-        raise ConfigError("repetitions", f"must be positive, got {config.repetitions}")
+    check_fraction(config.fraction)
+    check_repetitions(config.repetitions)
     if config.min_relevant < 2:
         raise ConfigError("min_relevant", f"must be >= 2, got {config.min_relevant}")
     if config.workers < 1:
@@ -376,7 +355,7 @@ def cmd_rank(config: RunConfig) -> int:
 def cmd_multi(config: RunConfig) -> int:
     """Seed-group runs with the oracle single-seed comparison."""
     validate_config(config)
-    min_relevant = max(config.min_relevant, MULTI_MIN_RELEVANT)
+    min_relevant = max(config.min_relevant, MIN_GROUP_SEEDS)
     res = _load_resources(config, min_relevant)
     # Every topic's windows are checked before any topic is ranked.
     groups_of = {t.topic_id: make_groups(t.topic_id, t.relevant_ids, config.fraction) for t in res.topics}

@@ -36,6 +36,10 @@ from .vectors import TopicIndex, build_stats, cosine, line_entries, tfidf
 
 LASTREL_METRICS = ("lastrel%", "wss")
 
+FRACTION = 0.2  # seed-window width as a share of the pool
+REPETITIONS = 10  # irrelevant samples drawn by intra_similarity
+MIN_GROUP_SEEDS = 3  # a window of width >= 2 must leave a seed of the pool out
+
 
 @dataclass(frozen=True)
 class SeedGroup:
@@ -148,7 +152,13 @@ def loocv_single(
     return report, runs
 
 
-def make_groups(topic_id: str, seed_pool: Sequence[str], fraction: float = 0.2) -> list[SeedGroup]:
+def check_fraction(fraction: float) -> None:
+    """Raise ConfigError unless the seed-window ``fraction`` is in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError("fraction", f"must be in (0, 1], got {fraction}")
+
+
+def make_groups(topic_id: str, seed_pool: Sequence[str], fraction: float = FRACTION) -> list[SeedGroup]:
     """Stride-1 sliding-window groups over the seed pool.
 
     Window width w = max(2, ceil(fraction * N)) and the windows start at
@@ -156,9 +166,10 @@ def make_groups(topic_id: str, seed_pool: Sequence[str], fraction: float = 0.2) 
     least one and at most w groups. A window must leave at least one seed
     out, or its run has no relevant study left to find.
     """
+    check_fraction(fraction)
     n = len(seed_pool)
-    if n < 3:
-        raise InsufficientSeedsError(f"topic {topic_id!r}: grouping needs >= 3 seed studies, got {n}")
+    if n < MIN_GROUP_SEEDS:
+        raise InsufficientSeedsError(f"topic {topic_id!r}: grouping needs >= {MIN_GROUP_SEEDS} seed studies, got {n}")
     w = max(2, math.ceil(fraction * n))
     if w >= n:
         raise InsufficientSeedsError(
@@ -229,11 +240,17 @@ def _pairwise_mean_cosine(index: TopicIndex, weights: np.ndarray, rows: np.ndarr
     return float(cosine(gram.reshape(m, m)[i, j], norms[rows[i]], norms[rows[j]]).mean())
 
 
+def check_repetitions(repetitions: int) -> None:
+    """Raise ConfigError unless ``repetitions`` is at least 1."""
+    if repetitions < 1:
+        raise ConfigError("repetitions", f"must be positive, got {repetitions}")
+
+
 def intra_similarity(
     index: TopicIndex,
     *,
-    repetitions: int = 10,
-    rng_seed: int = 0,
+    repetitions: int = REPETITIONS,
+    rng_seed: int = ScoringParams.rng_seed,
 ) -> tuple[float, float]:
     """Mean pairwise similarity among relevant vs sampled irrelevant studies.
 
@@ -241,8 +258,7 @@ def intra_similarity(
     of the relevant set and the per-sample means are averaged. tf-idf
     vectors are built over the topic's full candidate set.
     """
-    if repetitions < 1:
-        raise ConfigError("repetitions", f"must be positive, got {repetitions}")
+    check_repetitions(repetitions)
     topic = index.topic
     relevant = topic.relevant_ids
     if len(relevant) < 2:

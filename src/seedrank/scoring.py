@@ -59,6 +59,7 @@ class ScoringParams:
 
     jm_lambda        Jelinek-Mercer smoothing weight in (0, 1).
     aes_alpha        weight of the AES side in the SDR+AES interpolation.
+    bm25_k1, bm25_b  BM25 term-frequency saturation in [0, inf) and length normalisation.
     undersample_cap  partition size above which phi samples candidates.
     rng_seed         root seed for every stochastic choice.
     """
@@ -75,8 +76,8 @@ class ScoringParams:
             raise ConfigError("jm_lambda", f"must be in (0, 1), got {self.jm_lambda}")
         if not 0.0 <= self.aes_alpha <= 1.0:
             raise ConfigError("aes_alpha", f"must be in [0, 1], got {self.aes_alpha}")
-        if self.bm25_k1 < 0.0:
-            raise ConfigError("bm25_k1", f"must be >= 0, got {self.bm25_k1}")
+        if not 0.0 <= self.bm25_k1 < math.inf:
+            raise ConfigError("bm25_k1", f"must be in [0, inf), got {self.bm25_k1}")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ConfigError("bm25_b", f"must be in [0, 1], got {self.bm25_b}")
         if self.undersample_cap < 1:
@@ -377,6 +378,12 @@ def interpolate(sdr: np.ndarray, aes: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * sdr + alpha * aes
 
 
+def check_method(method: str) -> None:
+    """Raise ConfigError unless ``method`` is one of ``METHODS``."""
+    if method not in METHODS:
+        raise ConfigError("method", f"must be one of {METHODS}, got {method!r}")
+
+
 def rank(
     index: TopicIndex,
     seed_ids: Sequence[str],
@@ -396,8 +403,7 @@ def rank(
     ascending (``sort_scored``'s order), from one ``np.lexsort`` on
     (``index.doc_order``, -score).
     """
-    if method not in METHODS:
-        raise ConfigError("method", f"must be one of {METHODS}, got {method!r}")
+    check_method(method)
     if method in AES_METHODS and index.embeddings is None:
         raise ContractError(f"method {method!r} requires an index built with an embedding table")
     stats = build_stats(index, seed_ids)

@@ -189,6 +189,12 @@ class TopicIndex:
         return np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
 
 
+def check_representation(representation: str) -> None:
+    """Raise ConfigError unless ``representation`` is one of ``REPRESENTATIONS``."""
+    if representation not in REPRESENTATIONS:
+        raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {representation!r}")
+
+
 def build_index(
     topic: Topic,
     corpus: Mapping[str, Document],
@@ -204,8 +210,7 @@ def build_index(
     once per call, into its column and embedding row (``text.SurfaceForms``),
     so a document's counts and its embedding rows are lookups of its tokens.
     """
-    if representation not in REPRESENTATIONS:
-        raise ConfigError("representation", f"must be one of {REPRESENTATIONS}, got {representation!r}")
+    check_representation(representation)
     if representation == "boc" and lexicon is None:
         raise ContractError("the boc representation requires a lexicon")
     absent = [d for d in topic.candidate_ids if d not in corpus]

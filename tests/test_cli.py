@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -130,6 +131,20 @@ class TestConfigLoading:
         assert type(config.rng_seed) is int and type(config.aes_alpha) is float
 
 
+    def test_readme_config_names_every_knob_with_its_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "config.yaml"
+        path.write_text(block, encoding="utf-8")
+        config, defaults = load_config(str(path), {}), RunConfig()
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(yaml.safe_load(block)) == sorted(fields)
+        # The paths have no default; every other value is RunConfig's.
+        assert {f: getattr(config, f) for f in fields if getattr(defaults, f) is not None} == {
+            f: getattr(defaults, f) for f in fields if getattr(defaults, f) is not None
+        }
+
+
 class TestValidation:
     def test_missing_embeddings_for_interpolation(self, collection):
         config = RunConfig(**collection, method="sdr+aes")
@@ -148,6 +163,15 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(config)
         assert err.value.field == "jm_lambda"
+
+    def test_non_finite_bm25_k1_is_refused_before_any_file(self, tmp_path, capsys):
+        # The paths do not exist: the scoring knobs are checked before the files are looked for.
+        argv = ["-q", "rank", "--method", "bm25", "--bm25-k1", "nan", "--corpus", str(tmp_path / "absent.jsonl"),
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary == {"error": "ConfigError", "detail": "bm25_k1: must be in [0, inf), got nan", "field": "bm25_k1"}
+        assert not (tmp_path / "out").exists()
 
     def test_missing_corpus_file(self, collection, tmp_path):
         config = RunConfig(**{**collection, "corpus": str(tmp_path / "absent.jsonl")})

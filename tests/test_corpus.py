@@ -511,6 +511,25 @@ class TestLoaderRobustness:
         except SeedRankError:
             pass
 
+    EMBEDDINGS = ["4 3", "a 1 0 0.5", "The 0 1 -2", "b -1.5 2e-3 3", "é 0 0 1"]
+
+    @pytest.mark.parametrize("keep", [None, kept_term(frozenset({"the"}))], ids=["all-rows", "keep-rule"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 3))
+    def test_only_seedrank_errors_escape_embeddings(self, tmp_path_factory, keep, data, chunk):
+        valid = "".join(line + "\n" for line in self.EMBEDDINGS).encode("utf-8")
+        content = data.draw(mutated_or_random(valid))
+        p = tmp_path_factory.mktemp("robust") / "embeddings"
+        p.write_bytes(content)
+        try:
+            with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
+                load_embeddings(p, keep)
+        except ParseError as exc:
+            # A missing header is reported at line 1, where it belongs, even in an empty file.
+            assert str(exc).startswith(f"{p}:{exc.lineno}:") and 1 <= exc.lineno <= max(1, len(content.splitlines()))
+        except SeedRankError:
+            pass
+
 
 class TestFileHandles:
     """No loader leaves its file open, whether it returns or raises."""

@@ -53,6 +53,7 @@ def per_doc(stats, scores):
 class TestScoringParams:
     @pytest.mark.parametrize("field, value", [
         ("jm_lambda", 1.0), ("aes_alpha", 1.5), ("bm25_k1", -0.1), ("bm25_b", 2.0), ("undersample_cap", 0),
+        ("bm25_k1", math.nan), ("bm25_k1", math.inf),
     ])
     def test_out_of_range_is_config_error(self, field, value):
         with pytest.raises(ConfigError) as err:
