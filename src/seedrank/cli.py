@@ -7,7 +7,7 @@ line flags. All outputs are plain files written atomically; a fixed
 ``rng_seed`` makes them byte-reproducible. Topics run one at a time on the
 calling thread; ``workers`` is accepted and validated but has no effect.
 ``rank`` and ``multi`` evaluate and write each run unit from its arrays
-(``corpus.RunUnit``); only ``eval`` reads runs back as ``RunEntry`` lines.
+(``corpus.RunUnit``), and ``eval`` reads a run file back as such units.
 
 Output layout under ``output_dir``:
     runs/<method>-<repr>/<topic>.run            leave-one-out runs
@@ -416,17 +416,17 @@ def cmd_multi(config: RunConfig) -> int:
 def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int:
     """Evaluate any TREC run against a qrels file (no candidate restriction).
 
-    A shared topic with no relevant judgment has no AP or recall; it is
-    skipped with a warning that names it.
+    Run topics that the qrels never mention, and shared topics with no
+    relevant judgment (no AP or recall), are skipped with warnings naming them.
     """
-    entries = load_run(run_path)
+    units = {u.topic_id: u for u in load_run(run_path).units}
     qrels = corpus_io.load_qrels(qrels_path)
-    by_topic: dict[str, list] = {}
-    for entry in entries:
-        by_topic.setdefault(entry.topic_id, []).append(entry)
-    shared = [t for t in sorted(by_topic) if t in qrels]
+    shared = [t for t in sorted(units) if t in qrels]
     if not shared:
         raise ConfigError("run", "no run topic has judgments in the qrels file")
+    unmentioned = [t for t in sorted(units) if t not in qrels]
+    if unmentioned:
+        log.warning("skipped run topics that the qrels file does not mention: %s", ", ".join(unmentioned))
     unjudged = [t for t in shared if not any(g >= 1 for g in qrels[t].values())]
     if unjudged:
         log.warning("skipped topics without a relevant judgment: %s", ", ".join(unjudged))
@@ -437,8 +437,8 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     rows = []
     sums: dict[str, list[float]] = {}
     for topic_id in shared:
-        run = [e.doc_id for e in sorted(by_topic[topic_id], key=lambda e: e.rank)]
-        metrics = metric_set(run, qrels[topic_id], cutoffs)
+        unit = units[topic_id]
+        metrics = metric_set([unit.doc_ids[row] for row in unit.rows.tolist()], qrels[topic_id], cutoffs)
         for metric, value in metrics.items():
             rows.append([topic_id, metric, _format_value(value)])
             sums.setdefault(metric, []).append(value)
@@ -489,20 +489,25 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def _per_topic_means_from_csv(path: str) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"topic_id", "seed_or_window", "metric", "value"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise ConfigError("metrics", f"{path}: expected columns {sorted(expected)}")
-        for row in reader:
-            if row["seed_or_window"] == "mean" and row["topic_id"] != "ALL":
-                try:
-                    value = float(row["value"])
-                except (TypeError, ValueError):  # TypeError: the row has no value column
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ConfigError("metrics", f"{path}:{reader.line_num}: not a finite value: {row['value']!r}")
-                out.setdefault(row["metric"], {})[row["topic_id"]] = value
+    try:
+        with corpus_io._text_file(path) as fh:
+            reader = csv.DictReader(fh)
+            expected = {"topic_id", "seed_or_window", "metric", "value"}
+            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+                raise ConfigError("metrics", f"{path}: expected columns {sorted(expected)}")
+            for row in reader:
+                if row["seed_or_window"] == "mean" and row["topic_id"] != "ALL":
+                    try:
+                        value = float(row["value"])
+                    except (TypeError, ValueError):  # TypeError: the row has no value column
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ConfigError("metrics", f"{path}:{reader.line_num}: not a finite value: {row['value']!r}")
+                    out.setdefault(row["metric"], {})[row["topic_id"]] = value
+    except csv.Error as exc:  # as a field past csv's size limit; DictReader's line_num counts only whole rows
+        raise ConfigError("metrics", f"{path}:{reader.reader.line_num}: {exc}") from None
+    except ParseError as exc:  # from _text_file: a byte that is not UTF-8
+        raise ConfigError("metrics", str(exc)) from None
     if not out:
         raise ConfigError("metrics", f"{path}: no per-topic mean rows found")
     return out

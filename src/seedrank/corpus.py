@@ -11,7 +11,9 @@ File formats:
   topics      ``topic_id doc_id``, one candidate per line; line order
               defines the candidate order of each topic.
   qrels       ``topic_id 0 doc_id grade`` (TREC qrels).
-  run         ``topic_id Q0 doc_id rank score tag`` (TREC run).
+  run         ``topic_id Q0 doc_id rank score tag`` (TREC run), one tag
+              per topic; a topic's lines are ordered by rank, and lines of
+              equal rank keep their file order.
   lexicon     ``token``, one per line; stopword lists, the bundled one
               included, have this format.
   embeddings  word2vec text format: header ``vocab_size dimension`` on
@@ -29,7 +31,7 @@ import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -84,7 +86,7 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class RunEntry:
-    """One line of a TREC run file."""
+    """One line of a TREC run file, as iterating a RunUnit yields it."""
 
     topic_id: str
     doc_id: str
@@ -98,9 +100,9 @@ class RunUnit:
     """One run unit: its key, its tag, and its documents and their scores in rank order.
 
     Position i holds rank i + 1. A document is a row of ``doc_ids``, a name
-    table that the units of one topic share, so a unit holds two numbers
-    per ranked document (its row and its score). Iterating yields the
-    unit's lines as RunEntry, each made on demand.
+    table that the units ranked from one topic index share, so a unit holds
+    two numbers per ranked document (its row and its score). Iterating
+    yields the unit's lines as RunEntry, each made on demand.
     """
 
     topic_id: str
@@ -119,7 +121,7 @@ class RunUnit:
 
 @dataclass(frozen=True)
 class Run:
-    """The units of one run file, in file order; its length is its number of lines."""
+    """A run file's units in file order, as ``write_run`` takes and ``load_run`` returns them; ``len`` counts lines."""
 
     units: tuple[RunUnit, ...]
 
@@ -281,67 +283,50 @@ def filter_topics(topics: list[Topic], min_relevant: int) -> list[Topic]:
     return [t for t in topics if len(t.relevant_ids) >= min_relevant]
 
 
-def _run_lines(topic_ids, doc_ids, ranks, scores: np.ndarray, tags) -> Iterator[str]:
-    """The run-file lines of parallel columns, one per document; every run line is made here.
+def _run_lines(unit: RunUnit) -> Iterator[str]:
+    """The run-file lines of a unit, ranked 1..n; every run line is made here.
 
     A score is written with 6 significant digits (``%#.6g``) when that
     reads back as the same float, else as its shortest repr.
     """
-    for topic_id, doc_id, rank, score, tag in zip(topic_ids, doc_ids, ranks, scores.tolist(), tags):
+    for rank, (row, score) in enumerate(zip(unit.rows.tolist(), unit.scores.tolist()), start=1):
         text = "%#.6g" % score
         if float(text) != score:
             text = repr(score)
-        yield f"{topic_id} Q0 {doc_id} {rank} {text} {tag}\n"
+        yield f"{unit.topic_id} Q0 {unit.doc_ids[row]} {rank} {text} {unit.tag}\n"
 
 
-def _check_scores(topic_id: str, scores: np.ndarray) -> None:
-    """Scores in rank order must be finite and non-increasing."""
-    if not np.isfinite(scores).all():
-        raise RunValidationError(f"topic {topic_id!r}: non-finite score")
-    if (scores[1:] > scores[:-1]).any():
-        raise RunValidationError(f"topic {topic_id!r}: scores increase with rank")
+def write_run(run: Run, path) -> None:
+    """Write a TREC run file, its units in order, each ranked 1..n.
 
-
-def write_run(run: Run | Sequence[RunEntry], path) -> None:
-    """Write a TREC run file, validating the per-topic invariants first.
-
-    A Run's units are written in order, each ranked 1..n; RunEntry lines
-    are written in the given order. Within each topic, scores must be
-    finite, ranks must be 1..n without gaps and scores must be
-    non-increasing with rank; otherwise RunValidationError.
+    Two units may not share a key, and each unit's scores must be finite
+    and non-increasing with rank; otherwise RunValidationError, before
+    anything is written.
     """
-    if isinstance(run, Run):
-        seen = set()
-        for unit in run.units:
-            if unit.topic_id in seen:
-                raise RunValidationError(f"topic {unit.topic_id!r}: more than one unit")
-            seen.add(unit.topic_id)
-            _check_scores(unit.topic_id, unit.scores)
-        blocks = (
-            (repeat(unit.topic_id), map(unit.doc_ids.__getitem__, unit.rows.tolist()), count(1), unit.scores, repeat(unit.tag))
-            for unit in run.units
-        )
-    else:
-        by_topic: dict[str, list[RunEntry]] = {}
-        for entry in run:
-            by_topic.setdefault(entry.topic_id, []).append(entry)
-        for topic_id, group in by_topic.items():
-            ordered = sorted(group, key=lambda e: e.rank)
-            ranks = [e.rank for e in ordered]
-            if ranks != list(range(1, len(ordered) + 1)):
-                raise RunValidationError(f"topic {topic_id!r}: ranks are not 1..n without gaps: {ranks}")
-            _check_scores(topic_id, np.array([e.score for e in ordered], dtype=float))
-        columns = ([e.topic_id for e in run], [e.doc_id for e in run], [e.rank for e in run])
-        blocks = [(*columns, np.array([e.score for e in run], dtype=float), [e.tag for e in run])]
+    seen = set()
+    for unit in run.units:
+        if unit.topic_id in seen:
+            raise RunValidationError(f"topic {unit.topic_id!r}: more than one unit")
+        seen.add(unit.topic_id)
+        if not np.isfinite(unit.scores).all():
+            raise RunValidationError(f"topic {unit.topic_id!r}: non-finite score")
+        if (unit.scores[1:] > unit.scores[:-1]).any():
+            raise RunValidationError(f"topic {unit.topic_id!r}: scores increase with rank")
     with open(path, "w", encoding="utf-8") as fh:
-        for block in blocks:
-            fh.writelines(_run_lines(*block))
+        for unit in run.units:
+            fh.writelines(_run_lines(unit))
 
 
-def load_run(path) -> list[RunEntry]:
-    """Load a TREC run file; malformed lines and a document repeated within a topic raise ParseError."""
-    entries: list[RunEntry] = []
-    seen: set[tuple[str, str]] = set()
+def load_run(path) -> Run:
+    """Load a TREC run file as one unit per topic, in order of first appearance.
+
+    A unit's ``doc_ids`` are its topic's documents in file order; its rows
+    order them by rank, equal ranks in file order. A malformed line, a
+    document repeated within a topic and a tag other than the topic's
+    first raise ParseError.
+    """
+    # topic_id -> (its tag, doc_id -> (rank, score) in file order).
+    topics: dict[str, tuple[str, dict[str, tuple[int, float]]]] = {}
     for lineno, (topic_id, _, doc_id, rank_str, score_str, tag) in _records(path, "topic_id Q0 doc_id rank score tag"):
         try:
             rank = int(rank_str)
@@ -352,11 +337,18 @@ def load_run(path) -> list[RunEntry]:
             raise ParseError(path, lineno, f"rank must be positive, got {rank}")
         if not math.isfinite(score):
             raise ParseError(path, lineno, f"score must be finite, got {score_str}")
-        if (topic_id, doc_id) in seen:
+        first_tag, docs = topics.setdefault(topic_id, (tag, {}))
+        if tag != first_tag:
+            raise ParseError(path, lineno, f"tag {tag!r} differs from {first_tag!r}, the tag of topic {topic_id!r}")
+        if doc_id in docs:
             raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
-        seen.add((topic_id, doc_id))
-        entries.append(RunEntry(topic_id, doc_id, rank, score, tag))
-    return entries
+        docs[doc_id] = rank, score
+    units = []
+    for topic_id, (tag, docs) in topics.items():
+        ranks, scores = zip(*docs.values())
+        rows = np.argsort(np.array(ranks), kind="stable")
+        units.append(RunUnit(topic_id, tag, tuple(docs), rows, np.array(scores)[rows]))
+    return Run(tuple(units))
 
 
 def load_lexicon(path) -> Lexicon:

@@ -94,8 +94,8 @@ class ExperimentReport:
     def cross_topic_means(self) -> dict[str, float]:
         """Unweighted mean of the per-topic means."""
         out = {}
-        for metric, by_topic in self.per_topic_means().items():
-            out[metric] = sum(by_topic.values()) / len(by_topic)
+        for metric, topic_means in self.per_topic_means().items():
+            out[metric] = sum(topic_means.values()) / len(topic_means)
         return out
 
     def excluded_units(self) -> dict[str, int]:

@@ -127,24 +127,24 @@ def _cross_check_against_trec_eval():
     """Compare MAP/P@k/recall/nDCG against the trec_eval binary if present."""
     import tempfile
 
-    from seedrank import RunEntry
+    from seedrank import Run, RunUnit
 
     rng = np.random.default_rng(99)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        entries = []
+        units = []
         qrels_lines = []
         for t in range(5):
             topic = f"Q{t}"
             n = int(rng.integers(4, 9))
             docs = [f"d{i}" for i in range(n)]
             scores = sorted(rng.random(n), reverse=True)
-            entries += [RunEntry(topic, d, i + 1, s, "t") for i, (d, s) in enumerate(zip(docs, scores))]
+            units.append(RunUnit(topic, "t", tuple(docs), np.arange(n), np.array(scores)))
             for d in docs:
                 qrels_lines.append(f"{topic} 0 {d} {1 if rng.random() < 0.4 else 0}\n")
         run_path = tmp / "run.txt"
         qrels_path = tmp / "qrels.txt"
-        write_run(entries, run_path)
+        write_run(Run(tuple(units)), run_path)
         qrels_path.write_text("".join(qrels_lines), encoding="utf-8")
         out = subprocess.run(
             ["trec_eval", "-q", "-m", "map", "-m", "P.5", "-m", "ndcg_cut.5", str(qrels_path), str(run_path)],
@@ -153,9 +153,7 @@ def _cross_check_against_trec_eval():
         from seedrank import load_qrels
 
         judged = load_qrels(qrels_path)
-        by_topic = {}
-        for entry in entries:
-            by_topic.setdefault(entry.topic_id, []).append(entry.doc_id)
+        by_topic = {u.topic_id: [e.doc_id for e in u] for u in units}
         for line in out.splitlines():
             metric, topic, value = line.split()
             if topic == "all" or topic not in by_topic:

@@ -478,6 +478,42 @@ class TestCmdEval:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "T2" in warnings[0] and "T3" in warnings[0]
 
+    def test_topic_missing_from_qrels_is_skipped_with_a_warning(self, tmp_path, capsys, caplog):
+        qrels = tmp_path / "q.txt"
+        qrels.write_text("T1 0 d1 1\nT1 0 d2 0\n", encoding="utf-8")
+        outputs, warnings = [], []
+        for name, extra in (("judged.run", ""), ("extra.run", "T8 Q0 d1 1 1.0 x\nT9 Q0 d1 1 1.0 x\n")):
+            run = tmp_path / name
+            run.write_text("T1 Q0 d2 1 2.0 x\n" + extra + "T1 Q0 d1 2 1.0 x\n", encoding="utf-8")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="seedrank"):
+                assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels)]) == 0
+            outputs.append(capsys.readouterr().out)
+            warnings.append([r.getMessage() for r in caplog.records if r.levelno == logging.WARNING])
+        assert outputs[0] == outputs[1]
+        assert warnings[0] == [] and len(warnings[1]) == 1
+        assert "T8" in warnings[1][0] and "T9" in warnings[1][0] and "T1" not in warnings[1][0]
+
+    def test_shuffled_run_gives_the_same_csv(self, tmp_path, capsys):
+        # Interleaved topics, rank ties (kept in file order) and rank gaps, against the same run sorted by rank.
+        ranked = [
+            "T1 Q0 a 1 5.0 x", "T1 Q0 b 3 4.0 x", "T1 Q0 c 3 4.0 x", "T1 Q0 d 7 2.0 x", "T1 Q0 e 9 1.0 x",
+            "T2 Q0 a 2 3.0 y", "T2 Q0 f 2 3.0 y", "T2 Q0 b 5 2.0 y", "T2 Q0 c 6 0.5 y",
+        ]
+        shuffled = [ranked[i] for i in (8, 3, 5, 1, 0, 6, 4, 7, 2)]
+        qrels = tmp_path / "q.txt"
+        qrels.write_text("T1 0 c 1\nT1 0 e 1\nT1 0 b 0\nT2 0 f 1\nT2 0 c 2\n", encoding="utf-8")
+        outputs = []
+        for name, lines in (("ranked.run", ranked), ("shuffled.run", shuffled)):
+            run = tmp_path / name
+            run.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            output = tmp_path / f"{name}.csv"
+            assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels), "--output", str(output)]) == 0
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+        by_key = {(r["topic_id"], r["metric"]): float(r["value"]) for r in read_metrics(tmp_path / "ranked.run.csv")}
+        assert by_key[("T1", "map")] == pytest.approx((1 / 3 + 2 / 5) / 2)
+
     def test_no_topic_with_relevant_judgment_fails(self, tmp_path, capsys):
         run = tmp_path / "r.run"
         run.write_text("T2 Q0 d1 1 1.0 x\n", encoding="utf-8")
@@ -577,6 +613,22 @@ class TestCmdCompare:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "ConfigError" and summary["field"] == "metrics"
         assert f"{path}:4:" in summary["detail"]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("bad_row, detail", [
+        (b"T3,mean,map,0.\xe9", "byte 0xe9 is not valid UTF-8"),
+        (b"T3,mean,map," + b"1" * 200_000, "field larger than field limit"),
+    ], ids=["non-utf8-byte", "oversized-field"])
+    def test_unreadable_line_names_its_line(self, tmp_path, capsys, bad_row, detail):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"topic_id,seed_or_window,metric,value\nT1,mean,map,0.5\nT2,mean,map,0.25\n" + bad_row + b"\n")
+        good = self.write_means(tmp_path / "b.csv", [("T1", "map", 0.5), ("T2", "map", 0.5), ("T3", "map", 0.5)])
+        output = tmp_path / "sig.csv"
+        argv = ["-q", "compare", "--metrics-a", str(path), "--metrics-b", good, "--output", str(output)]
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "metrics"
+        assert f"{path}:4:" in summary["detail"] and detail in summary["detail"]
         assert not output.exists()
 
     @pytest.mark.parametrize("flag, value", [

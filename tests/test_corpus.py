@@ -196,6 +196,16 @@ class TestFilterTopics:
         assert set(t.topic_id for t in stricter) <= set(t.topic_id for t in once)
 
 
+def ranked_unit(topic_id, tag, doc_ids, scores):
+    """A RunUnit that ranks ``doc_ids`` in the order given."""
+    return RunUnit(topic_id, tag, tuple(doc_ids), np.arange(len(doc_ids)), np.array(scores, dtype=float))
+
+
+def run_lines(run):
+    """A Run's lines as RunEntry, in file order."""
+    return [entry for unit in run.units for entry in unit]
+
+
 class TestRunFiles:
     def entries(self):
         return [
@@ -204,32 +214,29 @@ class TestRunFiles:
             RunEntry("T1", "d3", 3, 0.5, "sdr"),
         ]
 
+    def run(self):
+        return Run((ranked_unit("T1", "sdr", ["d1", "d2", "d3"], [2.5, 1.25, 0.5]),))
+
     def test_line_format(self, tmp_path):
         p = tmp_path / "r.run"
-        write_run([RunEntry("T1", "d1", 1, 2.5, "sdr")], p)
+        write_run(Run((ranked_unit("T1", "sdr", ["d1"], [2.5]),)), p)
         assert p.read_text().splitlines()[0] == "T1 Q0 d1 1 2.50000 sdr"
 
     def test_round_trip_identity(self, tmp_path):
         p = tmp_path / "r.run"
-        entries = self.entries()
-        write_run(entries, p)
-        assert load_run(p) == entries
-
-    def test_rank_gap_rejected(self, tmp_path):
-        bad = [RunEntry("T1", "d1", 1, 2.0, "x"), RunEntry("T1", "d2", 3, 1.0, "x")]
-        with pytest.raises(RunValidationError):
-            write_run(bad, tmp_path / "r.run")
+        write_run(self.run(), p)
+        assert run_lines(load_run(p)) == self.entries()
 
     def test_increasing_scores_rejected(self, tmp_path):
-        bad = [RunEntry("T1", "d1", 1, 1.0, "x"), RunEntry("T1", "d2", 2, 2.0, "x")]
+        bad = Run((ranked_unit("T1", "x", ["d1", "d2"], [1.0, 2.0]),))
         with pytest.raises(RunValidationError):
             write_run(bad, tmp_path / "r.run")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_score_rejected(self, tmp_path, bad):
-        entries = [RunEntry("T1", "d1", 1, 2.0, "x"), RunEntry("T1", "d2", 2, bad, "x")]
+        run = Run((ranked_unit("T1", "x", ["d1", "d2"], [2.0, bad]),))
         with pytest.raises(RunValidationError, match="'T1'"):
-            write_run(entries, tmp_path / "r.run")
+            write_run(run, tmp_path / "r.run")
         assert not (tmp_path / "r.run").exists()
 
     @pytest.mark.parametrize("score", ["nan", "-inf", "1e999"])
@@ -254,9 +261,37 @@ class TestRunFiles:
             load_run(p)
         assert err.value.lineno == 3 and str(err.value).startswith(f"{p}:3:")
 
+    def test_tag_change_within_a_topic_rejected(self, tmp_path):
+        # A unit holds one tag; another topic may carry another.
+        p = tmp_path / "r.run"
+        p.write_text("T1 Q0 d1 1 2.0 x\nT2 Q0 d1 1 2.0 y\nT1 Q0 d2 2 1.0 y\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="'y'") as err:
+            load_run(p)
+        assert err.value.lineno == 3 and str(err.value).startswith(f"{p}:3:")
+
+    def test_units_in_first_appearance_order(self, tmp_path):
+        p = tmp_path / "r.run"
+        write_lines(p, ["T2 Q0 a 2 1.0 x", "T1 Q0 b 1 5.0 y", "T3 Q0 c 1 1.0 x", "T2 Q0 d 1 3.0 x"])
+        run = load_run(p)
+        assert [(u.topic_id, u.tag, tuple(u.doc_ids)) for u in run.units] == [
+            ("T2", "x", ("a", "d")), ("T1", "y", ("b",)), ("T3", "x", ("c",)),
+        ]
+        assert len(run) == 4
+
+    def test_equal_ranks_keep_file_order_and_gaps_close(self, tmp_path):
+        p = tmp_path / "r.run"
+        write_lines(p, ["T1 Q0 d1 7 1.0 x", "T1 Q0 d2 2 3.0 x", "T1 Q0 d3 7 1.0 x", "T1 Q0 d4 2 3.0 x", "T1 Q0 d5 4 2.0 x"])
+        (unit,) = load_run(p).units
+        assert [(e.doc_id, e.rank, e.score) for e in unit] == [
+            ("d2", 1, 3.0), ("d4", 2, 3.0), ("d5", 3, 2.0), ("d1", 4, 1.0), ("d3", 5, 1.0),
+        ]
+        # Writing the loaded run numbers each topic's lines 1..n.
+        write_run(load_run(p), tmp_path / "w.run")
+        assert [line.split()[3] for line in (tmp_path / "w.run").read_text().splitlines()] == ["1", "2", "3", "4", "5"]
+
     def test_write_load_write_is_byte_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.run", tmp_path / "b.run"
-        write_run(self.entries(), p1)
+        write_run(self.run(), p1)
         write_run(load_run(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -268,8 +303,8 @@ class TestRunFiles:
         scores = sorted(scores, reverse=True)
         entries = [RunEntry("T", f"d{i}", i + 1, s, "t") for i, s in enumerate(scores)]
         p = tmp_path_factory.mktemp("runs") / "r.run"
-        write_run(entries, p)
-        assert load_run(p) == entries
+        write_run(Run((ranked_unit("T", "t", [f"d{i}" for i in range(len(scores))], scores),)), p)
+        assert run_lines(load_run(p)) == entries
 
 
 def reference_format_score(score: float) -> str:
@@ -305,7 +340,7 @@ class TestRunUnitFiles:
             return [(e.topic_id, e.doc_id, e.rank, e.score.hex(), e.tag) for e in entries]
 
         expected = [entry for unit in units for entry in unit]
-        assert len(run) == len(expected) and lines(load_run(p)) == lines(expected)
+        assert len(run) == len(expected) and lines(run_lines(load_run(p))) == lines(expected)
         for unit in units:
             assert [e.rank for e in unit] == list(range(1, len(unit) + 1))
         texts = [line.split()[4] for line in p.read_text(encoding="utf-8").splitlines()]
@@ -314,9 +349,7 @@ class TestRunUnitFiles:
     def test_unit_and_entries_write_the_same_bytes(self, tmp_path):
         unit = RunUnit("T1", "sdr", ("d3", "d1", "d2"), np.array([1, 2, 0]), np.array([2.5, 1.25, 0.5]))
         write_run(Run((unit,)), tmp_path / "unit.run")
-        write_run(list(unit), tmp_path / "entries.run")
-        assert (tmp_path / "unit.run").read_bytes() == (tmp_path / "entries.run").read_bytes()
-        assert load_run(tmp_path / "unit.run") == list(unit)
+        assert run_lines(load_run(tmp_path / "unit.run")) == list(unit)
 
     @pytest.mark.parametrize("scores", [[1.0, 2.0], [2.0, float("nan")], [float("inf"), 1.0], [1.0, float("-inf")]])
     def test_bad_scores_rejected(self, tmp_path, scores):
@@ -547,6 +580,7 @@ class TestFileHandles:
         (load_embeddings, ["2 2", "a 1 0", "b 0 nan"]),
         (load_embeddings, ["2 2", "a 1 0", "b 0 1"]),
         (load_lexicon, ["heart", "attack"]),
+        (load_run, ["T1 Q0 d1 1 2.0 x", "T1 Q0 d2 2 1.0 y"]),
     ])
     def test_no_file_left_open(self, tmp_path, monkeypatch, loader, lines):
         opened = []
