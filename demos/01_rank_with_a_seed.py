@@ -42,8 +42,10 @@ for term, weight in sorted(weights.items(), key=lambda kv: -kv[1]):
     print(f"  {term:12s} {weight:.4f}")
 
 for method in ("qlm", "sdr", "bm25"):
-    entries = rank(index, ["seed"], method, params)
-    ordering = "  ".join(f"{e.rank}. {e.doc_id} ({e.score:.3f})" for e in entries)
+    # A unit holds the candidates' rows of the index and their scores, in rank order.
+    unit = rank(index, ["seed"], method, params)
+    ranked = enumerate(zip(unit.rows.tolist(), unit.scores.tolist()), start=1)
+    ordering = "  ".join(f"{r}. {unit.doc_ids[row]} ({score:.3f})" for r, (row, score) in ranked)
     print(f"\n{method:>4s}: {ordering}")
 
 print(

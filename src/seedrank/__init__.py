@@ -14,7 +14,6 @@ from .corpus import (
     EmbeddingTable,
     Lexicon,
     Run,
-    RunEntry,
     RunUnit,
     Topic,
     filter_topics,

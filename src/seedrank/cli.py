@@ -217,7 +217,12 @@ class _Resources:
 
 def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
     corpus = load_corpus(config.corpus)
-    topics = filter_topics(load_topics(config.topics, config.qrels), min_relevant)
+    loaded = load_topics(config.topics, config.qrels)
+    topics = filter_topics(loaded, min_relevant)
+    kept = {t.topic_id for t in topics}
+    dropped = [t.topic_id for t in loaded if t.topic_id not in kept]
+    if dropped:
+        log.info("skipped topics with fewer than %d relevant studies: %s", min_relevant, ", ".join(dropped))
     if not topics:
         raise ConfigError("qrels", f"no topic has >= {min_relevant} relevant studies")
     stopwords = load_lexicon(config.stopwords).terms if config.stopwords else None

@@ -12,8 +12,8 @@ File formats:
               defines the candidate order of each topic.
   qrels       ``topic_id 0 doc_id grade`` (TREC qrels).
   run         ``topic_id Q0 doc_id rank score tag`` (TREC run), one tag
-              per topic; a topic's lines are ordered by rank, and lines of
-              equal rank keep their file order.
+              per topic; a topic's lines are ordered by score descending,
+              exact ties by doc_id (``rank_order``), whatever their ranks.
   lexicon     ``token``, one per line; stopword lists, the bundled one
               included, have this format.
   embeddings  word2vec text format: header ``vocab_size dimension`` on
@@ -84,25 +84,13 @@ class Lexicon:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    """One line of a TREC run file, as iterating a RunUnit yields it."""
-
-    topic_id: str
-    doc_id: str
-    rank: int
-    score: float
-    tag: str
-
-
 @dataclass(frozen=True, eq=False)
 class RunUnit:
     """One run unit: its key, its tag, and its documents and their scores in rank order.
 
     Position i holds rank i + 1. A document is a row of ``doc_ids``, a name
     table that the units ranked from one topic index share, so a unit holds
-    two numbers per ranked document (its row and its score). Iterating
-    yields the unit's lines as RunEntry, each made on demand.
+    two numbers per ranked document (its row and its score).
     """
 
     topic_id: str
@@ -113,10 +101,6 @@ class RunUnit:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[RunEntry]:
-        for rank, (row, score) in enumerate(zip(self.rows.tolist(), self.scores.tolist()), start=1):
-            yield RunEntry(self.topic_id, self.doc_ids[row], rank, score, self.tag)
 
 
 @dataclass(frozen=True)
@@ -278,6 +262,19 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
     return qrels
 
 
+def doc_order(doc_ids: Sequence[str]) -> np.ndarray:
+    """Each name's position in ``sorted(doc_ids)`` (Python ``str`` order), the tie rule of ``rank_order``."""
+    order = np.empty(len(doc_ids), dtype=np.intp)
+    order[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return order
+
+
+def rank_order(rows: np.ndarray, scores: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``scores`` by score descending, exact ties (0.0 = -0.0) by ``order``, a ``doc_order``."""
+    ranked = np.lexsort((order[rows], -scores))
+    return rows[ranked], scores[ranked]
+
+
 def filter_topics(topics: list[Topic], min_relevant: int) -> list[Topic]:
     """Keep topics with at least ``min_relevant`` relevant studies, order preserved."""
     return [t for t in topics if len(t.relevant_ids) >= min_relevant]
@@ -321,12 +318,12 @@ def load_run(path) -> Run:
     """Load a TREC run file as one unit per topic, in order of first appearance.
 
     A unit's ``doc_ids`` are its topic's documents in file order; its rows
-    order them by rank, equal ranks in file order. A malformed line, a
-    document repeated within a topic and a tag other than the topic's
-    first raise ParseError.
+    order them by score (``rank_order``), as trec_eval does, whatever the
+    rank column says. A malformed line (a rank below 1, a non-finite score)
+    and, within a topic, a repeated document or a new tag raise ParseError.
     """
-    # topic_id -> (its tag, doc_id -> (rank, score) in file order).
-    topics: dict[str, tuple[str, dict[str, tuple[int, float]]]] = {}
+    # topic_id -> (its tag, doc_id -> score in file order).
+    topics: dict[str, tuple[str, dict[str, float]]] = {}
     for lineno, (topic_id, _, doc_id, rank_str, score_str, tag) in _records(path, "topic_id Q0 doc_id rank score tag"):
         try:
             rank = int(rank_str)
@@ -342,12 +339,12 @@ def load_run(path) -> Run:
             raise ParseError(path, lineno, f"tag {tag!r} differs from {first_tag!r}, the tag of topic {topic_id!r}")
         if doc_id in docs:
             raise ParseError(path, lineno, f"document {doc_id!r} is listed twice for topic {topic_id!r}")
-        docs[doc_id] = rank, score
+        docs[doc_id] = score
     units = []
     for topic_id, (tag, docs) in topics.items():
-        ranks, scores = zip(*docs.values())
-        rows = np.argsort(np.array(ranks), kind="stable")
-        units.append(RunUnit(topic_id, tag, tuple(docs), rows, np.array(scores)[rows]))
+        doc_ids = tuple(docs)
+        rows, scores = rank_order(np.arange(len(doc_ids)), np.array(list(docs.values())), doc_order(doc_ids))
+        units.append(RunUnit(topic_id, tag, doc_ids, rows, scores))
     return Run(tuple(units))
 
 

@@ -16,7 +16,7 @@ Every scorer takes one run unit's statistics over a topic index
 unit's candidate order. The lexical scorers read only the postings of the
 seed terms and add each candidate's addends in seed-term order. ``rank``
 returns the unit as arrays (``corpus.RunUnit``): its candidate rows and
-their scores in rank order, from one ``np.lexsort``.
+their scores in rank order, from ``corpus.rank_order``.
 
 All logarithms are natural. Every function here is pure; rankings are fully
 determined by the inputs and ``ScoringParams.rng_seed``.
@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RunUnit
+from .corpus import RunUnit, rank_order
 from .errors import ConfigError, ContractError
 from .vectors import (
     CollectionStats,
@@ -400,8 +400,8 @@ def rank(
     form one pseudo-seed, their texts concatenated in order. Returns the
     unit keyed by ``run_key`` (default: the topic id): its candidate rows
     and their scores, by score descending with ties broken by doc_id
-    ascending (``sort_scored``'s order), from one ``np.lexsort`` on
-    (``index.doc_order``, -score).
+    ascending (``sort_scored``'s order), from ``corpus.rank_order`` with
+    ``index.doc_order``.
     """
     check_method(method)
     if method in AES_METHODS and index.embeddings is None:
@@ -424,5 +424,5 @@ def rank(
             scores = interpolate(minmax(scores), minmax(aes_score(stats)), params.aes_alpha)
 
     key = run_key if run_key is not None else index.topic_id
-    order = np.lexsort((index.doc_order[stats.candidates], -scores))
-    return RunUnit(key, f"{method}-{index.representation}", index.doc_ids, stats.candidates[order], scores[order])
+    rows, scores = rank_order(stats.candidates, scores, index.doc_order)
+    return RunUnit(key, f"{method}-{index.representation}", index.doc_ids, rows, scores)

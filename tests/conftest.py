@@ -8,6 +8,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from seedrank import Document, PipelineConfig, ScoringParams, Topic
 
 
+def unit_lines(unit):
+    """A run unit's lines as ``(doc_id, rank, score)``, ranked 1..n in the unit's order."""
+    ranked = enumerate(zip(unit.rows.tolist(), unit.scores.tolist()), start=1)
+    return [(unit.doc_ids[row], rank, score) for rank, (row, score) in ranked]
+
+
 @pytest.fixture
 def pipeline():
     return PipelineConfig()

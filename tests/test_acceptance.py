@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,8 @@ from seedrank import (
 from seedrank.evaluation import average_precision
 from seedrank.scoring import sort_scored
 from synth import by_term, count_index, synth_collection, synth_topic, write_collection_files
+
+from conftest import unit_lines
 
 import math
 
@@ -84,8 +85,7 @@ def test_criterion_1_reduction_identity(pipeline, params):
             topic, corpus = synth_topic(rng, f"R{t:02d}", n_docs, vocab_size=vocab, n_relevant=3)
             seed_id = topic.relevant_ids[0]
             index = build_index(topic, corpus, "bow", pipeline)
-            qlm_entries = rank(index, [seed_id], "qlm", params)
-            qlm_order = [e.doc_id for e in qlm_entries]
+            qlm_order = [doc_id for doc_id, _, _ in unit_lines(rank(index, [seed_id], "qlm", params))]
 
             stats = build_stats(index, [seed_id])
             unit_weights = np.ones(len(stats.seed_terms))
@@ -153,7 +153,7 @@ def _cross_check_against_trec_eval():
         from seedrank import load_qrels
 
         judged = load_qrels(qrels_path)
-        by_topic = {u.topic_id: [e.doc_id for e in u] for u in units}
+        by_topic = {u.topic_id: [doc_id for doc_id, _, _ in unit_lines(u)] for u in units}
         for line in out.splitlines():
             metric, topic, value = line.split()
             if topic == "all" or topic not in by_topic:
@@ -204,8 +204,8 @@ def test_criterion_4_multi_seed_structure(pipeline, params):
         single = rank(index, [seed_id], "sdr", params)
         singleton = SeedGroup("M0", (seed_id,), 0)
         multi_one = multi_sdr(index, singleton, "sdr", params)
-        # The same (doc_id, rank, score, tag) lines; only the run key differs.
-        assert [astuple(e)[1:] for e in multi_one] == [astuple(e)[1:] for e in single]
+        # The same (doc_id, rank, score) lines and tag; only the run key differs.
+        assert unit_lines(multi_one) == unit_lines(single) and multi_one.tag == single.tag
 
         groups = make_groups("M0", topic.relevant_ids)
         assert len(groups) == len(topic.relevant_ids) - len(groups[0].member_ids) + 1
@@ -213,7 +213,7 @@ def test_criterion_4_multi_seed_structure(pipeline, params):
         for group in groups:
             multi = multi_sdr(index, group, "sdr", params)
             oracle = oracle_single(report, group, singles)
-            assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
+            assert {doc_id for doc_id, _, _ in unit_lines(multi)} == {doc_id for doc_id, _, _ in unit_lines(oracle)}
 
 
 def test_criterion_5_byte_determinism(tmp_path):

@@ -10,6 +10,7 @@ import threading
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -21,6 +22,7 @@ from synth import (
     mixed_case,
     mixed_case_embedding_terms,
     synth_collection,
+    synth_topic,
     write_collection_files,
     write_embeddings_file,
     write_lexicon_file,
@@ -379,6 +381,31 @@ class TestCmdMulti:
         assert summary["error"] == "InsufficientSeedsError" and "'T000'" in summary["detail"]
         assert not list(tmp_path.rglob("*.run"))
 
+    def test_topic_below_min_relevant_is_dropped_with_an_info_line(self, tmp_path, caplog):
+        # multi needs 3 relevant studies per topic; T900 has 2.
+        topics, corpus = synth_collection(
+            seed=99, n_topics=3, n_docs=24, vocab_size=120, n_relevant=4, irrelevant_overlap=0.3
+        )
+        short, short_docs = synth_topic(np.random.default_rng(5), "T900", 24, 120, n_relevant=2, irrelevant_overlap=0.3)
+        outputs, notes = {}, {}
+        for name, kept in (("full", topics), ("with-short", [topics[0], short, *topics[1:]])):
+            base = tmp_path / name
+            base.mkdir()
+            corpus_path, topics_path, qrels_path = write_collection_files(base, kept, corpus | short_docs)
+            argv = [
+                "multi", "--corpus", str(corpus_path), "--topics", str(topics_path), "--qrels", str(qrels_path),
+                "--method", "sdr", "--output-dir", str(base / "out"),
+            ]
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="seedrank"):
+                assert main(argv) == 0
+            outputs[name] = {f: (base / "out" / f).read_bytes() for f in ("metrics.csv", "oracle_comparison.csv")}
+            notes[name] = [r.getMessage() for r in caplog.records if "fewer than" in r.getMessage()]
+        assert outputs["with-short"] == outputs["full"]
+        assert notes["full"] == []
+        assert notes["with-short"] == ["skipped topics with fewer than 3 relevant studies: T900"]
+        assert not (tmp_path / "with-short" / "out" / "runs" / "sdr-bow-multi" / "T900.run").exists()
+
 
 class TestTopicFailures:
     """A topic that fails costs only its own outputs."""
@@ -495,7 +522,7 @@ class TestCmdEval:
         assert "T8" in warnings[1][0] and "T9" in warnings[1][0] and "T1" not in warnings[1][0]
 
     def test_shuffled_run_gives_the_same_csv(self, tmp_path, capsys):
-        # Interleaved topics, rank ties (kept in file order) and rank gaps, against the same run sorted by rank.
+        # Interleaved topics, exact score ties (ordered by doc id) and rank gaps, against the same run sorted by rank.
         ranked = [
             "T1 Q0 a 1 5.0 x", "T1 Q0 b 3 4.0 x", "T1 Q0 c 3 4.0 x", "T1 Q0 d 7 2.0 x", "T1 Q0 e 9 1.0 x",
             "T2 Q0 a 2 3.0 y", "T2 Q0 f 2 3.0 y", "T2 Q0 b 5 2.0 y", "T2 Q0 c 6 0.5 y",
@@ -513,6 +540,17 @@ class TestCmdEval:
         assert outputs[0] == outputs[1]
         by_key = {(r["topic_id"], r["metric"]): float(r["value"]) for r in read_metrics(tmp_path / "ranked.run.csv")}
         assert by_key[("T1", "map")] == pytest.approx((1 / 3 + 2 / 5) / 2)
+
+    def test_scores_order_the_run_not_its_rank_column(self, tmp_path, capsys):
+        # trec_eval sorts a topic by score and ignores the rank column; d2, the relevant one, scores highest.
+        run = tmp_path / "r.run"
+        run.write_text("T1 Q0 d1 1 1.0 x\nT1 Q0 d2 2 3.0 x\n", encoding="utf-8")
+        qrels = tmp_path / "q.txt"
+        qrels.write_text("T1 0 d2 1\n", encoding="utf-8")
+        assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels), "--k", "1"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        by_key = {(r["topic_id"], r["metric"]): r["value"] for r in rows}
+        assert by_key[("T1", "map")] == "1.0" and by_key[("T1", "p@1")] == "1.0"
 
     def test_no_topic_with_relevant_judgment_fails(self, tmp_path, capsys):
         run = tmp_path / "r.run"
@@ -769,27 +807,6 @@ class TestTopicDriver:
         assert len(outputs["1"]) == 2 + 2 * 3 and outputs["3"] == outputs["1"]
         assert caplog.messages.count("workers=3 has no effect: topics run one at a time") == 1
         assert not any(m.startswith("workers=1 ") for m in caplog.messages)
-
-    def test_commands_make_no_run_entry(self, tmp_path, collection, monkeypatch):
-        made = []
-        real_init = seedrank.RunEntry.__init__
-
-        def counting_init(self, *args, **kwargs):
-            made.append(args)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(seedrank.RunEntry, "__init__", counting_init)
-        for command in ("rank", "multi"):
-            out_dir = tmp_path / command
-            argv = [
-                "-q", command, "--corpus", collection["corpus"], "--topics", collection["topics"],
-                "--qrels", collection["qrels"], "--method", "sdr", "--output-dir", str(out_dir),
-            ]
-            assert main(argv) == 0
-            assert len(list(out_dir.rglob("*.run"))) == 3 * (1 if command == "rank" else 2)
-        assert made == []
-        seedrank.RunEntry("T", "d", 1, 1.0, "x")
-        assert len(made) == 1  # the count does see a RunEntry being made
 
     def test_zero_workers_is_refused(self, tmp_path, collection, capsys):
         # A bool is refused by test_wrong_type_exit_code_and_summary.

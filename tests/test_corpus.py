@@ -16,7 +16,6 @@ from seedrank import (
     ParseError,
     PipelineConfig,
     Run,
-    RunEntry,
     RunUnit,
     RunValidationError,
     SeedRankError,
@@ -32,7 +31,10 @@ from seedrank import (
     write_run,
 )
 from seedrank import corpus
+from seedrank.scoring import sort_scored
 from seedrank.text import default_stopwords, document_text, kept_term
+
+from conftest import unit_lines
 
 
 def write_lines(path, lines):
@@ -202,17 +204,13 @@ def ranked_unit(topic_id, tag, doc_ids, scores):
 
 
 def run_lines(run):
-    """A Run's lines as RunEntry, in file order."""
-    return [entry for unit in run.units for entry in unit]
+    """A Run's lines as ``(topic_id, doc_id, rank, score, tag)``, in file order."""
+    return [(unit.topic_id, *line, unit.tag) for unit in run.units for line in unit_lines(unit)]
 
 
 class TestRunFiles:
     def entries(self):
-        return [
-            RunEntry("T1", "d1", 1, 2.5, "sdr"),
-            RunEntry("T1", "d2", 2, 1.25, "sdr"),
-            RunEntry("T1", "d3", 3, 0.5, "sdr"),
-        ]
+        return [("T1", "d1", 1, 2.5, "sdr"), ("T1", "d2", 2, 1.25, "sdr"), ("T1", "d3", 3, 0.5, "sdr")]
 
     def run(self):
         return Run((ranked_unit("T1", "sdr", ["d1", "d2", "d3"], [2.5, 1.25, 0.5]),))
@@ -278,16 +276,33 @@ class TestRunFiles:
         ]
         assert len(run) == 4
 
-    def test_equal_ranks_keep_file_order_and_gaps_close(self, tmp_path):
+    def test_equal_scores_order_by_doc_id_and_gaps_close(self, tmp_path):
         p = tmp_path / "r.run"
         write_lines(p, ["T1 Q0 d1 7 1.0 x", "T1 Q0 d2 2 3.0 x", "T1 Q0 d3 7 1.0 x", "T1 Q0 d4 2 3.0 x", "T1 Q0 d5 4 2.0 x"])
         (unit,) = load_run(p).units
-        assert [(e.doc_id, e.rank, e.score) for e in unit] == [
-            ("d2", 1, 3.0), ("d4", 2, 3.0), ("d5", 3, 2.0), ("d1", 4, 1.0), ("d3", 5, 1.0),
-        ]
+        assert unit_lines(unit) == [("d2", 1, 3.0), ("d4", 2, 3.0), ("d5", 3, 2.0), ("d1", 4, 1.0), ("d3", 5, 1.0)]
         # Writing the loaded run numbers each topic's lines 1..n.
         write_run(load_run(p), tmp_path / "w.run")
         assert [line.split()[3] for line in (tmp_path / "w.run").read_text().splitlines()] == ["1", "2", "3", "4", "5"]
+
+    def test_scores_order_a_topic_whatever_its_ranks_say(self, tmp_path):
+        p = tmp_path / "r.run"
+        write_lines(p, ["T1 Q0 d1 1 1.0 x", "T1 Q0 d2 2 3.0 x", "T1 Q0 d3 3 2.0 x"])
+        (unit,) = load_run(p).units
+        assert unit_lines(unit) == [("d2", 1, 3.0), ("d3", 2, 2.0), ("d1", 3, 1.0)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(range(7)), st.lists(st.integers(1, 9), min_size=7, max_size=7))
+    def test_exact_ties_order_by_doc_id_whatever_the_file_order(self, tmp_path_factory, order, ranks):
+        # Python str order: "D1" < "a" < "d10" < "d9"; 0.0 and -0.0 tie.
+        lines = [("d9", "1.0"), ("d10", "1.0"), ("D1", "1.0"), ("a", "2.0"), ("z", "0.0"), ("b", "-0.0"), ("y", "-0.0")]
+        p = tmp_path_factory.mktemp("runs") / "r.run"
+        write_lines(p, [f"T1 Q0 {lines[i][0]} {rank} {lines[i][1]} x" for i, rank in zip(order, ranks)])
+        (unit,) = load_run(p).units
+        assert [(doc_id, score.hex()) for doc_id, _, score in unit_lines(unit)] == [
+            ("a", "0x1.0000000000000p+1"), ("D1", "0x1.0000000000000p+0"), ("d10", "0x1.0000000000000p+0"),
+            ("d9", "0x1.0000000000000p+0"), ("b", "-0x0.0p+0"), ("y", "-0x0.0p+0"), ("z", "0x0.0p+0"),
+        ]
 
     def test_write_load_write_is_byte_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.run", tmp_path / "b.run"
@@ -301,7 +316,7 @@ class TestRunFiles:
     ))
     def test_round_trip_arbitrary_scores(self, tmp_path_factory, scores):
         scores = sorted(scores, reverse=True)
-        entries = [RunEntry("T", f"d{i}", i + 1, s, "t") for i, s in enumerate(scores)]
+        entries = [("T", f"d{i}", i + 1, s, "t") for i, s in enumerate(scores)]
         p = tmp_path_factory.mktemp("runs") / "r.run"
         write_run(Run((ranked_unit("T", "t", [f"d{i}" for i in range(len(scores))], scores),)), p)
         assert run_lines(load_run(p)) == entries
@@ -337,19 +352,26 @@ class TestRunUnitFiles:
         write_run(run, p)
 
         def lines(entries):
-            return [(e.topic_id, e.doc_id, e.rank, e.score.hex(), e.tag) for e in entries]
+            return [(topic_id, doc_id, rank, score.hex(), tag) for topic_id, doc_id, rank, score, tag in entries]
 
-        expected = [entry for unit in units for entry in unit]
-        assert len(run) == len(expected) and lines(run_lines(load_run(p))) == lines(expected)
-        for unit in units:
-            assert [e.rank for e in unit] == list(range(1, len(unit) + 1))
-        texts = [line.split()[4] for line in p.read_text(encoding="utf-8").splitlines()]
-        assert texts == [reference_format_score(e.score) for e in expected]
+        # The file holds each unit's lines in the unit's order, ranked 1..n.
+        written = run_lines(run)
+        assert len(run) == len(written)
+        fields = [line.split() for line in p.read_text(encoding="utf-8").splitlines()]
+        assert [(f[0], f[2], int(f[3]), float(f[4]).hex(), f[5]) for f in fields] == lines(written)
+        assert [f[4] for f in fields] == [reference_format_score(score) for _, _, _, score, _ in written]
+        # Loading orders each topic by score, exact ties by doc id, whatever order the unit gave its ties.
+        expected = [
+            (unit.topic_id, doc_id, rank, score, unit.tag)
+            for unit in units
+            for rank, (doc_id, score) in enumerate(sort_scored({d: s for d, _, s in unit_lines(unit)}), start=1)
+        ]
+        assert lines(run_lines(load_run(p))) == lines(expected)
 
     def test_unit_and_entries_write_the_same_bytes(self, tmp_path):
         unit = RunUnit("T1", "sdr", ("d3", "d1", "d2"), np.array([1, 2, 0]), np.array([2.5, 1.25, 0.5]))
         write_run(Run((unit,)), tmp_path / "unit.run")
-        assert run_lines(load_run(tmp_path / "unit.run")) == list(unit)
+        assert run_lines(load_run(tmp_path / "unit.run")) == run_lines(Run((unit,)))
 
     @pytest.mark.parametrize("scores", [[1.0, 2.0], [2.0, float("nan")], [float("inf"), 1.0], [1.0, float("-inf")]])
     def test_bad_scores_rejected(self, tmp_path, scores):

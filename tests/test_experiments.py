@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from seedrank import (
     ExperimentReport,
     InsufficientDocumentsError,
     InsufficientSeedsError,
-    RunEntry,
     RunUnit,
     SeedGroup,
     Topic,
@@ -30,6 +28,8 @@ from hypothesis import given, strategies as st
 from seedrank.experiments import _pairwise_mean_cosine
 from synth import count_index
 
+from conftest import unit_lines
+
 
 class TestLoocvSingle:
     def test_one_run_per_seed_and_mean(self, params, pipeline, hand_corpus, hand_topic):
@@ -39,9 +39,9 @@ class TestLoocvSingle:
         aps = [units[seed]["map"] for seed in runs]
         per_topic = report.per_topic_means()["map"]["T1"]
         assert per_topic == pytest.approx(sum(aps) / len(aps), abs=1e-12)
-        for seed_id, entries in runs.items():
-            assert all(e.topic_id == f"T1.{seed_id}" for e in entries)
-            assert {e.doc_id for e in entries} == set(hand_corpus) - {seed_id}
+        for seed_id, unit in runs.items():
+            assert unit.topic_id == f"T1.{seed_id}"
+            assert {doc_id for doc_id, _, _ in unit_lines(unit)} == set(hand_corpus) - {seed_id}
 
     def test_single_relevant_is_error(self, params, pipeline, hand_corpus):
         topic = Topic("T1", list(hand_corpus), {"s": 1})
@@ -122,14 +122,14 @@ class TestMultiSdr:
         index = build_index(multi_topic, multi_corpus, "bow", pipeline)
         multi = multi_sdr(index, group, "sdr", params)
         single = rank(index, ["s1"], "sdr", params)
-        # The same (doc_id, rank, score, tag) lines; only the run key differs.
-        assert [astuple(e)[1:] for e in multi] == [astuple(e)[1:] for e in single]
+        # The same (doc_id, rank, score) lines and tag; only the run key differs.
+        assert unit_lines(multi) == unit_lines(single) and multi.tag == single.tag
 
     def test_group_excludes_all_members(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1", "s2"), 0)
-        entries = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
-        assert {e.doc_id for e in entries} == {"c1", "c2", "c3", "c4", "c5"}
-        assert all(e.topic_id == "T9.w0" for e in entries)
+        unit = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
+        assert {doc_id for doc_id, _, _ in unit_lines(unit)} == {"c1", "c2", "c3", "c4", "c5"}
+        assert unit.topic_id == "T9.w0"
 
     def test_pseudo_seed_vocabulary_is_union(self, params, pipeline):
         corpus = {
@@ -140,20 +140,20 @@ class TestMultiSdr:
         }
         topic = Topic("T", list(corpus), {"s1": 1, "s2": 1, "c1": 1})
         group = SeedGroup("T", ("s1", "s2"), 0)
-        entries = multi_sdr(build_index(topic, corpus, "bow", pipeline), group, "qlm", params)
+        unit = multi_sdr(build_index(topic, corpus, "bow", pipeline), group, "qlm", params)
         # both candidates score > 0 because the pseudo-seed covers both vocabularies
-        assert all(e.score > 0 for e in entries)
+        assert all(score > 0 for _, _, score in unit_lines(unit))
 
     def test_two_seed_group_matches_reference(self, params, pipeline, multi_corpus, multi_topic):
         group = SeedGroup("T9", ("s1", "s2"), 0)
-        entries = multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params)
-        assert [e.doc_id for e in entries] == ["c1", "c5", "c3", "c2", "c4"]  # frozen from the oracle
+        entries = unit_lines(multi_sdr(build_index(multi_topic, multi_corpus, "bow", pipeline), group, "sdr", params))
+        assert [doc_id for doc_id, _, _ in entries] == ["c1", "c5", "c3", "c2", "c4"]  # frozen from the oracle
 
         counts = {d: ref_counts(doc, pipeline) for d, doc in multi_corpus.items()}
         seed = dict(Counter(counts.pop("s1")) + Counter(counts.pop("s2")))
         expected = ref_seed_driven_scores(seed, counts, params.jm_lambda)
-        for entry in entries:
-            assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
+        for doc_id, _, score in entries:
+            assert score == pytest.approx(expected[doc_id], abs=1e-9)
 
 
 def hand_unit(key, names, doc_ids, scores):
@@ -189,11 +189,11 @@ class TestOracleSingle:
 
     def test_picks_best_and_removes_group_mates(self):
         group = SeedGroup("T", ("s1", "s2"), 0)
-        entries = list(oracle_single(self.report(self.topic(), self.runs()), group, self.runs()))
-        assert [e.doc_id for e in entries] == ["d1", "d3", "d4"]
-        assert [e.rank for e in entries] == [1, 2, 3]
-        assert all(e.topic_id == "T.w0" for e in entries)
-        assert entries[0].tag == "x-oracle"
+        unit = oracle_single(self.report(self.topic(), self.runs()), group, self.runs())
+        assert [doc_id for doc_id, _, _ in unit_lines(unit)] == ["d1", "d3", "d4"]
+        assert [rank for _, rank, _ in unit_lines(unit)] == [1, 2, 3]
+        assert unit.topic_id == "T.w0"
+        assert unit.tag == "x-oracle"
 
     def test_ap_changes_after_midrank_removal(self):
         # Hand recomputation: before removal (restricted to the 4 ranked docs)
@@ -217,7 +217,7 @@ class TestOracleSingle:
         group = SeedGroup("T", ("s2", "s1"), 0)
         out = oracle_single(self.report(topic, entries), group, entries)
         # both runs have AP 1.0 on their restricted qrels; s1 wins the tie
-        assert list(out) == [RunEntry("T.w0", "d1", 1, 1.0, "x-oracle")]
+        assert (out.topic_id, out.tag, unit_lines(out)) == ("T.w0", "x-oracle", [("d1", 1, 1.0)])
 
     def test_missing_member_run(self):
         group = SeedGroup("T", ("s1", "missing"), 0)
@@ -230,7 +230,7 @@ class TestOracleSingle:
         for group in make_groups("T9", multi_topic.relevant_ids):
             multi = multi_sdr(index, group, "sdr", params)
             oracle = oracle_single(report, group, singles)
-            assert {e.doc_id for e in multi} == {e.doc_id for e in oracle}
+            assert {doc_id for doc_id, _, _ in unit_lines(multi)} == {doc_id for doc_id, _, _ in unit_lines(oracle)}
             assert len(multi) == len(oracle)
 
 

@@ -12,9 +12,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import ref_bm25_scores, ref_qlm_scores, ref_seed_driven_scores
-from seedrank import ScoringParams, rank, scoring
-from seedrank.scoring import sort_scored
-from synth import count_index
+from seedrank import EmbeddingTable, PipelineConfig, Run, ScoringParams, build_index, load_run, rank, scoring, write_run
+from seedrank.scoring import METHODS, sort_scored
+from synth import count_index, synth_collection
+
+from conftest import unit_lines
 
 TERMS = [f"t{i}" for i in range(6)]
 
@@ -48,10 +50,12 @@ def seed_counts(docs, seed_ids):
     return summed
 
 
-def assert_same_ranking(entries, expected):
-    assert [e.doc_id for e in entries] == [d for d, _ in sort_scored(expected)]
+def assert_same_ranking(unit, expected):
+    entries = unit_lines(unit)
+    assert [doc_id for doc_id, _, _ in entries] == [d for d, _ in sort_scored(expected)]
     for entry in entries:
-        assert math.isclose(entry.score, expected[entry.doc_id], rel_tol=1e-12), (entry, expected[entry.doc_id])
+        doc_id, _, score = entry
+        assert math.isclose(score, expected[doc_id], rel_tol=1e-12), (entry, expected[doc_id])
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,9 +84,13 @@ def test_undersampled_runs_do_not_depend_on_unit_order(topic, data):
     groups = data.draw(st.permutations(groups))
     params = ScoringParams(undersample_cap=1, rng_seed=9)
     shared = indexed(docs)
-    forward = [list(rank(shared, g, "sdr", params, undersample=True)) for g in groups]
-    backward = [list(rank(shared, g, "sdr", params, undersample=True)) for g in reversed(groups)][::-1]
-    fresh = [list(rank(indexed(docs), g, "sdr", params, undersample=True)) for g in groups]
+
+    def lines(unit):
+        return unit.topic_id, unit.tag, unit_lines(unit)
+
+    forward = [lines(rank(shared, g, "sdr", params, undersample=True)) for g in groups]
+    backward = [lines(rank(shared, g, "sdr", params, undersample=True)) for g in reversed(groups)][::-1]
+    fresh = [lines(rank(indexed(docs), g, "sdr", params, undersample=True)) for g in groups]
     assert forward == backward == fresh
 
 
@@ -100,4 +108,33 @@ def test_rank_breaks_ties_as_sort_scored(doc_ids, data):
     with mock.patch.object(scoring, "bm25_score", lambda stats, params: np.array(scores)):
         unit = rank(index, ["seed"], "bm25", ScoringParams())
     expected = sort_scored(dict(zip(doc_ids, scores)))
-    assert [(e.doc_id, e.score.hex()) for e in unit] == [(d, s.hex()) for d, s in expected]
+    assert [(doc_id, score.hex()) for doc_id, _, score in unit_lines(unit)] == [(d, s.hex()) for d, s in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**16), st.sampled_from(METHODS), st.sampled_from([0.0, 0.3]), st.booleans(), st.data(),
+)
+def test_ranked_units_round_trip_through_a_run_file(tmp_path_factory, seed, method, overlap, undersample, data):
+    # Abstracts only, and embeddings for the relevant sub-vocabulary only: with no overlap every irrelevant
+    # candidate is all-OOV and shares no term with a seed, so each unit ends in a tail of exactly tied scores.
+    topics, corpus = synth_collection(seed, 2, n_docs=14, vocab_size=40, n_relevant=3, irrelevant_overlap=overlap)
+    vocabulary = [f"term{i:04d}" for i in range(10)]  # synth_topic's relevant share of a 40-term vocabulary
+    table = EmbeddingTable(np.random.default_rng(seed).normal(size=(10, 4)), {t: i for i, t in enumerate(vocabulary)})
+    params = ScoringParams(rng_seed=seed)
+    units = []
+    for topic in topics:
+        topic.candidate_ids = data.draw(st.permutations(topic.candidate_ids))
+        index = build_index(topic, corpus, "bow", PipelineConfig(include_title=False), embeddings=table)
+        for seed_id in topic.relevant_ids:
+            key = f"{topic.topic_id}.{seed_id}"
+            units.append(rank(index, [seed_id], method, params, undersample=undersample, run_key=key))
+    if overlap == 0.0:
+        assert all(len(set(unit.scores.tolist())) < len(unit) for unit in units)
+    path = tmp_path_factory.mktemp("runs") / "r.run"
+    write_run(Run(tuple(units)), path)
+
+    def lines(unit):
+        return unit.topic_id, unit.tag, [(doc_id, rank, score.hex()) for doc_id, rank, score in unit_lines(unit)]
+
+    assert [lines(unit) for unit in load_run(path).units] == [lines(unit) for unit in units]

@@ -36,6 +36,8 @@ from seedrank.text import tokenize
 from seedrank.vectors import seed_similarities
 from synth import by_term, count_index, synth_collection
 
+from conftest import unit_lines
+
 
 def tc(**counts):
     return dict(counts)
@@ -427,34 +429,38 @@ class TestRank:
             "d2": Document("d2", "", "unrelated words"),
         }
         topic = Topic("T1", ["s", "d1", "d2"], {"s": 1, "d1": 1})
-        entries = list(rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params))
-        assert entries[0].doc_id == "d1" and entries[0].rank == 1
-        assert {e.doc_id for e in entries} == {"d1", "d2"}
+        entries = unit_lines(rank(build_index(topic, corpus, "bow", pipeline), ["s"], "qlm", params))
+        assert entries[0][:2] == ("d1", 1)
+        assert {doc_id for doc_id, _, _ in entries} == {"d1", "d2"}
 
     def test_sdr_matches_reference_script(self, params, pipeline, hand_corpus, hand_topic):
-        entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params)
-        assert [e.doc_id for e in entries] == ["c1", "c3", "c2", "c4"]  # frozen from the oracle
+        entries = unit_lines(rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params))
+        assert [doc_id for doc_id, _, _ in entries] == ["c1", "c3", "c2", "c4"]  # frozen from the oracle
 
         counts = {d: ref_counts(doc, pipeline) for d, doc in hand_corpus.items()}
         seed_counts = counts.pop("s")
         expected = ref_seed_driven_scores(seed_counts, counts, params.jm_lambda)
-        for entry in entries:
-            assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
+        for doc_id, _, score in entries:
+            assert score == pytest.approx(expected[doc_id], abs=1e-9)
 
     def test_qlm_matches_reference_script(self, params, pipeline, hand_corpus, hand_topic):
-        entries = rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "qlm", params)
+        entries = unit_lines(rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "qlm", params))
         counts = {d: ref_counts(doc, pipeline) for d, doc in hand_corpus.items()}
         seed_counts = counts.pop("s")
         expected = ref_qlm_scores(seed_counts, counts, params.jm_lambda)
-        for entry in entries:
-            assert entry.score == pytest.approx(expected[entry.doc_id], abs=1e-9)
+        for doc_id, _, score in entries:
+            assert score == pytest.approx(expected[doc_id], abs=1e-9)
 
     def test_runs_are_reproducible(self, params, pipeline, hand_corpus, hand_topic):
         index = build_index(hand_topic, hand_corpus, "bow", pipeline)
-        a = list(rank(index, ["s"], "sdr", params))
+
+        def lines(unit):
+            return unit.topic_id, unit.tag, unit_lines(unit)
+
+        a = lines(rank(index, ["s"], "sdr", params))
         rank(index, ["c1"], "sdr", params)
-        b = list(rank(index, ["s"], "sdr", params))
-        assert a == b == list(rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params))
+        b = lines(rank(index, ["s"], "sdr", params))
+        assert a == b == lines(rank(build_index(hand_topic, hand_corpus, "bow", pipeline), ["s"], "sdr", params))
 
     def test_empty_topic_after_exclusion(self, params, pipeline):
         corpus = {"s": Document("s", "", "x")}
@@ -485,5 +491,5 @@ class TestRank:
         index = build_index(hand_topic, hand_corpus, "bow", pipeline, embeddings=table)
         entries = rank(index, ["s"], "sdr+aes", params)
         assert len(entries) == 4
-        scores = [e.score for e in entries]
+        scores = [score for _, _, score in unit_lines(entries)]
         assert scores == sorted(scores, reverse=True)
