@@ -35,8 +35,10 @@ import numpy as np
 from .corpus import RunUnit, rank_order
 from .errors import ConfigError, ContractError
 from .vectors import (
+    BLOCK_BYTES,
     CollectionStats,
     TopicIndex,
+    blocks,
     build_stats,
     cosine,
     line_entries,
@@ -48,10 +50,6 @@ METHODS = ("bm25", "qlm", "sdr", "aes", "sdr+aes")
 AES_METHODS = ("aes", "sdr+aes")
 
 LN2 = math.log(2.0)
-
-# Bytes of temporaries per block of terms in phi_weights, which bounds its memory.
-_PHI_BLOCK_BYTES = 1 << 17
-
 
 @dataclass(frozen=True)
 class ScoringParams:
@@ -187,17 +185,6 @@ def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
     return math.log(1.0 + gamma_present / gamma_absent)
 
 
-def _blocks(terms: np.ndarray, widths) -> Iterator[np.ndarray]:
-    """Consecutive slices of ``terms`` whose ``widths`` (bytes) add up to at most ``_PHI_BLOCK_BYTES``, or one term."""
-    ends = np.cumsum(np.broadcast_to(widths, terms.shape))
-    start = 0
-    while start < len(terms):
-        limit = (ends[start - 1] if start else 0) + _PHI_BLOCK_BYTES
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        yield terms[start:stop]
-        start = stop
-
-
 def _row_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """Sums of the consecutive rows of ``values``, of ascending ``lengths``, each added as a 1-D ``sum`` adds it.
 
@@ -247,7 +234,7 @@ def phi_weights(
     ``searchsorted`` per block finds every pick. Unsampled complements are
     read through a row mask per block of terms. Beyond the unit's postings
     and a few arrays of one value per candidate, memory is one block of
-    ``_PHI_BLOCK_BYTES`` (or one row of candidates), never terms x
+    ``BLOCK_BYTES`` (or one row of candidates), never terms x
     candidates. Block widths count a few 8-byte temporaries per pick,
     posting and candidate.
     """
@@ -268,7 +255,7 @@ def phi_weights(
     drawn = np.flatnonzero(sample_present | sample_absent)
     names = [stats.index.terms[column] for column in stats.seed_terms[drawn].tolist()]
     generators = keyed_generators((params.rng_seed, *rng_key), names)
-    for block in _blocks(drawn, 64 * cap + 32 * present_len[drawn]):
+    for block in blocks(drawn, 64 * cap + 32 * present_len[drawn]):
         present_picks = np.empty((np.count_nonzero(sample_present[block]), cap), dtype=np.intp)
         absent_picks = np.empty((np.count_nonzero(sample_absent[block]), cap), dtype=np.intp)
         i = j = 0
@@ -293,12 +280,12 @@ def phi_weights(
 
     terms = np.flatnonzero(~sample_present & (present_len > 0))
     terms = terms[np.argsort(present_len[terms], kind="stable")]
-    for block in _blocks(terms, 24 * present_len[terms]):
+    for block in blocks(terms, 24 * present_len[terms]):
         present_sums[block] = _row_sums(cos[rows[line_entries(bounds, block)[0]]], present_len[block].tolist())
     terms = np.flatnonzero(~sample_absent & (absent_len > 0))
     terms = terms[np.argsort(absent_len[terms], kind="stable")]
-    repeated = np.broadcast_to(candidate_cos, (max(1, _PHI_BLOCK_BYTES // (9 * n)), n))
-    for block in _blocks(terms, 9 * n + 24 * present_len[terms]):
+    repeated = np.broadcast_to(candidate_cos, (max(1, BLOCK_BYTES // (9 * n)), n))
+    for block in blocks(terms, 9 * n + 24 * present_len[terms]):
         entries, df = line_entries(bounds, block)
         mask = np.ones((len(block), n), dtype=bool)
         mask[np.repeat(np.arange(len(block)), df), ranks[rows[entries]]] = False

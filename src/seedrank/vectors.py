@@ -7,9 +7,12 @@ are postings in candidate order; and integer document lengths, document
 frequencies and collection counts. Each candidate's counts are appended to
 flat 32-bit buffers as soon as it is counted, so the build never holds a
 mapping per candidate; column numbers, row numbers and counts stay 32-bit,
-line offsets and totals are 64-bit.
+line offsets and totals are 64-bit. An entry's row is not stored: it is the
+line of the row offsets the entry falls in.
 For AES it also holds every candidate's mean embedding. Every run unit of
-the topic (one seed, or one seed group) ranks against that one index.
+the topic (one seed, or one seed group) ranks against that one index, and
+takes its tf-idf cosines over blocks of whole rows (``blocks``), so a
+unit's temporaries stay within ``BLOCK_BYTES`` whatever the topic's size.
 
 A unit's statistics are the index's minus its seed rows, which is exact in
 integers: seeds are judged, not screened, so they are not part of the
@@ -23,7 +26,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from .errors import ConfigError, ContractError, EmptyTopicError
 from .text import PipelineConfig, SurfaceForms, document_text, split
 
 REPRESENTATIONS = ("bow", "boc")
+
+# Bytes of temporaries per block of terms (phi) or rows (seed cosines), which bounds a run unit's memory.
+BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +62,17 @@ def line_entries(indptr: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0), lengths
 
 
+def blocks(items: np.ndarray, widths) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``items`` whose ``widths`` (bytes) add up to at most ``BLOCK_BYTES``, or one item."""
+    ends = np.cumsum(np.broadcast_to(widths, items.shape))
+    start = 0
+    while start < len(items):
+        limit = (ends[start - 1] if start else 0) + BLOCK_BYTES
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield items[start:stop]
+        start = stop
+
+
 def _line_sums(matrix: Compressed) -> np.ndarray:
     """Exact int64 total of each line's data; 0 for an empty line."""
     # reduceat gives an empty line the next entry (or the appended 0 at the end).
@@ -64,8 +81,8 @@ def _line_sums(matrix: Compressed) -> np.ndarray:
     return totals
 
 
-def _postings(counts: Compressed, entry_rows: np.ndarray, doc_freq: np.ndarray) -> Compressed:
-    """The column-by-column copy of ``counts``: each column's rows ascending, with their counts.
+def _postings(counts: Compressed, rows: np.ndarray, doc_freq: np.ndarray) -> Compressed:
+    """The column-by-column copy of ``counts``, whose entries lie in ``rows``: each column's rows ascending.
 
     The entries are sorted by column, stably, so rows stay in order: a
     least-significant-digit radix sort over 16-bit digits (the uint16 cast
@@ -78,7 +95,7 @@ def _postings(counts: Compressed, entry_rows: np.ndarray, doc_freq: np.ndarray) 
     while len(doc_freq) > 1 << shift:
         order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
         shift += 16
-    return Compressed(np.concatenate(([0], np.cumsum(doc_freq))), entry_rows[order], counts.data[order])
+    return Compressed(np.concatenate(([0], np.cumsum(doc_freq))), rows[order], counts.data[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +104,12 @@ class TopicIndex:
 
     Rows follow ``doc_ids`` (the topic's candidate order), columns follow
     ``terms`` (order of first occurrence). ``counts`` holds the rows, each
-    in order of first occurrence of its terms, and ``entry_rows`` the row of
-    each of its entries; ``postings`` holds the columns, rows ascending.
-    Column numbers (``counts.indices``), row numbers (``entry_rows``,
-    ``postings.indices``) and counts (both ``data``) are int32; the line
-    offsets (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
+    in order of first occurrence of its terms; an entry's row is the line of
+    ``counts.indptr`` it falls in, and is not stored. ``postings`` holds the
+    columns, rows ascending. Column numbers (``counts.indices``), row
+    numbers (``postings.indices``) and counts (both ``data``) are int32, so
+    a stored count takes 16 bytes over both copies; the line offsets
+    (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
     ``collection_counts`` are int64. Sums over the int32 arrays, and
     products of a row number with a column number, are taken in int64.
     ``doc_order`` is each row's position in ``sorted(doc_ids)``
@@ -107,7 +125,6 @@ class TopicIndex:
     rows: dict[str, int]
     terms: tuple[str, ...]
     counts: Compressed
-    entry_rows: np.ndarray
     postings: Compressed
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
@@ -165,7 +182,6 @@ class TopicIndex:
             rows={doc_id: i for i, doc_id in enumerate(doc_ids)},
             terms=terms,
             counts=counts,
-            entry_rows=entry_rows,
             postings=postings,
             doc_lengths=_line_sums(counts),
             doc_freq=doc_freq,
@@ -313,20 +329,29 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
     )
 
 
-def tfidf(stats: CollectionStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw-count tf times ln(N/df) for every index row, under the unit's statistics.
-
-    Returns the weights, one per entry of ``stats.index.counts``, their row
-    norms and the idf per column. Terms no candidate holds (df = 0) have no
-    defined idf, and df = N terms weigh exactly zero; both get idf 0.
-    """
+def _idf(stats: CollectionStats) -> np.ndarray:
+    """ln(N/df) per column under the unit's statistics; 0 where df = 0 (no defined idf) or df = N (weight exactly 0)."""
     n, df = stats.num_docs, stats.doc_freq
     idf = np.zeros(len(df))
     defined = (df > 0) & (df < n)
     idf[defined] = np.log(n / df[defined])
-    index = stats.index
-    weights = index.counts.data * idf[index.counts.indices]
-    norms = np.sqrt(np.bincount(index.entry_rows, weights=weights * weights, minlength=len(index.doc_ids)))
+    return idf
+
+
+def tfidf(stats: CollectionStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw-count tf times ln(N/df) for every index row, under the unit's statistics.
+
+    Returns the weights, one per entry of ``stats.index.counts``, their row
+    norms and the idf per column (``_idf``). This holds float copies of all
+    the topic's counts; a run unit's cosines take theirs a block of rows at
+    a time (``seed_similarities``).
+    """
+    idf = _idf(stats)
+    counts = stats.index.counts
+    lengths = np.diff(counts.indptr)
+    weights = counts.data * idf[counts.indices]
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(lengths)))
     return weights, norms, idf
 
 
@@ -337,15 +362,30 @@ def cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
 
 
 def seed_similarities(stats: CollectionStats) -> np.ndarray:
-    """tf-idf cosine between the summed seed rows and every index row."""
-    weights, norms, idf = tfidf(stats)
+    """tf-idf cosine between the summed seed rows and every index row.
+
+    The row norms and seed dots are taken over consecutive blocks of whole
+    rows, about 32 bytes of temporaries per stored count and at most
+    ``BLOCK_BYTES`` per block (or one row), so no temporary grows with the
+    topic. Within a block ``np.bincount`` adds each row's products one by
+    one in stored order from 0, as ``tfidf``'s norms are added.
+    """
+    idf = _idf(stats)
     seed_weights = stats.seed_counts * idf[stats.seed_terms]
     seed = np.zeros(len(idf))
     seed[stats.seed_terms] = seed_weights
-    index = stats.index
-    # bincount adds each row's products one by one, in stored order.
-    dots = np.bincount(index.entry_rows, weights=weights * seed[index.counts.indices], minlength=len(index.doc_ids))
-    return cosine(dots, norms, math.sqrt(float((seed_weights * seed_weights).sum())))
+    counts = stats.index.counts
+    lengths = np.diff(counts.indptr)
+    squares, dots = np.empty(len(lengths)), np.empty(len(lengths))
+    for block in blocks(np.arange(len(lengths)), 32 * lengths):
+        start, stop = block[0], block[-1] + 1
+        entries = slice(counts.indptr[start], counts.indptr[stop])
+        columns = counts.indices[entries].astype(np.intp)
+        weights = counts.data[entries] * idf[columns]
+        rows = np.repeat(np.arange(len(block)), lengths[start:stop])
+        squares[start:stop] = np.bincount(rows, weights=weights * weights, minlength=len(block))
+        dots[start:stop] = np.bincount(rows, weights=weights * seed[columns], minlength=len(block))
+    return cosine(dots, np.sqrt(squares), math.sqrt(float((seed_weights * seed_weights).sum())))
 
 
 def seed_embedding(stats: CollectionStats) -> np.ndarray:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,17 @@ def unit_lines(unit):
     """A run unit's lines as ``(doc_id, rank, score)``, ranked 1..n in the unit's order."""
     ranked = enumerate(zip(unit.rows.tolist(), unit.scores.tolist()), start=1)
     return [(unit.doc_ids[row], rank, score) for rank, (row, score) in ranked]
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes that ``tracemalloc`` saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -136,6 +136,15 @@ def count_index(**docs):
     return TopicIndex.from_counts(Topic("T", list(docs)), docs)
 
 
+def entry_rows(counts):
+    """The row of each entry of ``counts`` (a ``Compressed`` of rows): the line of ``counts.indptr`` it falls in.
+
+    int32, the width the index stores row numbers in.
+    """
+    lengths = np.diff(counts.indptr)
+    return np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+
+
 def dense(index, values=None):
     """The N x V matrix of ``values`` (default: the counts), one per entry of ``index.counts``, read row by row."""
     values = index.counts.data if values is None else values

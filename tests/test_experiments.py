@@ -26,7 +26,7 @@ from seedrank import (
 from hypothesis import given, strategies as st
 
 from seedrank.experiments import _pairwise_mean_cosine
-from synth import count_index
+from synth import count_index, entry_rows
 
 from conftest import unit_lines
 
@@ -275,7 +275,7 @@ class TestIntraSimilarity:
         index = count_index(**{f"d{i}": d for i, d in enumerate(docs)})
         counts = index.counts
         weights = np.sqrt(counts.data * np.arange(1.0, len(counts.data) + 1))
-        norms = np.sqrt(np.bincount(index.entry_rows, weights=weights * weights, minlength=len(docs)))
+        norms = np.sqrt(np.bincount(entry_rows(counts), weights=weights * weights, minlength=len(docs)))
         rows = np.array(data.draw(st.permutations(range(len(docs)))))[: data.draw(st.integers(2, len(docs)))]
         sims = []
         for a, i in enumerate(rows):

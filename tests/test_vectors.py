@@ -1,6 +1,6 @@
 import math
-import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +20,22 @@ from seedrank import (
     build_stats,
     cosine,
     load_embeddings,
+    rank,
     tfidf,
 )
 from seedrank.text import document_text, kept_term, tokenize
+import seedrank.vectors
 from seedrank.vectors import seed_similarities
-from synth import count_index, dense, mixed_case, mixed_case_embedding_terms, synth_collection, write_embeddings_file
+from synth import (
+    count_index,
+    dense,
+    entry_rows,
+    mixed_case,
+    mixed_case_embedding_terms,
+    synth_collection,
+    write_embeddings_file,
+)
+from conftest import traced_peak
 
 
 def tc(**counts):
@@ -43,7 +54,7 @@ def check_against_counts(index, counts):
         start, end = index.counts.indptr[row], index.counts.indptr[row + 1]
         assert index.counts.indices[start:end].tolist() == [column[t] for t in doc]
         assert index.counts.data[start:end].tolist() == list(doc.values())
-        assert index.entry_rows[start:end].tolist() == [row] * len(doc)
+        assert entry_rows(index.counts)[start:end].tolist() == [row] * len(doc)
         assert index.doc_lengths[row] == sum(doc.values())
     for col, term in enumerate(index.terms):
         start, end = index.postings.indptr[col], index.postings.indptr[col + 1]
@@ -53,7 +64,7 @@ def check_against_counts(index, counts):
         assert index.doc_freq[col] == len(holders)
         assert index.collection_counts[col] == sum(docs[row][term] for row in holders)
     rows, columns = index.counts, index.postings
-    for values in (rows.indices, rows.data, index.entry_rows, columns.indices, columns.data):
+    for values in (rows.indices, rows.data, entry_rows(rows), columns.indices, columns.data):
         assert values.dtype == np.int32
     for values in (rows.indptr, columns.indptr, index.doc_lengths, index.doc_freq, index.collection_counts):
         assert values.dtype == np.int64
@@ -69,6 +80,20 @@ TEXTS = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def zipf_corpus():
+    """1100 candidates of 150-250 tokens drawn from a Zipf law over 20,000 words: the benchmark's loocv topic shape."""
+    rng = np.random.default_rng(12)
+    words = [f"w{i}" for i in range(20_000)]
+    zipf = 1.0 / np.arange(1, len(words) + 1)
+    lengths = rng.integers(150, 250, size=1100)
+    tokens = rng.choice(len(words), size=int(lengths.sum()), p=zipf / zipf.sum())
+    corpus = {}
+    for i, doc in enumerate(np.split(tokens, np.cumsum(lengths)[:-1])):
+        corpus[f"d{i}"] = Document(f"d{i}", "", " ".join(words[t] for t in doc.tolist()))
+    return corpus
+
+
 class TestTopicIndex:
     def test_rows_keep_first_occurrence_order(self):
         index = count_index(d1=tc(b=1, a=2), d2=tc(c=1, a=1))
@@ -76,7 +101,7 @@ class TestTopicIndex:
         assert dense(index).tolist() == [[1, 2, 0], [0, 1, 1]]
         assert list(index.counts.indptr) == [0, 2, 4]
         assert list(index.counts.indices) == [0, 1, 2, 1]  # not sorted: d2 holds c before a
-        assert list(index.entry_rows) == [0, 0, 1, 1]
+        assert list(entry_rows(index.counts)) == [0, 0, 1, 1]
         assert list(index.doc_lengths) == [3, 2]
 
     def test_postings_in_candidate_order(self):
@@ -120,28 +145,27 @@ class TestTopicIndex:
         assert len(index.terms) == 70_000
         check_against_counts(index, counts)
 
-    def test_build_holds_one_candidates_counts_at_a_time(self, pipeline):
+    def test_build_holds_one_candidates_counts_at_a_time(self, pipeline, zipf_corpus):
         """tracemalloc peak of build_index on 1100 candidates of 150-250 Zipf tokens, the benchmark's loocv shape, < 10 MiB.
 
         The build appends each candidate's counts to flat 32-bit buffers and
         drops its Counter; holding every candidate's Counter took 17 MiB here.
         """
-        rng = np.random.default_rng(12)
-        words = [f"w{i}" for i in range(20_000)]
-        zipf = 1.0 / np.arange(1, len(words) + 1)
-        lengths = rng.integers(150, 250, size=1100)
-        tokens = rng.choice(len(words), size=int(lengths.sum()), p=zipf / zipf.sum())
-        corpus = {}
-        for i, doc in enumerate(np.split(tokens, np.cumsum(lengths)[:-1])):
-            corpus[f"d{i}"] = Document(f"d{i}", "", " ".join(words[t] for t in doc.tolist()))
-        tracemalloc.start()
-        try:
-            index = build_index(Topic("T", list(corpus)), corpus, "bow", pipeline)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        index, peak = traced_peak(lambda: build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline))
         assert len(index.counts.data) > 150_000 and len(index.terms) > 15_000
         assert peak < 10 * 2**20
+
+    def test_unit_memory_does_not_grow_with_the_topic(self, pipeline, params, zipf_corpus):
+        """tracemalloc peak of one sdr run unit on the same 1100-candidate index, < 3 MiB.
+
+        The seed cosines take their tf-idf weights a block of rows at a time
+        (``vectors.BLOCK_BYTES``) and measured 1.8 MiB here; float copies of
+        all 154k stored counts, as ``tfidf`` makes, took 4.5 MiB.
+        """
+        index = build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline)
+        unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr", params))
+        assert len(unit.rows) == len(zipf_corpus) - 1
+        assert peak < 3 * 2**20
 
     def test_each_candidate_counted_once(self, pipeline, monkeypatch):
         import seedrank.vectors
@@ -295,7 +319,11 @@ class TestTfidf:
             denominator = expected_norms[-1] * seed_norm
             expected.append(dot / denominator if denominator else 0.0)
         assert norms.tolist() == expected_norms
-        assert seed_similarities(stats).tolist() == expected
+        # Under budgets of 1, 2 and 3 counts' worth (32 bytes each) blocks end
+        # between rows, a wider row is a block of its own, and empty rows fall on block edges.
+        for budget in (seedrank.vectors.BLOCK_BYTES, 32, 64, 96):
+            with mock.patch.object(seedrank.vectors, "BLOCK_BYTES", budget):
+                assert seed_similarities(stats).tolist() == expected
 
 
 def cos(wu, wv):
