@@ -73,6 +73,6 @@ from .scoring import (
     sdr_score,
 )
 from .text import LEE, OURS, PipelineConfig, default_stopwords, tokenize
-from .vectors import CollectionStats, TopicIndex, aes_vector, build_index, build_stats, cosine, tfidf
+from .vectors import CollectionStats, TopicIndex, aes_vector, build_index, build_stats, cosine, idf
 
 __version__ = "0.1.0"

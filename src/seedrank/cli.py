@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .corpus import Run, filter_topics, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
+from .corpus import Run, filter_topics, is_relevant, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
 from .errors import ConfigError, InsufficientDocumentsError, ParseError, SeedRankError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
@@ -81,9 +81,12 @@ _FIELD_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 def _coerce(field: dataclasses.Field, raw, source: str):
-    if raw is None:
+    if raw is None and field.type.endswith(" | None"):
         return None
     target = _FIELD_TYPES.get(field.type.removesuffix(" | None"), str)
+    # A null for a required key fails later as a bare TypeError; str() would make a path or a name of a non-scalar.
+    if raw is None or (target is str and (isinstance(raw, bool) or not isinstance(raw, (str, int, float)))):
+        raise ConfigError(field.name, f"expected {target.__name__}, got {raw!r} (from {source})")
     if target is bool:
         if isinstance(raw, bool):
             return raw
@@ -227,17 +230,16 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
         raise ConfigError("qrels", f"no topic has >= {min_relevant} relevant studies")
     stopwords = load_lexicon(config.stopwords).terms if config.stopwords else None
     pipeline, params = _settings(config, stopwords)
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else None
+    # build_index reads the lexicon under boc only.
+    lexicon = load_lexicon(config.lexicon) if config.representation == "boc" else None
     if lexicon is not None and len(lexicon) == 0:
         log.warning("lexicon %s is empty; every boc representation degenerates", config.lexicon)
     embeddings = None
     if config.embeddings and config.method in AES_METHODS:
-        # The terms build_index keeps: it reads the lexicon under boc only.
-        term_lexicon = lexicon if config.representation == "boc" else None
-        embeddings = load_embeddings(config.embeddings, kept_term(pipeline.stopwords, term_lexicon))
+        embeddings = load_embeddings(config.embeddings, kept_term(pipeline.stopwords, lexicon))
         log.info(
             "kept %d of %d embedding rows: those whose token's lowercase is not a stopword%s",
-            len(embeddings.matrix), embeddings.rows_read, "" if term_lexicon is None else " and is in the lexicon",
+            len(embeddings.matrix), embeddings.rows_read, "" if lexicon is None else " and is in the lexicon",
         )
     return _Resources(corpus, topics, pipeline, params, lexicon, embeddings)
 
@@ -432,7 +434,7 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     unmentioned = [t for t in sorted(units) if t not in qrels]
     if unmentioned:
         log.warning("skipped run topics that the qrels file does not mention: %s", ", ".join(unmentioned))
-    unjudged = [t for t in shared if not any(g >= 1 for g in qrels[t].values())]
+    unjudged = [t for t in shared if not any(map(is_relevant, qrels[t].values()))]
     if unjudged:
         log.warning("skipped topics without a relevant judgment: %s", ", ".join(unjudged))
         shared = [t for t in shared if t not in unjudged]

@@ -10,7 +10,8 @@ File formats:
               ``title``, ``abstract``.
   topics      ``topic_id doc_id``, one candidate per line; line order
               defines the candidate order of each topic.
-  qrels       ``topic_id 0 doc_id grade`` (TREC qrels).
+  qrels       ``topic_id 0 doc_id grade`` (TREC qrels); a grade of 1 or
+              more marks a relevant document (``is_relevant``).
   run         ``topic_id Q0 doc_id rank score tag`` (TREC run), one tag
               per topic; a topic's lines are ordered by score descending,
               exact ties by doc_id (``rank_order``), whatever their ranks.
@@ -38,6 +39,11 @@ import numpy as np
 from .errors import DuplicateIdError, MissingTopicError, ParseError, RunValidationError
 
 
+def is_relevant(grade: int) -> bool:
+    """Whether a qrels grade judges its document relevant: grade >= 1."""
+    return grade >= 1
+
+
 @dataclass(frozen=True)
 class Document:
     """One candidate or seed study. Any document may serve either role."""
@@ -62,7 +68,7 @@ class Topic:
     @property
     def relevant_ids(self) -> list[str]:
         """Judged-relevant doc_ids in order of first appearance in the qrels."""
-        return [d for d, g in self.judgments.items() if g >= 1]
+        return [d for d, g in self.judgments.items() if is_relevant(g)]
 
     @property
     def irrelevant_ids(self) -> list[str]:

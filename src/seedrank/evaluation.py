@@ -24,18 +24,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import is_relevant
 from .errors import ContractError, DegenerateTestError, UndefinedMetricError
 
 DEFAULT_CUTOFFS = (10, 100, 1000)
 
 
 def _num_relevant(qrels: Mapping[str, int]) -> int:
-    return sum(1 for g in qrels.values() if g >= 1)
+    return sum(map(is_relevant, qrels.values()))
 
 
 def _relevance(run: Sequence[str], qrels: Mapping[str, int]) -> np.ndarray:
     """Whether each document of a doc-id list is judged relevant, in rank order."""
-    return np.fromiter((qrels.get(doc_id, 0) >= 1 for doc_id in run), bool, len(run))
+    return np.fromiter((is_relevant(qrels.get(doc_id, 0)) for doc_id in run), bool, len(run))
 
 
 def _hit_ranks(relevant: np.ndarray) -> list[int]:

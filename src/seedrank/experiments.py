@@ -32,7 +32,7 @@ from .corpus import RunUnit
 from .errors import ConfigError, ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, ranked_metrics
 from .scoring import ScoringParams, derive_rng, rank
-from .vectors import TopicIndex, build_stats, cosine, line_entries, tfidf
+from .vectors import TopicIndex, cosine, idf, line_entries
 
 LASTREL_METRICS = ("lastrel%", "wss")
 
@@ -220,24 +220,26 @@ def oracle_single(
     return RunUnit(f"{group.topic_id}.{group.unit}", f"{best.tag}-oracle", best.doc_ids, best.rows[kept], best.scores[kept])
 
 
-def _pairwise_mean_cosine(index: TopicIndex, weights: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> float:
-    """Mean cosine over the pairs i < j of ``rows``, under ``weights`` over the index's count entries.
+def _pairwise_mean_cosine(index: TopicIndex, term_idf: np.ndarray, rows: np.ndarray) -> float:
+    """Mean tf-idf cosine over the pairs i < j of ``rows``, under the per-column ``term_idf``.
 
-    Each dot product adds row i's products in its stored order, starting
-    from 0, against an m x V dense block of the m rows.
+    Each row's squared norm and each dot product add row i's products in its
+    stored order, starting from 0, the dots against an m x V block of the rows.
     """
     positions, lengths = line_entries(index.counts.indptr, rows)
-    columns, entry_weights = index.counts.indices[positions], weights[positions]
+    columns = index.counts.indices[positions]
+    weights = index.counts.data[positions] * term_idf[columns]
     m = len(rows)
     owner = np.repeat(np.arange(m), lengths)
+    norms = np.sqrt(np.bincount(owner, weights=weights * weights, minlength=m))
     dense = np.zeros((m, len(index.terms)))
-    dense[owner, columns] = entry_weights
+    dense[owner, columns] = weights
     # products[e, k] is entry e (of row i) times row k's weight on its term;
     # bincount adds them into gram[i, k] in entry order.
-    products = entry_weights[:, None] * dense[:, columns].T
+    products = weights[:, None] * dense[:, columns].T
     gram = np.bincount((owner[:, None] * m + np.arange(m)).ravel(), weights=products.ravel(), minlength=m * m)
     i, j = np.triu_indices(m, 1)
-    return float(cosine(gram.reshape(m, m)[i, j], norms[rows[i]], norms[rows[j]]).mean())
+    return float(cosine(gram.reshape(m, m)[i, j], norms[i], norms[j]).mean())
 
 
 def check_repetitions(repetitions: int) -> None:
@@ -255,8 +257,8 @@ def intra_similarity(
     """Mean pairwise similarity among relevant vs sampled irrelevant studies.
 
     The irrelevant side is under-sampled ``repetitions`` times to the size
-    of the relevant set and the per-sample means are averaged. tf-idf
-    vectors are built over the topic's full candidate set.
+    of the relevant set and the per-sample means are averaged. The idf is
+    taken over the topic's full candidate set.
     """
     check_repetitions(repetitions)
     topic = index.topic
@@ -271,15 +273,15 @@ def intra_similarity(
             f"topic {topic.topic_id!r}: need >= {len(relevant)} irrelevant studies, got {len(irrelevant)}"
         )
 
-    weights, norms, _ = tfidf(build_stats(index, ()))
-    rel_mean = _pairwise_mean_cosine(index, weights, index.row_numbers(relevant), norms)
+    term_idf = idf(len(index.doc_ids), index.doc_freq)
+    rel_mean = _pairwise_mean_cosine(index, term_idf, index.row_numbers(relevant))
 
     irrelevant_rows = index.row_numbers(irrelevant)
     rng = derive_rng(rng_seed, topic.topic_id, "intra-similarity")
     sample_means = []
     for _ in range(repetitions):
         chosen = irrelevant_rows[np.sort(rng.choice(len(irrelevant), size=len(relevant), replace=False))]
-        sample_means.append(_pairwise_mean_cosine(index, weights, chosen, norms))
+        sample_means.append(_pairwise_mean_cosine(index, term_idf, chosen))
     return rel_mean, sum(sample_means) / len(sample_means)
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, EmbeddingTable, Lexicon, Topic, doc_order
+from .corpus import Document, EmbeddingTable, Lexicon, Topic, doc_order, is_relevant
 from .errors import ConfigError, ContractError, EmptyTopicError
 from .text import PipelineConfig, SurfaceForms, document_text, split
 
@@ -114,9 +114,10 @@ class TopicIndex:
     products of a row number with a column number, are taken in int64.
     ``doc_order`` is each row's position in ``sorted(doc_ids)``
     (``corpus.doc_order``, which breaks score ties in a ranking); ``relevant``
-    marks the rows judged relevant (grade >= 1). ``embeddings`` is the N x d
-    matrix of mean embeddings, None when built without an embedding table;
-    ``embedding_hits`` counts the tokens each row's mean is over.
+    marks the rows judged relevant (``corpus.is_relevant``). ``embeddings``
+    is the N x d matrix of mean embeddings, None when built without an
+    embedding table; ``embedding_hits`` counts the tokens each row's mean is
+    over.
     """
 
     topic: Topic
@@ -187,7 +188,7 @@ class TopicIndex:
             doc_freq=doc_freq,
             collection_counts=_line_sums(postings),
             doc_order=doc_order(doc_ids),
-            relevant=np.fromiter((judgments.get(d, 0) >= 1 for d in doc_ids), bool, len(doc_ids)),
+            relevant=np.fromiter((is_relevant(judgments.get(d, 0)) for d in doc_ids), bool, len(doc_ids)),
         )
 
     @property
@@ -329,30 +330,12 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
     )
 
 
-def _idf(stats: CollectionStats) -> np.ndarray:
-    """ln(N/df) per column under the unit's statistics; 0 where df = 0 (no defined idf) or df = N (weight exactly 0)."""
-    n, df = stats.num_docs, stats.doc_freq
-    idf = np.zeros(len(df))
-    defined = (df > 0) & (df < n)
-    idf[defined] = np.log(n / df[defined])
-    return idf
-
-
-def tfidf(stats: CollectionStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw-count tf times ln(N/df) for every index row, under the unit's statistics.
-
-    Returns the weights, one per entry of ``stats.index.counts``, their row
-    norms and the idf per column (``_idf``). This holds float copies of all
-    the topic's counts; a run unit's cosines take theirs a block of rows at
-    a time (``seed_similarities``).
-    """
-    idf = _idf(stats)
-    counts = stats.index.counts
-    lengths = np.diff(counts.indptr)
-    weights = counts.data * idf[counts.indices]
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(lengths)))
-    return weights, norms, idf
+def idf(num_docs: int, doc_freq: np.ndarray) -> np.ndarray:
+    """ln(N/df) per column; 0 where df = 0 (no defined idf) or df = N (weight exactly 0)."""
+    weights = np.zeros(len(doc_freq))
+    defined = (doc_freq > 0) & (doc_freq < num_docs)
+    weights[defined] = np.log(num_docs / doc_freq[defined])
+    return weights
 
 
 def cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
@@ -368,11 +351,11 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
     rows, about 32 bytes of temporaries per stored count and at most
     ``BLOCK_BYTES`` per block (or one row), so no temporary grows with the
     topic. Within a block ``np.bincount`` adds each row's products one by
-    one in stored order from 0, as ``tfidf``'s norms are added.
+    one in stored order from 0.
     """
-    idf = _idf(stats)
-    seed_weights = stats.seed_counts * idf[stats.seed_terms]
-    seed = np.zeros(len(idf))
+    term_idf = idf(stats.num_docs, stats.doc_freq)
+    seed_weights = stats.seed_counts * term_idf[stats.seed_terms]
+    seed = np.zeros(len(term_idf))
     seed[stats.seed_terms] = seed_weights
     counts = stats.index.counts
     lengths = np.diff(counts.indptr)
@@ -381,7 +364,7 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
         start, stop = block[0], block[-1] + 1
         entries = slice(counts.indptr[start], counts.indptr[stop])
         columns = counts.indices[entries].astype(np.intp)
-        weights = counts.data[entries] * idf[columns]
+        weights = counts.data[entries] * term_idf[columns]
         rows = np.repeat(np.arange(len(block)), lengths[start:stop])
         squares[start:stop] = np.bincount(rows, weights=weights * weights, minlength=len(block))
         dots[start:stop] = np.bincount(rows, weights=weights * seed[columns], minlength=len(block))

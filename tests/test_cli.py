@@ -116,6 +116,14 @@ class TestConfigLoading:
         ("workers: true", "workers"),
         ("aes_alpha: yes", "aes_alpha"),
         ("jm_lambda: false", "jm_lambda"),
+        ("include_title: ~", "include_title"),
+        ("jm_lambda: ~", "jm_lambda"),
+        ("min_relevant: null", "min_relevant"),
+        ("output_dir: ~", "output_dir"),
+        ("output_dir: yes", "output_dir"),
+        ("method: [sdr]", "method"),
+        ("variant: {ours: 1}", "variant"),
+        ("corpus: 2024-01-01", "corpus"),
     ])
     def test_wrong_type_is_not_coerced(self, tmp_path, text, field):
         path = tmp_path / "config.yaml"
@@ -123,6 +131,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as err:
             load_config(str(path), {})
         assert err.value.field == field and str(err.value).endswith(f"(from config file {path})")
+
+    def test_null_path_means_not_set_and_numbers_name_paths(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("lexicon: ~\noutput_dir: 2024\n", encoding="utf-8")
+        config = load_config(str(path), {})
+        assert config.lexicon is None and config.output_dir == "2024"
 
     def test_whole_numbers_and_integer_strings_load(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, rng_seed=3.0, aes_alpha=1, undersample_cap=20)
@@ -208,6 +222,20 @@ class TestValidation:
         assert summary["error"] == "ConfigError" and summary["field"] == "config"
         assert summary["detail"].startswith(f"config: {path}:{line}: ")
 
+    @pytest.mark.parametrize("content", [None, ""])
+    def test_lexicon_is_not_read_under_bow(self, tmp_path, collection, caplog, content):
+        lexicon = tmp_path / "lexicon.txt"
+        if content is not None:
+            lexicon.write_text(content, encoding="utf-8")
+        argv = [
+            "-q", "rank", "--corpus", collection["corpus"], "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--lexicon", str(lexicon), "--output-dir", str(tmp_path / "out"),
+        ]
+        with caplog.at_level("WARNING", logger="seedrank"):
+            assert main(argv) == 0
+        assert not [r for r in caplog.records if "lexicon" in r.getMessage()]
+        assert _load_resources(RunConfig(**collection, lexicon=str(lexicon)), 2).lexicon is None
+
     def test_undecodable_corpus_exit_code_and_summary(self, tmp_path, collection, capsys):
         corpus = Path(collection["corpus"])
         lines = corpus.read_bytes().splitlines(keepends=True)
@@ -228,6 +256,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("keys, field", [
         ({"undersample_cap": 2.7}, "undersample_cap"), ({"workers": True}, "workers"), ({"aes_alpha": True}, "aes_alpha"),
+        ({"include_title": None}, "include_title"),
     ])
     def test_wrong_type_exit_code_and_summary(self, tmp_path, collection, capsys, keys, field):
         path = write_config(tmp_path, **collection, **keys)

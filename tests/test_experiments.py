@@ -1,9 +1,10 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import ref_counts, ref_seed_driven_scores
+from oracles import ref_cosine, ref_counts, ref_seed_driven_scores, ref_tfidf
 from seedrank import (
     ContractError,
     Document,
@@ -26,7 +27,7 @@ from seedrank import (
 from hypothesis import given, strategies as st
 
 from seedrank.experiments import _pairwise_mean_cosine
-from synth import count_index, entry_rows
+from synth import count_index, synth_collection
 
 from conftest import unit_lines
 
@@ -257,12 +258,10 @@ class TestIntraSimilarity:
         assert rel_mean == pytest.approx(1.0)
 
     def test_pairwise_mean_hand_example(self):
-        # Three unit vectors with pairwise cosines exactly {0.5, 0.2, 0.1}.
-        gram = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]])
-        rows = np.linalg.cholesky(gram)
-        index = count_index(d0=dict(a=1, b=1, c=1), d1=dict(a=1, b=1, c=1), d2=dict(a=1, b=1, c=1))
-        norms = np.linalg.norm(rows, axis=1)
-        assert _pairwise_mean_cosine(index, rows.ravel(), np.arange(3), norms) == pytest.approx(0.26666666, abs=1e-7)
+        # Under idf (2, 1, 3) on (a, b, c) the rows are (2, 0, 0), (2, 1, 0) and (0, 1, 3).
+        index = count_index(d0=dict(a=1), d1=dict(a=1, b=1), d2=dict(b=1, c=1))
+        mean = _pairwise_mean_cosine(index, np.array([2.0, 1.0, 3.0]), np.arange(3))
+        assert mean == pytest.approx((2 / math.sqrt(5) + 0.0 + 1 / math.sqrt(50)) / 3, abs=1e-15)
 
     @given(
         st.lists(
@@ -274,8 +273,14 @@ class TestIntraSimilarity:
     def test_pairwise_mean_adds_each_row_in_stored_order(self, docs, data):
         index = count_index(**{f"d{i}": d for i, d in enumerate(docs)})
         counts = index.counts
-        weights = np.sqrt(counts.data * np.arange(1.0, len(counts.data) + 1))
-        norms = np.sqrt(np.bincount(entry_rows(counts), weights=weights * weights, minlength=len(docs)))
+        term_idf = np.sqrt(np.arange(1.0, len(index.terms) + 1)) / 3
+        weights = counts.data * term_idf[counts.indices]
+        norms = []
+        for row in range(len(docs)):
+            squares = 0.0
+            for e in range(counts.indptr[row], counts.indptr[row + 1]):
+                squares += weights[e] * weights[e]
+            norms.append(math.sqrt(squares))
         rows = np.array(data.draw(st.permutations(range(len(docs)))))[: data.draw(st.integers(2, len(docs)))]
         sims = []
         for a, i in enumerate(rows):
@@ -285,7 +290,18 @@ class TestIntraSimilarity:
                 for e in range(counts.indptr[i], counts.indptr[i + 1]):
                     dot += weights[e] * row_k.get(counts.indices[e], 0.0)
                 sims.append(dot / (norms[i] * norms[k]) if norms[i] * norms[k] else 0.0)
-        assert _pairwise_mean_cosine(index, weights, rows, norms) == float(np.mean(sims))
+        assert _pairwise_mean_cosine(index, term_idf, rows) == float(np.mean(sims))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relevant_mean_matches_reference(self, pipeline, seed):
+        """The relevant mean is the mean over relevant pairs of ref_tfidf cosines over all candidates."""
+        topics, corpus = synth_collection(seed, 2, 40, vocab_size=120, n_relevant=5, irrelevant_overlap=0.3)
+        for topic in topics:
+            rel_mean, _ = intra_similarity(build_index(topic, corpus, "bow", pipeline))
+            collection = [ref_counts(corpus[d], pipeline) for d in topic.candidate_ids]
+            vectors = [ref_tfidf(ref_counts(corpus[d], pipeline), collection) for d in topic.relevant_ids]
+            sims = [ref_cosine(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1:]]
+            assert rel_mean == pytest.approx(sum(sims) / len(sims), abs=1e-12)
 
     def test_single_relevant_is_error(self, pipeline):
         topic, corpus = self.make_topic_corpus(["one doc"], ["a", "b"])

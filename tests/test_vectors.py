@@ -20,8 +20,8 @@ from seedrank import (
     build_stats,
     cosine,
     load_embeddings,
+    idf,
     rank,
-    tfidf,
 )
 from seedrank.text import document_text, kept_term, tokenize
 import seedrank.vectors
@@ -160,7 +160,7 @@ class TestTopicIndex:
 
         The seed cosines take their tf-idf weights a block of rows at a time
         (``vectors.BLOCK_BYTES``) and measured 1.8 MiB here; float copies of
-        all 154k stored counts, as ``tfidf`` makes, took 4.5 MiB.
+        all 154k stored counts at once took 4.5 MiB.
         """
         index = build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline)
         unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr", params))
@@ -251,40 +251,53 @@ class TestBuildStats:
             assert stats.collection_counts[col] == sum(c.get(term, 0) for c in kept)
 
 
+def unit_idf(stats):
+    """The per-column idf under a unit's statistics."""
+    return idf(stats.num_docs, stats.doc_freq)
+
+
 class TestTfidf:
+    """The idf rule (``vectors.idf``) and the seed cosines weighted by it."""
+
     def test_hand_example(self):
         stats = build_stats(count_index(s=tc(a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
-        weights, _, _ = tfidf(stats)
-        assert dense(stats.index, weights)[0, stats.index.terms.index("a")] == pytest.approx(math.log(2), abs=1e-12)
+        term_idf = unit_idf(stats)
+        assert term_idf[stats.index.terms.index("a")] == pytest.approx(math.log(2), abs=1e-12)
+        assert term_idf[stats.index.terms.index("b")] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_df_equals_n_dropped(self):
         stats = build_stats(count_index(s=tc(a=3), d1=tc(a=1), d2=tc(a=1)), ["s"])
-        weights, norms, _ = tfidf(stats)
-        assert dense(stats.index, weights).tolist() == [[0.0], [0.0], [0.0]] and list(norms) == [0.0, 0.0, 0.0]
+        assert unit_idf(stats).tolist() == [0.0]
+        # Every weight is 0, so every norm is, and each cosine is 0, not NaN.
+        assert seed_similarities(stats).tolist() == [0.0, 0.0, 0.0]
 
     def test_unseen_term_dropped(self):
         stats = build_stats(count_index(s=tc(z=5, a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
-        _, _, idf = tfidf(stats)
-        assert idf[stats.index.terms.index("z")] == 0.0
+        assert unit_idf(stats)[stats.index.terms.index("z")] == 0.0
 
-    def test_norm_is_consistent(self):
-        stats = build_stats(count_index(s=tc(a=2, b=1, c=3), d1=tc(a=1, b=2), d2=tc(b=1), d3=tc(c=1)), ["s"])
-        weights, norms, _ = tfidf(stats)
-        matrix = dense(stats.index, weights)
-        assert norms == pytest.approx(np.sqrt((matrix * matrix).sum(axis=1)), abs=1e-9)
-        assert (matrix >= 0).all()
+    def test_no_documents(self):
+        assert idf(0, np.zeros(2, dtype=np.int64)).tolist() == [0.0, 0.0]
 
     def test_matches_reference(self):
         counts = {"s": tc(a=2, b=1, c=3), "d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1)}
         stats = build_stats(count_index(**counts), ["s"])
-        weights, norms, _ = tfidf(stats)
-        matrix = dense(stats.index, weights)
+        matrix = dense(stats.index) * unit_idf(stats)
         collection = [counts[d] for d in ("d1", "d2", "d3")]
         for row, doc_id in enumerate(stats.index.doc_ids):
             expected = ref_tfidf(counts[doc_id], collection)
             got = {t: matrix[row, col] for col, t in enumerate(stats.index.terms) if matrix[row, col]}
             assert got == pytest.approx(expected, abs=1e-12)
-            assert norms[row] == pytest.approx(math.sqrt(sum(w * w for w in expected.values())), abs=1e-12)
+
+    def test_norm_is_consistent(self):
+        """A single seed's own row has cosine 1: its row norm is the seed norm, taken the other way."""
+        stats = build_stats(count_index(s=tc(a=2, b=1, c=3), d1=tc(a=1, b=2), d2=tc(b=1), d3=tc(c=1)), ["s"])
+        matrix = dense(stats.index) * unit_idf(stats)
+        assert (matrix >= 0).all()
+        norms = np.sqrt((matrix * matrix).sum(axis=1))
+        expected = matrix @ matrix[0] / (norms * norms[0])
+        cos = seed_similarities(stats)
+        assert cos == pytest.approx(expected, abs=1e-12)
+        assert cos[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_seed_similarities_match_reference(self):
         counts = {"s": tc(a=1, b=1), "d1": tc(a=1, c=2), "d2": tc(b=3), "d3": tc(c=1), "d4": tc(a=1, b=1, c=1)}
@@ -304,21 +317,20 @@ class TestTfidf:
     )
     def test_seed_similarities_add_each_row_in_stored_order(self, docs):
         stats = build_stats(count_index(**{f"d{i}": tc(**d) for i, d in enumerate(docs)}), ["d0", "d1"])
-        weights, norms, idf = tfidf(stats)
-        seed = np.zeros(len(idf))
-        seed[stats.seed_terms] = stats.seed_counts * idf[stats.seed_terms]
+        term_idf = unit_idf(stats)
+        seed = np.zeros(len(term_idf))
+        seed[stats.seed_terms] = stats.seed_counts * term_idf[stats.seed_terms]
         seed_norm = math.sqrt(float((seed[stats.seed_terms] ** 2).sum()))
         counts = stats.index.counts
-        expected, expected_norms = [], []
+        expected = []
         for row in range(len(docs)):
             dot = squares = 0.0
             for e in range(counts.indptr[row], counts.indptr[row + 1]):
-                dot += weights[e] * seed[counts.indices[e]]
-                squares += weights[e] * weights[e]
-            expected_norms.append(math.sqrt(squares))
-            denominator = expected_norms[-1] * seed_norm
+                weight = counts.data[e] * term_idf[counts.indices[e]]
+                dot += weight * seed[counts.indices[e]]
+                squares += weight * weight
+            denominator = math.sqrt(squares) * seed_norm
             expected.append(dot / denominator if denominator else 0.0)
-        assert norms.tolist() == expected_norms
         # Under budgets of 1, 2 and 3 counts' worth (32 bytes each) blocks end
         # between rows, a wider row is a block of its own, and empty rows fall on block edges.
         for budget in (seedrank.vectors.BLOCK_BYTES, 32, 64, 96):
