@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from seedrank import Document, Lexicon, PipelineConfig, Topic, build_index, intra_similarity, term_commonality
+from seedrank import Document, PipelineConfig, Topic, build_index, intra_similarity, term_commonality
 
 rng = np.random.default_rng(3)
 clinical = [f"sign{i}" for i in range(15)]
@@ -47,7 +47,7 @@ print("\nterm spread across the 6 relevant docs (bag of words):")
 for docs_containing, n_terms in histogram.items():
     print(f"  in {docs_containing} docs: {n_terms} terms")
 
-lexicon = Lexicon(frozenset(clinical))
+lexicon = frozenset(clinical)
 _, histogram_lex = term_commonality(build_index(topic, corpus, "boc", pipeline, lexicon=lexicon))
 print("restricted to the curated lexicon:")
 for docs_containing, n_terms in histogram_lex.items():

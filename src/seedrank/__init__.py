@@ -12,7 +12,6 @@ metrics and paired significance tests.
 from .corpus import (
     Document,
     EmbeddingTable,
-    Lexicon,
     Run,
     RunUnit,
     Topic,

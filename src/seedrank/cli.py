@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import corpus as corpus_io
 from .corpus import Run, filter_topics, is_relevant, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
-from .errors import ConfigError, InsufficientDocumentsError, ParseError, SeedRankError
+from .errors import ConfigError, ContractError, InsufficientDocumentsError, ParseError, SeedRankError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
     FRACTION, MIN_GROUP_SEEDS, REPETITIONS, ExperimentReport, check_fraction, check_repetitions,
@@ -214,7 +214,7 @@ class _Resources:
     topics: list
     pipeline: PipelineConfig
     params: ScoringParams
-    lexicon: object | None
+    lexicon: frozenset[str] | None
     embeddings: object | None
 
 
@@ -228,7 +228,7 @@ def _load_resources(config: RunConfig, min_relevant: int) -> _Resources:
         log.info("skipped topics with fewer than %d relevant studies: %s", min_relevant, ", ".join(dropped))
     if not topics:
         raise ConfigError("qrels", f"no topic has >= {min_relevant} relevant studies")
-    stopwords = load_lexicon(config.stopwords).terms if config.stopwords else None
+    stopwords = load_lexicon(config.stopwords) if config.stopwords else None
     pipeline, params = _settings(config, stopwords)
     # build_index reads the lexicon under boc only.
     lexicon = load_lexicon(config.lexicon) if config.representation == "boc" else None
@@ -364,8 +364,6 @@ def cmd_multi(config: RunConfig) -> int:
     validate_config(config)
     min_relevant = max(config.min_relevant, MIN_GROUP_SEEDS)
     res = _load_resources(config, min_relevant)
-    # Every topic's windows are checked before any topic is ranked.
-    groups_of = {t.topic_id: make_groups(t.topic_id, t.relevant_ids, config.fraction) for t in res.topics}
     out = Path(config.output_dir)
     multi_dir = out / "runs" / f"{config.method}-{config.representation}-multi"
     oracle_dir = out / "runs" / f"{config.method}-{config.representation}-oracle"
@@ -373,8 +371,9 @@ def cmd_multi(config: RunConfig) -> int:
     oracle_dir.mkdir(parents=True, exist_ok=True)
 
     def work(topic, index):
+        # A topic whose window would cover its seed pool fails here, alone.
+        groups = make_groups(topic.topic_id, topic.relevant_ids, config.fraction)
         single_report, single_runs = loocv_single(index, config.method, res.params)
-        groups = groups_of[topic.topic_id]
         multi_report = ExperimentReport()
         oracle_report = ExperimentReport()
         multi_units = []
@@ -530,7 +529,10 @@ def cmd_compare(
     metrics = [m for m in a if m in b]
     if not metrics:
         raise ConfigError("metrics", "the two CSV files share no metrics")
-    rows = significance_rows(name_a, name_b, a, b, metrics, alpha=alpha, family_size=family_size)
+    try:
+        rows = significance_rows(name_a, name_b, a, b, metrics, alpha=alpha, family_size=family_size)
+    except ContractError as exc:  # a metric with fewer than two shared topics: a fault of the input files
+        raise ConfigError("metrics", str(exc)) from None
     out_rows = [
         [r["method_a"], r["method_b"], r["metric"], _format_value(r["t"]),
          _format_value(r["p"]), _format_value(r["p_adjusted"]), _format_value(r["significant"])]

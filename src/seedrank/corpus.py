@@ -77,19 +77,6 @@ class Topic:
         return [d for d in self.candidate_ids if d not in relevant]
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Set of lowercase single-token clinical terms."""
-
-    terms: frozenset[str]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 @dataclass(frozen=True, eq=False)
 class RunUnit:
     """One run unit: its key, its tag, and its documents and their scores in rank order.
@@ -354,9 +341,9 @@ def load_run(path) -> Run:
     return Run(tuple(units))
 
 
-def load_lexicon(path) -> Lexicon:
+def load_lexicon(path) -> frozenset[str]:
     """One token per line; lowercased and deduplicated. Empty files are accepted."""
-    return Lexicon(frozenset(token.lower() for _, (token,) in _records(path, "token")))
+    return frozenset(token.lower() for _, (token,) in _records(path, "token"))
 
 
 # Lines of the embedding body parsed by one np.loadtxt call. Besides the

@@ -31,7 +31,7 @@ import numpy as np
 from .corpus import RunUnit
 from .errors import ConfigError, ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, ranked_metrics
-from .scoring import ScoringParams, derive_rng, rank
+from .scoring import ScoringParams, keyed_generators, rank
 from .vectors import TopicIndex, cosine, idf, line_entries
 
 LASTREL_METRICS = ("lastrel%", "wss")
@@ -277,7 +277,7 @@ def intra_similarity(
     rel_mean = _pairwise_mean_cosine(index, term_idf, index.row_numbers(relevant))
 
     irrelevant_rows = index.row_numbers(irrelevant)
-    rng = derive_rng(rng_seed, topic.topic_id, "intra-similarity")
+    rng = next(keyed_generators((rng_seed, topic.topic_id), ["intra-similarity"]))
     sample_means = []
     for _ in range(repetitions):
         chosen = irrelevant_rows[np.sort(rng.choice(len(irrelevant), size=len(relevant), replace=False))]

@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -167,12 +167,6 @@ def keyed_generators(prefix: tuple, names: Sequence) -> Iterator[np.random.Gener
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
         }
         yield rng
-
-
-def derive_rng(*parts) -> np.random.Generator:
-    """A generator keyed by arbitrary identifiers (at least one), stable across processes."""
-    *prefix, name = parts
-    return next(keyed_generators(tuple(prefix), [name]))
 
 
 def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
@@ -343,11 +337,6 @@ def aes_score(stats: CollectionStats) -> np.ndarray:
     return scores[stats.candidates]
 
 
-def sort_scored(scores: Mapping[str, float]) -> list[tuple[str, float]]:
-    """Scores sorted descending, ties broken by doc_id ascending: the tie rule ``rank`` follows."""
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 def minmax(scores: np.ndarray) -> np.ndarray:
     """Min-max normalize to [0, 1]; a constant array maps to all zeros."""
     if not len(scores):
@@ -387,8 +376,7 @@ def rank(
     form one pseudo-seed, their texts concatenated in order. Returns the
     unit keyed by ``run_key`` (default: the topic id): its candidate rows
     and their scores, by score descending with ties broken by doc_id
-    ascending (``sort_scored``'s order), from ``corpus.rank_order`` with
-    ``index.doc_order``.
+    ascending, from ``corpus.rank_order`` with ``index.doc_order``.
     """
     check_method(method)
     if method in AES_METHODS and index.embeddings is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import Document, EmbeddingTable, Lexicon, load_lexicon
+from .corpus import Document, EmbeddingTable, load_lexicon
 from .errors import ConfigError
 
 OURS = "ours"
@@ -50,7 +50,7 @@ _NON_WORD_TO_SPACE = _NonWordToSpace()
 def default_stopwords() -> frozenset[str]:
     """The bundled 179-word English stopword list."""
     with resources.as_file(resources.files("seedrank.data") / "stopwords_english.txt") as path:
-        return load_lexicon(path).terms
+        return load_lexicon(path)
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,11 @@ def split(text: str, variant: str) -> list[str]:
     return text.split()
 
 
-def kept_term(stopwords: frozenset[str], lexicon: Lexicon | None = None) -> Callable[[str], bool]:
+def kept_term(stopwords: frozenset[str], lexicon: frozenset[str] | None = None) -> Callable[[str], bool]:
     """Whether a term (a lowercase surface form) is kept: not a stopword and, given a lexicon, in it."""
     if lexicon is None:
         return lambda term: term not in stopwords
-    terms = lexicon.terms
-    return lambda term: term not in stopwords and term in terms
+    return lambda term: term not in stopwords and term in lexicon
 
 
 class SurfaceForms(dict):
@@ -101,7 +100,7 @@ class SurfaceForms(dict):
     def __init__(
         self,
         stopwords: frozenset[str],
-        lexicon: Lexicon | None = None,
+        lexicon: frozenset[str] | None = None,
         embeddings: EmbeddingTable | None = None,
     ):
         super().__init__()

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, EmbeddingTable, Lexicon, Topic, doc_order, is_relevant
+from .corpus import Document, EmbeddingTable, Topic, doc_order, is_relevant
 from .errors import ConfigError, ContractError, EmptyTopicError
 from .text import PipelineConfig, SurfaceForms, document_text, split
 
@@ -136,18 +136,6 @@ class TopicIndex:
     embedding_hits: np.ndarray | None = None
 
     @classmethod
-    def from_counts(
-        cls, topic: Topic, counts: Mapping[str, Mapping[str, int]], representation: str = "bow"
-    ) -> "TopicIndex":
-        """Index doc_id -> term -> count; the mapping's order is the row order."""
-        vocabulary: dict[str, int] = {}
-        rows = (
-            {vocabulary.setdefault(term, len(vocabulary)): count for term, count in doc.items()}
-            for doc in counts.values()
-        )
-        return cls.from_rows(topic, tuple(counts), rows, vocabulary, representation)
-
-    @classmethod
     def from_rows(
         cls,
         topic: Topic,
@@ -216,7 +204,7 @@ def build_index(
     representation: str,
     pipeline: PipelineConfig,
     *,
-    lexicon: Lexicon | None = None,
+    lexicon: frozenset[str] | None = None,
     embeddings: EmbeddingTable | None = None,
 ) -> TopicIndex:
     """Count every candidate of ``topic`` once; with ``embeddings``, average its token vectors once.

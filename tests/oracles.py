@@ -5,10 +5,13 @@ possible (quadratic slicing, explicit ideal rankings, no shared helpers),
 so agreement with the library is meaningful.
 """
 
+import hashlib
 import math
 import re
 import unicodedata
 from collections import Counter
+
+import numpy as np
 
 
 def ref_average_precision(ranked, qrels):
@@ -178,3 +181,17 @@ def ref_counts(doc, config, lexicon=None):
     """Term counts of one document in order of first occurrence; with a lexicon, only its terms."""
     text = f"{doc.title} {doc.abstract}" if config.include_title else doc.abstract
     return {t: c for t, c in Counter(ref_tokenize(text, config)).items() if lexicon is None or t in lexicon}
+
+
+def sort_scored(scores):
+    """Scores sorted descending, ties broken by doc_id ascending: the tie rule ``corpus.rank_order`` implements."""
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def reference_derive_rng(*parts):
+    """default_rng over the blake2b words of ``parts`` joined by U+001F.
+
+    phi's undersampling and intra_similarity's irrelevant sample draw from this stream.
+    """
+    digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
+    return np.random.default_rng(np.frombuffer(digest.digest(), dtype=np.uint64))

@@ -131,9 +131,22 @@ def write_collection_files(tmp_path, topics, corpus):
     return corpus_path, topics_path, qrels_path
 
 
+def index_from_counts(topic, counts):
+    """A bow topic index over doc_id -> term -> count, through ``TopicIndex.from_rows``.
+
+    The mapping's order is the row order; terms are numbered in order of first occurrence.
+    """
+    vocabulary = {}
+    rows = (
+        {vocabulary.setdefault(term, len(vocabulary)): count for term, count in doc.items()}
+        for doc in counts.values()
+    )
+    return TopicIndex.from_rows(topic, tuple(counts), rows, vocabulary, "bow")
+
+
 def count_index(**docs):
     """A topic index over doc_id -> term counts, rows in keyword order."""
-    return TopicIndex.from_counts(Topic("T", list(docs)), docs)
+    return index_from_counts(Topic("T", list(docs)), docs)
 
 
 def entry_rows(counts):

@@ -19,9 +19,9 @@ from oracles import (
     ref_ndcg_at,
     ref_precision_at,
     ref_recall_at,
+    sort_scored,
 )
 from seedrank import (
-    Lexicon,
     PipelineConfig,
     ScoringParams,
     SeedGroup,
@@ -43,7 +43,6 @@ from seedrank import (
     wss,
 )
 from seedrank.evaluation import average_precision
-from seedrank.scoring import sort_scored
 from synth import by_term, count_index, synth_collection, synth_topic, write_collection_files
 
 from conftest import unit_lines
@@ -263,7 +262,7 @@ def test_criterion_6_observation_replication(pipeline):
             assert rel_mean > irrel_mean, f"topic {topic.topic_id}: {rel_mean} <= {irrel_mean}"
 
         # A lexicon covering only part of the vocabulary must shrink it strictly.
-        lexicon = Lexicon(frozenset(f"term{i:04d}" for i in range(0, 150, 2)))
+        lexicon = frozenset(f"term{i:04d}" for i in range(0, 150, 2))
         bow_vocab = set()
         boc_vocab = set()
         for topic in topics:

@@ -406,9 +406,40 @@ class TestCmdMulti:
             "--output-dir", str(out_dir),
         ]
         assert main(argv) == 1
+        # Every topic's window covers its pool of 4 seeds: each fails on its own, and the summary names them all.
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert summary["error"] == "InsufficientSeedsError" and "'T000'" in summary["detail"]
+        assert summary["error"] == "TopicFailure"
+        assert [t["topic_id"] for t in summary["topics"]] == ["T000", "T001", "T002"]
+        for failure in summary["topics"]:
+            assert failure["error"] == "InsufficientSeedsError" and "covers the whole pool" in failure["detail"]
         assert not list(tmp_path.rglob("*.run"))
+
+    def test_whole_pool_window_fails_only_its_topic(self, tmp_path, capsys):
+        # Under --fraction 0.7 a window covers 3 of 4 seeds, but the whole pool of T900's 3.
+        topics, corpus = synth_collection(
+            seed=99, n_topics=3, n_docs=24, vocab_size=120, n_relevant=4, irrelevant_overlap=0.3
+        )
+        short, short_docs = synth_topic(np.random.default_rng(5), "T900", 24, 120, n_relevant=3, irrelevant_overlap=0.3)
+        outputs = {}
+        for name, kept in (("clean", topics), ("mixed", [topics[0], short, *topics[1:]])):
+            base = tmp_path / name
+            base.mkdir()
+            corpus_path, topics_path, qrels_path = write_collection_files(base, kept, corpus | short_docs)
+            argv = [
+                "-q", "multi", "--corpus", str(corpus_path), "--topics", str(topics_path), "--qrels", str(qrels_path),
+                "--method", "sdr", "--fraction", "0.7", "--output-dir", str(base / "out"),
+            ]
+            outputs[name] = main(argv), base / "out"
+        (mixed_code, mixed), (clean_code, clean) = outputs["mixed"], outputs["clean"]
+        assert (mixed_code, clean_code) == (1, 0)
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "TopicFailure"
+        assert [(t["topic_id"], t["error"]) for t in summary["topics"]] == [("T900", "InsufficientSeedsError")]
+        files = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
+        assert len(files) == 8  # two CSVs, and a multi and an oracle run per topic
+        assert sorted(p.relative_to(mixed) for p in mixed.rglob("*") if p.is_file()) == files
+        for rel in files:
+            assert (mixed / rel).read_bytes() == (clean / rel).read_bytes()
 
     def test_topic_below_min_relevant_is_dropped_with_an_info_line(self, tmp_path, caplog):
         # multi needs 3 relevant studies per topic; T900 has 2.
@@ -709,6 +740,17 @@ class TestCmdCompare:
             main(["-q", "compare", "--metrics-a", missing, "--metrics-b", missing, flag, value])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_metric_with_one_shared_topic_is_an_input_error(self, tmp_path, capsys):
+        a = self.write_means(tmp_path / "a.csv", [("T1", "map", 0.5), ("T2", "map", 0.25), ("T1", "wss", 0.1)])
+        b = self.write_means(tmp_path / "b.csv", [("T1", "map", 0.5), ("T2", "map", 0.5), ("T1", "wss", 0.2)])
+        output = tmp_path / "sig.csv"
+        argv = ["-q", "compare", "--metrics-a", a, "--metrics-b", b, "--output", str(output)]
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "metrics"
+        assert "'wss'" in summary["detail"] and "fewer than two shared topics" in summary["detail"]
+        assert not output.exists()
 
     def test_same_bytes_without_scipy(self, tmp_path):
         # The t distribution is computed in evaluation.py; scipy is a test dependency only.

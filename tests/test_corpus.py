@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sort_scored
 from seedrank import (
     Document,
     DuplicateIdError,
-    Lexicon,
     MissingTopicError,
     ParseError,
     PipelineConfig,
@@ -31,7 +31,6 @@ from seedrank import (
     write_run,
 )
 from seedrank import corpus
-from seedrank.scoring import sort_scored
 from seedrank.text import default_stopwords, document_text, kept_term
 
 from conftest import unit_lines
@@ -390,7 +389,7 @@ class TestLexiconAndEmbeddings:
     def test_lexicon_lowercase_dedup(self, tmp_path):
         p = tmp_path / "lex.txt"
         write_lines(p, ["Heart", "heart"])
-        assert load_lexicon(p).terms == frozenset({"heart"})
+        assert load_lexicon(p) == frozenset({"heart"})
 
     def test_empty_lexicon_ok(self, tmp_path):
         p = tmp_path / "lex.txt"
@@ -520,7 +519,7 @@ class TestUndecodableBytes:
     def test_utf8_text_still_loads(self, tmp_path):
         p = tmp_path / "lex.txt"
         write_lines(p, ["café", "İstanbul"])
-        assert load_lexicon(p).terms == frozenset({"café", "i̇stanbul"})
+        assert load_lexicon(p) == frozenset({"café", "i̇stanbul"})
 
 
 def mutated_or_random(valid: bytes):
@@ -741,7 +740,7 @@ class TestKeepRule:
     """With ``keep``, only the rows whose token's lowercase passes it are stored; every line is still checked."""
 
     # "the" is in the lexicon but is a stopword, so it is not kept.
-    ASPIRIN = staticmethod(kept_term(default_stopwords(), Lexicon(frozenset({"aspirin", "the"}))))
+    ASPIRIN = staticmethod(kept_term(default_stopwords(), frozenset({"aspirin", "the"})))
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -791,7 +790,7 @@ class TestKeepRule:
     def test_every_kept_form_finds_its_unfiltered_vector(self, tmp_path_factory, chunk, tokens, kept):
         p = tmp_path_factory.mktemp("emb") / "e.txt"
         write_lines(p, [f"{len(tokens)} 2"] + [f"{token} {i} {-i}" for i, token in enumerate(tokens)])
-        keep = kept_term(frozenset(), Lexicon(frozenset(kept)))
+        keep = kept_term(frozenset(), frozenset(kept))
         with mock.patch.object(corpus, "_EMBEDDING_CHUNK_LINES", chunk):
             full = load_embeddings(p)
             table = load_embeddings(p, keep)
@@ -813,7 +812,7 @@ def test_filtered_embedding_load_holds_the_kept_rows(tmp_path):
     np.savetxt(body, rng.normal(size=(rows, dimension)), fmt="%.4f")
     p = tmp_path / "e.txt"
     write_lines(p, [f"{rows} {dimension}"] + [f"w{i} {values}" for i, values in enumerate(body.getvalue().splitlines())])
-    lexicon = Lexicon(frozenset(f"w{i}" for i in rng.choice(rows, size=kept, replace=False)))
+    lexicon = frozenset(f"w{i}" for i in rng.choice(rows, size=kept, replace=False))
     tracemalloc.start()
     try:
         table = load_embeddings(p, kept_term(default_stopwords(), lexicon))

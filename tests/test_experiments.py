@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import ref_cosine, ref_counts, ref_seed_driven_scores, ref_tfidf
+from oracles import ref_cosine, ref_counts, ref_seed_driven_scores, ref_tfidf, reference_derive_rng
 from seedrank import (
     ContractError,
     Document,
@@ -16,6 +16,7 @@ from seedrank import (
     Topic,
     build_index,
     evaluate_unit,
+    idf,
     intra_similarity,
     loocv_single,
     make_groups,
@@ -303,6 +304,22 @@ class TestIntraSimilarity:
             sims = [ref_cosine(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1:]]
             assert rel_mean == pytest.approx(sum(sims) / len(sims), abs=1e-12)
 
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_irrelevant_sample_draws_from_the_topics_keyed_stream(self, pipeline, rng_seed):
+        """Each repetition draws the next sample from the one stream keyed (rng_seed, topic_id, "intra-similarity")."""
+        topics, corpus = synth_collection(3, 2, 40, vocab_size=120, n_relevant=5, irrelevant_overlap=0.3)
+        for topic in topics:
+            index = build_index(topic, corpus, "bow", pipeline)
+            _, irrel_mean = intra_similarity(index, repetitions=4, rng_seed=rng_seed)
+            term_idf = idf(len(index.doc_ids), index.doc_freq)
+            irrelevant = index.row_numbers(topic.irrelevant_ids)
+            rng = reference_derive_rng(rng_seed, topic.topic_id, "intra-similarity")
+            means = []
+            for _ in range(4):
+                drawn = np.sort(rng.choice(len(irrelevant), size=len(topic.relevant_ids), replace=False))
+                means.append(_pairwise_mean_cosine(index, term_idf, irrelevant[drawn]))
+            assert irrel_mean == sum(means) / len(means)
+
     def test_single_relevant_is_error(self, pipeline):
         topic, corpus = self.make_topic_corpus(["one doc"], ["a", "b"])
         with pytest.raises(InsufficientDocumentsError, match="relevant"):
@@ -342,14 +359,12 @@ class TestTermCommonality:
         assert histogram == {1: 4, 4: 1}
 
     def test_boc_fractions_over_restricted_vocab(self, pipeline):
-        from seedrank import Lexicon
-
         corpus = {
             "r0": Document("r0", "", "heart noise1"),
             "r1": Document("r1", "", "heart noise2"),
         }
         topic = Topic("T", list(corpus), {d: 1 for d in corpus})
-        lex = Lexicon(frozenset({"heart"}))
+        lex = frozenset({"heart"})
         fractions, _ = term_commonality(build_index(topic, corpus, "boc", pipeline, lexicon=lex))
         assert fractions == {"heart": 1.0}
 

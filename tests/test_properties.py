@@ -11,9 +11,9 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import ref_bm25_scores, ref_qlm_scores, ref_seed_driven_scores
+from oracles import ref_bm25_scores, ref_qlm_scores, ref_seed_driven_scores, sort_scored
 from seedrank import EmbeddingTable, PipelineConfig, Run, ScoringParams, build_index, load_run, rank, scoring, write_run
-from seedrank.scoring import METHODS, sort_scored
+from seedrank.scoring import METHODS
 from synth import count_index, synth_collection
 
 from conftest import unit_lines

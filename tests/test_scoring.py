@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ref_counts, ref_gamma, ref_phi, ref_qlm_scores, ref_seed_driven_scores, ref_tfidf
+from oracles import (
+    ref_counts,
+    ref_gamma,
+    ref_phi,
+    ref_qlm_scores,
+    ref_seed_driven_scores,
+    ref_tfidf,
+    reference_derive_rng,
+    sort_scored,
+)
 from seedrank import (
     ConfigError,
     ContractError,
@@ -24,13 +33,12 @@ from seedrank import (
     rank,
     sdr_score,
 )
+from seedrank.corpus import doc_order, rank_order
 from seedrank.scoring import (
     _keyed_states,
     _phi_from_gammas,
     _seed_sequence_states,
-    derive_rng,
     keyed_generators,
-    sort_scored,
 )
 from seedrank.text import tokenize
 from seedrank.vectors import seed_similarities
@@ -272,14 +280,12 @@ class TestInterpolate:
 
 class TestSortScored:
     def test_tie_break_by_doc_id(self):
-        assert sort_scored({"b": 1.0, "a": 1.0, "c": 2.0}) == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
-
-
-def reference_derive_rng(*parts) -> np.random.Generator:
-    """The generator derivation that phi's draws are pinned to: default_rng over the key's blake2b words."""
-    digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
-    words = np.frombuffer(digest.digest(), dtype=np.uint64)
-    return np.random.default_rng(words)
+        # The oracle's rule, and rank_order's on the same scores.
+        scores = {"b": 1.0, "a": 1.0, "c": 2.0}
+        assert sort_scored(scores) == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+        doc_ids = tuple(scores)
+        rows, ranked = rank_order(np.arange(3), np.array(list(scores.values())), doc_order(doc_ids))
+        assert [(doc_ids[r], s) for r, s in zip(rows.tolist(), ranked.tolist())] == sort_scored(scores)
 
 
 def reference_phi_weights(stats, params, *, undersample=False, rng_key=()):
@@ -394,7 +400,6 @@ class TestKeyedStreams:
     def test_draws_equal_derive_rng(self, names):
         for name, rng in zip(names, keyed_generators(self.PREFIX, names)):
             drawn = rng.choice(120, size=7, replace=False).tolist()
-            assert drawn == derive_rng(*self.PREFIX, name).choice(120, size=7, replace=False).tolist()
             assert drawn == reference_derive_rng(*self.PREFIX, name).choice(120, size=7, replace=False).tolist()
 
     def test_no_names(self):
@@ -402,10 +407,16 @@ class TestKeyedStreams:
 
 
 class TestDeriveRng:
+    """The streams ``keyed_generators`` derives for the key (*prefix, name)."""
+
+    @staticmethod
+    def stream(*parts):
+        return next(keyed_generators(parts[:-1], parts[-1:]))
+
     def test_stable_and_distinct(self):
-        a = derive_rng(1, "T", "x").integers(0, 1_000_000, size=5)
-        b = derive_rng(1, "T", "x").integers(0, 1_000_000, size=5)
-        c = derive_rng(1, "T", "y").integers(0, 1_000_000, size=5)
+        a = self.stream(1, "T", "x").integers(0, 1_000_000, size=5)
+        b = self.stream(1, "T", "x").integers(0, 1_000_000, size=5)
+        c = self.stream(1, "T", "y").integers(0, 1_000_000, size=5)
         assert list(a) == list(b)
         assert list(a) != list(c)
 
@@ -417,8 +428,9 @@ class TestDeriveRng:
     ])
     def test_golden_streams(self, parts, integers, chosen):
         # Recorded from the blake2b -> np.random.default_rng derivation; a change here changes every sample.
-        assert derive_rng(*parts).integers(0, 1_000_000, size=5).tolist() == integers
-        assert derive_rng(*parts).choice(100, size=5, replace=False).tolist() == chosen
+        assert self.stream(*parts).integers(0, 1_000_000, size=5).tolist() == integers
+        assert self.stream(*parts).choice(100, size=5, replace=False).tolist() == chosen
+        assert reference_derive_rng(*parts).integers(0, 1_000_000, size=5).tolist() == integers
 
 
 class TestRank:

@@ -10,7 +10,6 @@ from seedrank import (
     ConfigError,
     Document,
     EmbeddingTable,
-    Lexicon,
     PipelineConfig,
     Topic,
     build_index,
@@ -147,7 +146,7 @@ class TestBow:
 
 
 class TestBoc:
-    LEX = Lexicon(frozenset({"heart", "rate"}))
+    LEX = frozenset({"heart", "rate"})
     NO_STOPWORDS = PipelineConfig(stopwords=frozenset())
 
     def test_restriction_preserves_counts(self):
@@ -158,7 +157,7 @@ class TestBoc:
         assert list(index.doc_lengths) == [3]
 
     def test_empty_lexicon(self):
-        assert index_counts(["heart heart"], self.NO_STOPWORDS, "boc", Lexicon(frozenset()))[0]["d0"] == {}
+        assert index_counts(["heart heart"], self.NO_STOPWORDS, "boc", frozenset())[0]["d0"] == {}
 
     def test_superset_lexicon_is_identity(self):
         bow, _ = index_counts(["heart heart rate"], self.NO_STOPWORDS)
@@ -168,7 +167,7 @@ class TestBoc:
            st.sets(st.sampled_from("abcdefgh"), max_size=8))
     def test_subset_property(self, docs, lex_terms):
         texts = [" ".join(words) for words in docs]
-        lexicon = Lexicon(frozenset(lex_terms))
+        lexicon = frozenset(lex_terms)
         bow, _ = index_counts(texts, self.NO_STOPWORDS)
         boc, index = index_counts(texts, self.NO_STOPWORDS, "boc", lexicon)
         for i, text in enumerate(texts):
@@ -185,7 +184,7 @@ class TestStopwords:
 
     def test_vocab_ordering_boc_le_bow(self, pipeline):
         docs = [Document(str(i), "heart rate study", "aspirin therapy outcome") for i in range(3)]
-        lex = Lexicon(frozenset({"heart", "aspirin"}))
+        lex = frozenset({"heart", "aspirin"})
         _, bow_index = index_counts(docs, pipeline)
         _, boc_index = index_counts(docs, pipeline, "boc", lex)
         assert set(boc_index.terms) <= set(bow_index.terms)

@@ -11,10 +11,8 @@ from seedrank import (
     Document,
     EmbeddingTable,
     EmptyTopicError,
-    Lexicon,
     PipelineConfig,
     Topic,
-    TopicIndex,
     aes_vector,
     build_index,
     build_stats,
@@ -30,6 +28,7 @@ from synth import (
     count_index,
     dense,
     entry_rows,
+    index_from_counts,
     mixed_case,
     mixed_case_embedding_terms,
     synth_collection,
@@ -72,7 +71,7 @@ def check_against_counts(index, counts):
 
 STOPWORDS = ("the", "The", "AND", "of", "i", "I", "with")
 WORDS = ("heart", "Heart", "HEART", "aspirin", "Stroke", "stroke", "\u0130stanbul", "\u0130", "co-op", "x2", "(risk)")
-LEXICON = Lexicon(frozenset({"heart", "stroke", "i\u0307stanbul", "co", "op", "x2", "the"}))
+LEXICON = frozenset({"heart", "stroke", "i\u0307stanbul", "co", "op", "x2", "the"})
 TEXTS = st.one_of(
     st.lists(st.sampled_from(WORDS + STOPWORDS), max_size=12).map(" ".join),
     st.lists(st.sampled_from(STOPWORDS), max_size=4).map(" ".join),  # empty or stopwords only
@@ -118,7 +117,7 @@ class TestTopicIndex:
     ))
     def test_columns_and_counts_match_per_term_reference(self, docs):
         counts = {f"d{i}": d for i, d in enumerate(docs)}
-        check_against_counts(TopicIndex.from_counts(Topic("T", list(counts)), counts), counts)
+        check_against_counts(index_from_counts(Topic("T", list(counts)), counts), counts)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(TEXTS, max_size=8), st.sampled_from(["ours", "lee"]), st.booleans())
@@ -129,7 +128,7 @@ class TestTopicIndex:
         lexicon = LEXICON if boc else None
         index = build_index(Topic("T", list(corpus)), corpus, "boc" if boc else "bow", pipeline, lexicon=lexicon)
         terms = {doc_id: tokenize(document_text(doc, pipeline), pipeline) for doc_id, doc in corpus.items()}
-        counts = {doc_id: Counter(t for t in doc if not boc or t in LEXICON.terms) for doc_id, doc in terms.items()}
+        counts = {doc_id: Counter(t for t in doc if not boc or t in LEXICON) for doc_id, doc in terms.items()}
         assert index.terms == tuple(dict.fromkeys(t for doc in counts.values() for t in doc))
         check_against_counts(index, counts)
 
@@ -141,7 +140,7 @@ class TestTopicIndex:
         for doc_id in ("d1", "d2"):
             held = rng.choice(len(words), size=20_000, replace=False)
             counts[doc_id] = {words[i]: int(c) for i, c in zip(held, rng.integers(1, 5, size=len(held)))}
-        index = TopicIndex.from_counts(Topic("T", list(counts)), counts)
+        index = index_from_counts(Topic("T", list(counts)), counts)
         assert len(index.terms) == 70_000
         check_against_counts(index, counts)
 
@@ -428,7 +427,7 @@ class TestAesVector:
         (topic,), corpus = synth_collection(seed=4, n_topics=1, n_docs=30, vocab_size=120, irrelevant_overlap=0.3)
         corpus = mixed_case(corpus)
         path = write_embeddings_file(tmp_path, mixed_case_embedding_terms(120))
-        lexicon = Lexicon(frozenset([f"term{i:04d}" for i in range(60)] + ["the", "study"]))
+        lexicon = frozenset([f"term{i:04d}" for i in range(60)] + ["the", "study"])
         pipeline = PipelineConfig()
         full = load_embeddings(path)
         kept = load_embeddings(path, kept_term(pipeline.stopwords, lexicon if representation == "boc" else None))
@@ -438,7 +437,7 @@ class TestAesVector:
         assert a.embedding_hits.tobytes() == b.embedding_hits.tobytes() and a.embedding_hits.any()
 
     def test_boc_rows_only_for_lexicon_terms(self):
-        vec, hits = aes_row("A b B", representation="boc", lexicon=Lexicon(frozenset({"b"})))
+        vec, hits = aes_row("A b B", representation="boc", lexicon=frozenset({"b"}))
         assert list(vec) == [0.0, 1.0] and hits == 2
 
     def test_index_rows_are_candidate_means(self):
