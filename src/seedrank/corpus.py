@@ -363,12 +363,13 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
     holds both rows ``EmbeddingTable.row`` can look up for a form whose
     lowercase passes. Without ``keep`` the matrix is sized from the header's
     vocabulary size, but to no more rows than the file's bytes can hold; with
-    it the matrix starts empty. It grows, in place where the allocator can,
-    when more rows are kept, and is cut to them at the end. Every line is
-    checked, kept or not: a chunk that does not parse is checked one line at
-    a time to name the first bad line, and a non-finite value is raised only
-    after the whole body has parsed, so a malformed line anywhere is reported
-    first.
+    it the matrix starts empty. When a chunk's kept rows do not fit, it grows
+    by a quarter (or to fit them), in place where the allocator can, so it
+    holds at most about a quarter more rows than it keeps, and is cut to them
+    at the end. Every line is checked, kept or not: a chunk that does not
+    parse is checked one line at a time to name the first bad line, and a
+    non-finite value is raised only after the whole body has parsed, so a
+    malformed line anywhere is reported first.
     """
     with closing(_lines(path)) as lines:
         # The header is line 1, so a blank first line is not one.
@@ -401,7 +402,7 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
             if stop > len(matrix):
                 # No view of the matrix outlives a statement, so it can be
                 # reallocated in place.
-                matrix.resize((max(stop, 2 * len(matrix)), dimension), refcheck=False)
+                matrix.resize((max(stop, len(matrix) + len(matrix) // 4), dimension), refcheck=False)
             matrix[n:stop] = block
             rows.update(zip(tokens, range(n, stop)))
             n = stop

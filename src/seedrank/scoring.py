@@ -331,9 +331,9 @@ def bm25_score(stats: CollectionStats, params: ScoringParams) -> np.ndarray:
 
 def aes_score(stats: CollectionStats) -> np.ndarray:
     """Cosine between the seeds' mean embedding and every candidate's."""
-    embeddings = stats.index.embeddings
+    index = stats.index
     seed = seed_embedding(stats)
-    scores = cosine(embeddings @ seed, np.linalg.norm(embeddings, axis=1), float(np.linalg.norm(seed)))
+    scores = cosine(index.embeddings @ seed, index.embedding_norms, float(np.linalg.norm(seed)))
     return scores[stats.candidates]
 
 

@@ -117,7 +117,7 @@ class TopicIndex:
     marks the rows judged relevant (``corpus.is_relevant``). ``embeddings``
     is the N x d matrix of mean embeddings, None when built without an
     embedding table; ``embedding_hits`` counts the tokens each row's mean is
-    over.
+    over, and ``embedding_norms`` holds each mean's Euclidean norm.
     """
 
     topic: Topic
@@ -134,6 +134,7 @@ class TopicIndex:
     relevant: np.ndarray
     embeddings: np.ndarray | None = None
     embedding_hits: np.ndarray | None = None
+    embedding_norms: np.ndarray | None = None
 
     @classmethod
     def from_rows(
@@ -159,10 +160,10 @@ class TopicIndex:
         terms = tuple(terms)
         # The arrays view the buffers; typecode "i" is a C int, 32 bits wide.
         lengths, indices, data = (np.frombuffer(buffer, np.int32) for buffer in (lengths, indices, data))
-        entry_rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
         counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
-        postings = _postings(counts, entry_rows, doc_freq)
+        # Each entry's row, which no name holds once the postings are made.
+        postings = _postings(counts, np.repeat(np.arange(len(lengths), dtype=np.int32), lengths), doc_freq)
         judgments = topic.judgments
         return cls(
             topic=topic,
@@ -212,6 +213,9 @@ def build_index(
     Each candidate is split once. Each distinct surface form is normalised
     once per call, into its column and embedding row (``text.SurfaceForms``),
     so a document's counts and its embedding rows are lookups of its tokens.
+    Without ``embeddings`` an ASCII text is lowercased before it is split,
+    which gives the same terms with one form per term. With them the
+    index also holds each mean's norm, which every AES unit divides by.
     """
     check_representation(representation)
     if representation == "boc" and lexicon is None:
@@ -223,25 +227,35 @@ def build_index(
             f"(first: {absent[:3]})"
         )
     docs = {d: corpus[d] for d in topic.candidate_ids}
-    forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
     means = hits = None
     if embeddings is not None:
         means = np.zeros((len(docs), embeddings.dimension))
         hits = np.zeros(len(docs), dtype=np.int64)
 
+    terms: list[str] = []
+
     # Made one at a time as from_rows stores them; each also fills its row's embedding mean.
+    # The form table lives in the generator's frame, so it is freed once the last row is
+    # made and its terms are handed over, before from_rows sorts the postings.
     def rows():
+        forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
         for i, doc in enumerate(docs.values()):
-            tokens = split(document_text(doc, pipeline), pipeline.variant)
+            text = document_text(doc, pipeline)
+            if embeddings is None and text.isascii():
+                # The same terms (see ``text``), and one form per term.
+                text = text.lower()
+            tokens = split(text, pipeline.variant)
             counts = Counter(map(forms.__getitem__, tokens))
             counts.pop(-1, None)
             if embeddings is not None:
                 embedding_rows = np.fromiter(map(forms.embedding_rows.__getitem__, tokens), np.intp, len(tokens))
                 means[i], hits[i] = aes_vector(embedding_rows[embedding_rows >= 0], embeddings)
             yield counts
+        terms.extend(forms.columns)
 
-    index = TopicIndex.from_rows(topic, tuple(docs), rows(), forms.columns, representation)
-    return replace(index, embeddings=means, embedding_hits=hits)
+    index = TopicIndex.from_rows(topic, tuple(docs), rows(), terms, representation)
+    norms = None if means is None else np.linalg.norm(means, axis=1)
+    return replace(index, embeddings=means, embedding_hits=hits, embedding_norms=norms)
 
 
 @dataclass(frozen=True, eq=False)

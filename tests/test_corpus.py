@@ -805,7 +805,12 @@ class TestKeepRule:
 
 
 def test_filtered_embedding_load_holds_the_kept_rows(tmp_path):
-    """tracemalloc peak of a 20000 x 100 load keeping 6097 rows, the benchmark's hybrid file shape, < 12 MiB."""
+    """tracemalloc peak of a 20000 x 100 load keeping 6097 rows, the benchmark's hybrid file shape, < 8.5 MiB.
+
+    The kept-row matrix grows by a quarter, so it holds at most about 1.25 x
+    the 4.7 MiB of kept rows while loading: 7.2 MiB in all here, 9.9 MiB
+    when it grew by doubling.
+    """
     rows, dimension, kept = 20000, 100, 6097
     rng = np.random.default_rng(9)
     body = io.StringIO()
@@ -821,7 +826,7 @@ def test_filtered_embedding_load_holds_the_kept_rows(tmp_path):
         tracemalloc.stop()
     assert table.matrix.shape == (kept, dimension) and table.rows_read == rows
     assert table.matrix.base is None and table.matrix.flags.c_contiguous
-    assert peak < 12 * 2**20
+    assert peak < 8.5 * 2**20
 
 
 def test_embedding_loader_holds_the_table_plus_one_chunk(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -78,6 +79,24 @@ TEXTS = st.one_of(
     st.text(st.sampled_from("aBi\u0130\u0131 .-%"), max_size=20),
 )
 
+# Words whose case rules are not ASCII's: U+0130 (two codepoints in lowercase), capital
+# sigmas word-final and before a case-ignorable full stop, sharp s, combining marks, a
+# titlecase digraph and a ligature; mixed with ASCII words, digits and punctuation.
+MIXED_WORDS = (
+    "Heart", "HEART", "heart", "The", "x2", "42", "3.5%", "co-op", "(Risk)",
+    "\u0130stanbul", "\u0130", "\u039f\u0394\u039f\u03a3", "\u039f\u0394\u039f\u03a3.\u0391", "\u03a3\u039f\u03a6\u039f\u03a3",
+    "Stra\u00dfe", "STRASSE", "cafe\u0301", "Nai\u0308ve", "\u01c4emal", "\ufb01ber",
+)
+MIXED_LEXICON = frozenset({
+    "heart", "x2", "42", "co", "op", "i\u0307stanbul", "\u03bf\u03b4\u03bf\u03c2", "\u03bf\u03b4\u03bf\u03c3",
+    "\u03c3\u03bf\u03c6\u03bf\u03c2", "stra\u00dfe", "strasse", "cafe\u0301", "\u01c6emal",
+})
+MIXED_TEXTS = st.one_of(
+    st.lists(st.sampled_from(MIXED_WORDS), max_size=10).map(" ".join),
+    st.lists(st.sampled_from(MIXED_WORDS[:9]), max_size=10).map(" ".join),  # ASCII only
+    st.text(st.sampled_from("aBZz09i\u0130\u03a3\u00df\u0301 .-"), max_size=20),
+)
+
 
 @pytest.fixture(scope="module")
 def zipf_corpus():
@@ -132,6 +151,46 @@ class TestTopicIndex:
         assert index.terms == tuple(dict.fromkeys(t for doc in counts.values() for t in doc))
         check_against_counts(index, counts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(MIXED_TEXTS, MIXED_TEXTS), max_size=8),
+        st.sampled_from(["ours", "lee"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_lowercasing_ascii_texts_first_gives_tokenizes_terms(self, docs, variant, boc, include_title):
+        # ASCII texts take the lowercase-first path, the others the per-form one; both must count what tokenize gives.
+        pipeline = PipelineConfig(variant=variant, include_title=include_title)
+        corpus = {f"d{i}": Document(f"d{i}", title, abstract) for i, (title, abstract) in enumerate(docs)}
+        lexicon = MIXED_LEXICON if boc else None
+        index = build_index(Topic("T", list(corpus)), corpus, "boc" if boc else "bow", pipeline, lexicon=lexicon)
+        terms = {doc_id: tokenize(document_text(doc, pipeline), pipeline) for doc_id, doc in corpus.items()}
+        counts = {doc_id: Counter(t for t in doc if not boc or t in lexicon) for doc_id, doc in terms.items()}
+        assert index.terms == tuple(dict.fromkeys(t for doc in counts.values() for t in doc))
+        check_against_counts(index, counts)
+
+    def test_form_table_is_freed_before_the_column_sort(self, pipeline, monkeypatch):
+        # The form table's last reference is the counting generator's, which ends before _postings runs.
+        tables, alive = [], []
+
+        class Forms(seedrank.vectors.SurfaceForms):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(weakref.ref(self))
+
+        def postings(*args):
+            alive.append(any(table() is not None for table in tables))
+            return real_postings(*args)
+
+        real_postings = seedrank.vectors._postings
+        monkeypatch.setattr(seedrank.vectors, "SurfaceForms", Forms)
+        monkeypatch.setattr(seedrank.vectors, "_postings", postings)
+        corpus = {d: Document(d, "Heart", f"word{d} \u0130stanbul shared") for d in ("a", "b", "c")}
+        for embeddings in (None, TABLE):
+            index = build_index(Topic("T", list(corpus)), corpus, "bow", pipeline, embeddings=embeddings)
+            assert index.terms == ("heart", "worda", "i\u0307stanbul", "shared", "wordb", "wordc")
+        assert len(tables) == 2 and alive == [False, False]
+
     def test_more_columns_than_one_radix_digit(self):
         # 70,000 columns: sorting the entries by column takes a second 16-bit pass.
         rng = np.random.default_rng(5)
@@ -145,14 +204,16 @@ class TestTopicIndex:
         check_against_counts(index, counts)
 
     def test_build_holds_one_candidates_counts_at_a_time(self, pipeline, zipf_corpus):
-        """tracemalloc peak of build_index on 1100 candidates of 150-250 Zipf tokens, the benchmark's loocv shape, < 10 MiB.
+        """tracemalloc peak of build_index on 1100 candidates of 150-250 Zipf tokens, the benchmark's loocv shape, < 6.5 MiB.
 
         The build appends each candidate's counts to flat 32-bit buffers and
         drops its Counter; holding every candidate's Counter took 17 MiB here.
+        The peak, 5.7 MiB, is in the column sort; keeping the form table and
+        each entry's row alive through it took 7.9 MiB.
         """
         index, peak = traced_peak(lambda: build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline))
         assert len(index.counts.data) > 150_000 and len(index.terms) > 15_000
-        assert peak < 10 * 2**20
+        assert peak < 6.5 * 2**20
 
     def test_unit_memory_does_not_grow_with_the_topic(self, pipeline, params, zipf_corpus):
         """tracemalloc peak of one sdr run unit on the same 1100-candidate index, < 3 MiB.
@@ -165,6 +226,20 @@ class TestTopicIndex:
         unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr", params))
         assert len(unit.rows) == len(zipf_corpus) - 1
         assert peak < 3 * 2**20
+
+    def test_aes_unit_holds_no_candidates_by_dimensions_temporary(self, pipeline, params, zipf_corpus):
+        """tracemalloc peak of one sdr+aes run unit on the 1100-candidate index with d = 300, below one N x d matrix.
+
+        The candidates' embedding norms are taken once, by build_index, and the
+        unit measured 1.8 MiB here; taking them in every unit squared all N x d
+        means first and peaked at 3.3 MiB.
+        """
+        words = [f"w{i}" for i in range(2000)]
+        table = EmbeddingTable(np.random.default_rng(6).normal(size=(len(words), 300)), {w: i for i, w in enumerate(words)})
+        index = build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline, embeddings=table)
+        unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr+aes", params))
+        assert len(unit.rows) == len(zipf_corpus) - 1
+        assert peak < index.embeddings.nbytes
 
     def test_each_candidate_counted_once(self, pipeline, monkeypatch):
         import seedrank.vectors
@@ -435,6 +510,23 @@ class TestAesVector:
         a, b = (build_index(topic, corpus, representation, pipeline, lexicon=lexicon, embeddings=t) for t in (full, kept))
         assert a.embeddings.tobytes() == b.embeddings.tobytes()
         assert a.embedding_hits.tobytes() == b.embedding_hits.tobytes() and a.embedding_hits.any()
+
+    def test_ascii_text_keeps_raw_case_forms_for_the_lookup(self):
+        # With a table, an ASCII text is not lowercased before the split: "MRI" finds its own row.
+        table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), {"MRI": 0, "mri": 1})
+        corpus = {"d": Document("d", "MRI", "mri Mri")}
+        index = build_index(Topic("T", ["d"]), corpus, "bow", PipelineConfig(), embeddings=table)
+        assert index.terms == ("mri",) and index.counts.data.tolist() == [3]
+        assert index.embeddings.tolist() == [[1 / 3, 2 / 3]] and index.embedding_hits.tolist() == [3]
+
+    def test_embedding_norms_are_the_means_norms(self, tmp_path):
+        (topic,), corpus = synth_collection(seed=5, n_topics=1, n_docs=40, vocab_size=120, irrelevant_overlap=0.3)
+        table = load_embeddings(write_embeddings_file(tmp_path, mixed_case_embedding_terms(120), dim=16))
+        pipeline = PipelineConfig()
+        index = build_index(topic, mixed_case(corpus), "bow", pipeline, embeddings=table)
+        assert index.embedding_norms.tobytes() == np.linalg.norm(index.embeddings, axis=1).tobytes()
+        assert index.embedding_norms.all()
+        assert build_index(topic, corpus, "bow", pipeline).embedding_norms is None
 
     def test_boc_rows_only_for_lexicon_terms(self):
         vec, hits = aes_row("A b B", representation="boc", lexicon=frozenset({"b"}))
