@@ -13,11 +13,7 @@ lowercase, and it is dropped when that term is a stopword (or, for the
 ``boc`` representation, outside the lexicon). Embedding lookup uses the
 surface form itself, so only kept forms have embedding rows, and an
 embedding table need hold only the rows whose token's lowercase is a kept
-term (``kept_term``). Where no embedding lookup needs the case, an ASCII
-text may be lowercased before it is split: on ASCII ``str.lower`` changes
-only A-Z, which both splits treat like a-z, so the terms are the same. A
-non-ASCII text may not: a capital sigma lowercases by what follows it, and
-U+0130 lowercases to an i and a combining mark, at which ``ours`` splits.
+term (``kept_term``).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -117,7 +117,9 @@ class TopicIndex:
     marks the rows judged relevant (``corpus.is_relevant``). ``embeddings``
     is the N x d matrix of mean embeddings, None when built without an
     embedding table; ``embedding_hits`` counts the tokens each row's mean is
-    over, and ``embedding_norms`` holds each mean's Euclidean norm.
+    over. ``embedding_norms`` holds each mean's Euclidean norm, taken from
+    ``embeddings`` whenever an index is made (``replace`` included), so every
+    AES unit divides by the same norms without taking them again.
     """
 
     topic: Topic
@@ -134,7 +136,11 @@ class TopicIndex:
     relevant: np.ndarray
     embeddings: np.ndarray | None = None
     embedding_hits: np.ndarray | None = None
-    embedding_norms: np.ndarray | None = None
+    embedding_norms: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        norms = None if self.embeddings is None else np.linalg.norm(self.embeddings, axis=1)
+        object.__setattr__(self, "embedding_norms", norms)
 
     @classmethod
     def from_rows(
@@ -162,7 +168,8 @@ class TopicIndex:
         lengths, indices, data = (np.frombuffer(buffer, np.int32) for buffer in (lengths, indices, data))
         doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
         counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
-        # Each entry's row, which no name holds once the postings are made.
+        # Each entry's row is an input of the sort. No name holds it after, so it
+        # is freed before the index's totals and row maps are made.
         postings = _postings(counts, np.repeat(np.arange(len(lengths), dtype=np.int32), lengths), doc_freq)
         judgments = topic.judgments
         return cls(
@@ -213,9 +220,6 @@ def build_index(
     Each candidate is split once. Each distinct surface form is normalised
     once per call, into its column and embedding row (``text.SurfaceForms``),
     so a document's counts and its embedding rows are lookups of its tokens.
-    Without ``embeddings`` an ASCII text is lowercased before it is split,
-    which gives the same terms with one form per term. With them the
-    index also holds each mean's norm, which every AES unit divides by.
     """
     check_representation(representation)
     if representation == "boc" and lexicon is None:
@@ -240,11 +244,7 @@ def build_index(
     def rows():
         forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
         for i, doc in enumerate(docs.values()):
-            text = document_text(doc, pipeline)
-            if embeddings is None and text.isascii():
-                # The same terms (see ``text``), and one form per term.
-                text = text.lower()
-            tokens = split(text, pipeline.variant)
+            tokens = split(document_text(doc, pipeline), pipeline.variant)
             counts = Counter(map(forms.__getitem__, tokens))
             counts.pop(-1, None)
             if embeddings is not None:
@@ -254,8 +254,7 @@ def build_index(
         terms.extend(forms.columns)
 
     index = TopicIndex.from_rows(topic, tuple(docs), rows(), terms, representation)
-    norms = None if means is None else np.linalg.norm(means, axis=1)
-    return replace(index, embeddings=means, embedding_hits=hits, embedding_norms=norms)
+    return replace(index, embeddings=means, embedding_hits=hits)
 
 
 @dataclass(frozen=True, eq=False)
