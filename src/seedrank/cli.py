@@ -32,7 +32,9 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .corpus import Run, filter_topics, is_relevant, load_corpus, load_embeddings, load_lexicon, load_run, load_topics
+from .corpus import (
+    Corpus, Run, filter_topics, is_relevant, load_corpus, load_embeddings, load_lexicon, load_run, load_topics,
+)
 from .errors import ConfigError, ContractError, InsufficientDocumentsError, ParseError, SeedRankError
 from .evaluation import DEFAULT_CUTOFFS, metric_set, significance_rows
 from .experiments import (
@@ -210,7 +212,7 @@ def validate_config(config: RunConfig) -> None:
 
 @dataclasses.dataclass
 class _Resources:
-    corpus: dict
+    corpus: Corpus
     topics: list
     pipeline: PipelineConfig
     params: ScoringParams
@@ -301,20 +303,24 @@ def _run_topics(res: _Resources, config: RunConfig, work) -> tuple[list, list]:
     Each topic is counted once into the index that all its runs and
     analyses share. A SeedRankError, in the index or in the work, fails its
     own topic only. Returns the results of the topics that finished, in
-    topic order, and (topic_id, error) for the others.
+    topic order, and (topic_id, error) for the others. The corpus, which
+    only the builds read, is closed after the last topic.
     """
     if config.workers > 1:
         log.info("workers=%d has no effect: topics run one at a time", config.workers)
     done, failed = [], []
-    for topic in res.topics:
-        try:
-            # No name holds the index, so it is freed before the next topic's is built.
-            done.append(work(topic, build_index(
-                topic, res.corpus, config.representation, res.pipeline,
-                lexicon=res.lexicon, embeddings=res.embeddings,
-            )))
-        except SeedRankError as exc:
-            failed.append((topic.topic_id, exc))
+    try:
+        for topic in res.topics:
+            try:
+                # No name holds the index, so it is freed before the next topic's is built.
+                done.append(work(topic, build_index(
+                    topic, res.corpus, config.representation, res.pipeline,
+                    lexicon=res.lexicon, embeddings=res.embeddings,
+                )))
+            except SeedRankError as exc:
+                failed.append((topic.topic_id, exc))
+    finally:
+        res.corpus.close()
     return done, failed
 
 
@@ -419,6 +425,11 @@ def cmd_multi(config: RunConfig) -> int:
     return _report_failures(failed, len(res.topics))
 
 
+def _unit_of_qrels_topic(key: str, qrels) -> bool:
+    """Whether ``key`` is a qrels topic id, a dot and more: a run unit key (``experiments``)."""
+    return any(key[:i] in qrels for i, char in enumerate(key) if char == ".")
+
+
 def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int:
     """Evaluate any TREC run against a qrels file (no candidate restriction).
 
@@ -429,7 +440,13 @@ def cmd_eval(run_path: str, qrels_path: str, cutoffs, output: str | None) -> int
     qrels = corpus_io.load_qrels(qrels_path)
     shared = [t for t in sorted(units) if t in qrels]
     if not shared:
-        raise ConfigError("run", "no run topic has judgments in the qrels file")
+        message = "no run topic has judgments in the qrels file"
+        if all(_unit_of_qrels_topic(t, qrels) for t in units):
+            message += (
+                f"; {run_path} holds run units keyed <topic_id>.<seed_id> or <topic_id>.w<window>, "
+                "as rank and multi write them, and their metrics are in metrics.csv"
+            )
+        raise ConfigError("run", message)
     unmentioned = [t for t in sorted(units) if t not in qrels]
     if unmentioned:
         log.warning("skipped run topics that the qrels file does not mention: %s", ", ".join(unmentioned))

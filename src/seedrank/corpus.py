@@ -20,8 +20,12 @@ File formats:
   embeddings  word2vec text format: header ``vocab_size dimension`` on
               line 1, then ``token v1 ... vd`` per line.
 
-All loaders are pure functions of the file contents; the returned objects
-are treated as immutable afterwards.
+The loaders of the whitespace-separated formats and of embeddings are pure
+functions of the file contents; the returned objects are treated as
+immutable afterwards. ``load_corpus`` reads and checks every line once too,
+but keeps only each document's line number and byte span: a lookup reads
+the document from the file again, and refuses a file that changed since it
+was loaded (``Corpus``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable, Iterator, Sequence
+import weakref
+from array import array
+from collections.abc import Callable, Container, Iterator, Mapping, Sequence
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -130,13 +136,13 @@ class EmbeddingTable:
 
 
 @contextmanager
-def _text_file(path):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises ParseError at its line.
+def _text_file(path, newline: str | None = None):
+    """``path`` opened as UTF-8 text with ``newline``; a byte that is not UTF-8 raises ParseError at its line.
 
     Decoding runs ahead of the line being read, so the line is found by
     reading the file again, only once it has failed.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -155,15 +161,26 @@ def _undecodable_line(path) -> ParseError:
     return ParseError(path, 1, "the file is not valid UTF-8")
 
 
-def _lines(path) -> Iterator[tuple[int, str]]:
+def _lines(path, spans: bool = False) -> Iterator[tuple]:
     """``(line number, line)`` for each non-blank line of ``path``, stripped, read through ``_text_file``.
 
-    The file closes when the generator ends, is closed or is dropped (as by a ``for`` loop that raises).
+    With ``spans`` each tuple also holds the line's byte offset and byte
+    length in the file, its line break included. With ``newline=""`` lines
+    still end at ``\\n``, ``\\r\\n`` and ``\\r``, but each keeps its break as
+    written, so its UTF-8 encoding is its bytes in the file. The file closes
+    when the generator ends, is closed or is dropped (as by a ``for`` loop
+    that raises).
     """
-    with _text_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
+    with _text_file(path, newline="") as fh:
+        offset = 0
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if spans:
+                length = len(raw.encode("utf-8"))
+                if line:
+                    yield lineno, line, offset, length
+                offset += length
+            elif line:
                 yield lineno, line
 
 
@@ -180,39 +197,120 @@ def _records(path, columns: str) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
-def load_corpus(path) -> dict[str, Document]:
-    """Load a JSON-lines corpus keyed by doc_id.
+def _document(path, lineno: int, line: str, seen: Container[str] = ()) -> Document:
+    """The document on a stripped corpus line; a doc_id in ``seen`` raises DuplicateIdError.
+
+    Raises ParseError at ``path:lineno`` on malformed JSON, missing fields
+    or a title or abstract that is neither a string nor null. Empty and null
+    titles and abstracts load as "".
+    """
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # Besides a JSONDecodeError (its msg leaves out the position): an integer of more digits
+        # than int() converts, or arrays nested past the recursion limit.
+        raise ParseError(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    if not isinstance(record, dict):
+        raise ParseError(path, lineno, "expected a JSON object")
+    try:
+        doc_id = record["doc_id"]
+        title = record["title"]
+        abstract = record["abstract"]
+    except KeyError as exc:
+        raise ParseError(path, lineno, f"missing field {exc.args[0]!r}") from exc
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ParseError(path, lineno, "doc_id must be a non-empty string")
+    if doc_id in seen:
+        raise DuplicateIdError(path, lineno, f"duplicate doc_id {doc_id!r}")
+    for name, value in (("title", title), ("abstract", abstract)):
+        if value is not None and not isinstance(value, str):
+            raise ParseError(path, lineno, f"{name} must be a string or null")
+    return Document(doc_id, title or "", abstract or "")
+
+
+def _signature(path) -> tuple[int, int]:
+    """The size and modification time (ns) of ``path`` or of an open file descriptor."""
+    stat = os.stat(path)
+    return stat.st_size, stat.st_mtime_ns
+
+
+class Corpus(Mapping[str, Document]):
+    """A loaded JSON-lines corpus: doc_id -> Document, in file order, read from the file at each lookup.
+
+    It holds each document's line number, byte offset and byte length, not
+    its text. A lookup reads the line's bytes and parses them with the
+    loader's record parser, so it makes a new Document each time. The first
+    lookup opens the file; the later ones share its descriptor until
+    ``close`` (or the corpus's collection) closes it. The file must be as it
+    was loaded: if it cannot be opened, if its size or modification
+    time changed, or if the line no longer holds the doc_id, the lookup
+    raises ParseError at that line.
+    """
+
+    def __init__(self, path, signature: tuple[int, int], rows: dict[str, int], spans: array):
+        self._path = path
+        self._signature = signature
+        # doc_id -> its number in file order; document i's line number, offset and length are spans[3i:3i + 3].
+        self._rows = rows
+        self._spans = spans
+        self._fd: int | None = None
+        self._closer: weakref.finalize | None = None
+
+    def __getitem__(self, doc_id: str) -> Document:
+        i = 3 * self._rows[doc_id]
+        lineno, offset, length = self._spans[i:i + 3]
+        if self._fd is None:
+            # One descriptor for every lookup: opening the file for each one cost about as much as the parse.
+            try:
+                self._fd = os.open(self._path, os.O_RDONLY)
+            except OSError as exc:
+                raise ParseError(self._path, lineno, f"cannot open the file again: {exc.strerror}") from None
+            self._closer = weakref.finalize(self, os.close, self._fd)
+        if _signature(self._fd) != self._signature:
+            raise ParseError(self._path, lineno, f"the file changed since it was loaded; {doc_id!r} is not read again")
+        try:
+            line = os.pread(self._fd, length, offset).decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(self._path, lineno, f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
+        doc = _document(self._path, lineno, line)
+        if doc.doc_id != doc_id:
+            detail = f"holds {doc.doc_id!r}, not {doc_id!r}: the file changed since it was loaded"
+            raise ParseError(self._path, lineno, detail)
+        return doc
+
+    def close(self) -> None:
+        """Close the descriptor the lookups share, if one is open; a later lookup opens the file again."""
+        if self._closer is not None:
+            self._closer()
+            self._fd = self._closer = None
+
+    def __contains__(self, doc_id) -> bool:
+        return doc_id in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def load_corpus(path) -> Corpus:
+    """Load a JSON-lines corpus keyed by doc_id, checking every line once (``_document``).
 
     Raises ParseError with the offending line number on malformed JSON,
     missing fields or a title or abstract that is neither a string nor
-    null, DuplicateIdError when a doc_id repeats. Empty and null titles and
-    abstracts load as "".
+    null, DuplicateIdError when a doc_id repeats. The result holds no text:
+    each lookup reads its document from the file again and refuses a file
+    that changed since this call (``Corpus``).
     """
-    docs: dict[str, Document] = {}
-    for lineno, line in _lines(path):
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # Besides a JSONDecodeError (its msg leaves out the position): an integer of more digits
-            # than int() converts, or arrays nested past the recursion limit.
-            raise ParseError(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-        if not isinstance(record, dict):
-            raise ParseError(path, lineno, "expected a JSON object")
-        try:
-            doc_id = record["doc_id"]
-            title = record["title"]
-            abstract = record["abstract"]
-        except KeyError as exc:
-            raise ParseError(path, lineno, f"missing field {exc.args[0]!r}") from exc
-        if not isinstance(doc_id, str) or not doc_id:
-            raise ParseError(path, lineno, "doc_id must be a non-empty string")
-        if doc_id in docs:
-            raise DuplicateIdError(path, lineno, f"duplicate doc_id {doc_id!r}")
-        for name, value in (("title", title), ("abstract", abstract)):
-            if value is not None and not isinstance(value, str):
-                raise ParseError(path, lineno, f"{name} must be a string or null")
-        docs[doc_id] = Document(doc_id, title or "", abstract or "")
-    return docs
+    # Taken before the read: a file changed while it is read fails its lookups.
+    signature = _signature(path)
+    rows: dict[str, int] = {}
+    spans = array("q")
+    for lineno, line, offset, length in _lines(path, spans=True):
+        rows[_document(path, lineno, line, rows).doc_id] = len(rows)
+        spans.extend((lineno, offset, length))
+    return Corpus(path, signature, rows, spans)
 
 
 def load_topics(topics_path, qrels_path) -> list[Topic]:

@@ -217,9 +217,12 @@ def build_index(
 ) -> TopicIndex:
     """Count every candidate of ``topic`` once; with ``embeddings``, average its token vectors once.
 
-    Each candidate is split once. Each distinct surface form is normalised
-    once per call, into its column and embedding row (``text.SurfaceForms``),
-    so a document's counts and its embedding rows are lookups of its tokens.
+    Each candidate is looked up in ``corpus`` when its row is made, split
+    once and dropped; with a ``corpus.Corpus``, which reads each lookup from
+    its file, the build holds one candidate's text at a time and the index
+    none. Each distinct surface form is normalised once per call, into its
+    column and embedding row (``text.SurfaceForms``), so a document's counts
+    and its embedding rows are lookups of its tokens.
     """
     check_representation(representation)
     if representation == "boc" and lexicon is None:
@@ -230,11 +233,11 @@ def build_index(
             f"topic {topic.topic_id!r}: {len(absent)} candidates missing from the corpus "
             f"(first: {absent[:3]})"
         )
-    docs = {d: corpus[d] for d in topic.candidate_ids}
+    doc_ids = tuple(dict.fromkeys(topic.candidate_ids))
     means = hits = None
     if embeddings is not None:
-        means = np.zeros((len(docs), embeddings.dimension))
-        hits = np.zeros(len(docs), dtype=np.int64)
+        means = np.zeros((len(doc_ids), embeddings.dimension))
+        hits = np.zeros(len(doc_ids), dtype=np.int64)
 
     terms: list[str] = []
 
@@ -243,8 +246,8 @@ def build_index(
     # made and its terms are handed over, before from_rows sorts the postings.
     def rows():
         forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
-        for i, doc in enumerate(docs.values()):
-            tokens = split(document_text(doc, pipeline), pipeline.variant)
+        for i, doc_id in enumerate(doc_ids):
+            tokens = split(document_text(corpus[doc_id], pipeline), pipeline.variant)
             counts = Counter(map(forms.__getitem__, tokens))
             counts.pop(-1, None)
             if embeddings is not None:
@@ -253,7 +256,7 @@ def build_index(
             yield counts
         terms.extend(forms.columns)
 
-    index = TopicIndex.from_rows(topic, tuple(docs), rows(), terms, representation)
+    index = TopicIndex.from_rows(topic, doc_ids, rows(), terms, representation)
     return replace(index, embeddings=means, embedding_hits=hits)
 
 

@@ -6,12 +6,15 @@ so agreement with the library is meaningful.
 """
 
 import hashlib
+import json
 import math
 import re
 import unicodedata
 from collections import Counter
 
 import numpy as np
+
+from seedrank import Document
 
 
 def ref_average_precision(ranked, qrels):
@@ -195,3 +198,19 @@ def reference_derive_rng(*parts):
     """
     digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=16)
     return np.random.default_rng(np.frombuffer(digest.digest(), dtype=np.uint64))
+
+
+def eager_corpus(data: bytes):
+    """doc_id -> Document of every line of a corpus file's bytes, all parsed up front.
+
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n``, where a text-mode file splits
+    them (not at the other breaks ``str.splitlines`` knows); each is stripped,
+    and blank ones are skipped.
+    """
+    docs = {}
+    for line in re.split(r"\r\n|\r|\n", data.decode("utf-8")):
+        line = line.strip()
+        if line:
+            record = json.loads(line)
+            docs[record["doc_id"]] = Document(record["doc_id"], record["title"] or "", record["abstract"] or "")
+    return docs

@@ -507,6 +507,32 @@ class TestTopicFailures:
         for rel in run_files:
             assert (out_dir / rel).read_bytes() == (clean_dir / rel).read_bytes()
 
+    def test_corpus_changed_after_the_first_build_fails_the_later_topics(self, tmp_path, collection, capsys, monkeypatch):
+        # The corpus is read again as each topic is built; a rewritten file is refused, not read.
+        def build_index(*args, **kwargs):
+            index = real_build_index(*args, **kwargs)
+            if not built:
+                corpus = Path(collection["corpus"])
+                corpus.write_text(corpus.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+            built.append(index.topic_id)
+            return index
+
+        built, real_build_index = [], cli.build_index
+        clean_dir = tmp_path / "clean"
+        assert main(self.argv("rank", collection, clean_dir)) == 0
+        monkeypatch.setattr(cli, "build_index", build_index)
+        out_dir = tmp_path / "changed"
+        assert main(self.argv("rank", collection, out_dir)) == 1
+        assert built == ["T000"]
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "TopicFailure"
+        assert [(t["topic_id"], t["error"]) for t in summary["topics"]] == [("T001", "ParseError"), ("T002", "ParseError")]
+        for failure in summary["topics"]:
+            assert failure["detail"].startswith(f"{collection['corpus']}:") and "changed since it was loaded" in failure["detail"]
+        assert [p.name for p in out_dir.rglob("*.run")] == ["T000.run"]
+        rel = Path("runs", "sdr-bow", "T000.run")
+        assert (out_dir / rel).read_bytes() == (clean_dir / rel).read_bytes()
+
 
 class TestTopicOrder:
     """Outputs do not depend on the order of the topics in the topics file."""
@@ -620,6 +646,23 @@ class TestCmdEval:
         assert main(["-q", "eval", "--run", str(run), "--qrels", str(qrels)]) == 2
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "ConfigError" and summary["field"] == "qrels"
+
+    @pytest.mark.parametrize("command, run_dir", [("rank", "sdr-bow"), ("multi", "sdr-bow-multi")])
+    def test_run_units_point_to_metrics_csv(self, tmp_path, collection, capsys, command, run_dir):
+        # rank and multi key each run line by unit (T000.<seed_id>, T000.w0), which no qrels topic is.
+        out_dir = tmp_path / command
+        argv = [
+            "-q", command, "--corpus", collection["corpus"], "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--method", "sdr", "--output-dir", str(out_dir),
+        ]
+        assert main(argv) == 0
+        run = out_dir / "runs" / run_dir / "T000.run"
+        capsys.readouterr()
+        assert main(["-q", "eval", "--run", str(run), "--qrels", collection["qrels"]]) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "run" and set(summary) == {"error", "detail", "field"}
+        assert summary["detail"].startswith("run: no run topic has judgments in the qrels file; ")
+        assert f"{run} holds run units" in summary["detail"] and "metrics.csv" in summary["detail"]
 
     @pytest.mark.parametrize("k", ["0", "-3", "ten"])
     def test_cutoff_below_one_rejected_when_parsed(self, tmp_path, capsys, k):
@@ -856,6 +899,23 @@ class TestTopicDriver:
         monkeypatch.setattr(cli, "build_index", build_index)
         run_rank(tmp_path, collection, "out")
         assert len(built) == 3
+
+    @pytest.mark.parametrize("command", ["rank", "multi", "analyze"])
+    def test_corpus_closed_after_the_topics(self, tmp_path, collection, monkeypatch, command):
+        loaded = []
+
+        def load_corpus(path):
+            loaded.append(real_load_corpus(path))
+            return loaded[-1]
+
+        real_load_corpus = cli.load_corpus
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        argv = [
+            "-q", command, "--corpus", collection["corpus"], "--topics", collection["topics"],
+            "--qrels", collection["qrels"], "--method", "sdr", "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        assert len(loaded) == 1 and loaded[0]._fd is None
 
     def test_multi_starts_no_thread(self, tmp_path, collection, monkeypatch, caplog):
         def refuse(thread):

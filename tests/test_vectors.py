@@ -21,6 +21,7 @@ from seedrank import (
     cosine,
     load_embeddings,
     idf,
+    load_corpus,
     rank,
 )
 from seedrank.text import document_text, kept_term, tokenize
@@ -34,6 +35,7 @@ from synth import (
     mixed_case,
     mixed_case_embedding_terms,
     synth_collection,
+    write_collection_files,
     write_embeddings_file,
 )
 from conftest import traced_peak
@@ -170,6 +172,28 @@ class TestTopicIndex:
             index = build_index(Topic("T", list(corpus)), corpus, "bow", pipeline, embeddings=embeddings)
             assert index.terms == ("heart", "worda", "i\u0307stanbul", "shared", "wordb", "wordc")
         assert len(tables) == 2 and alive == [False, False]
+
+    def test_build_holds_one_candidate_document_at_a_time(self, tmp_path, pipeline, monkeypatch):
+        # With a loaded corpus, each row reads its candidate, and no document outlives its row or the build.
+        topics, docs = synth_collection(seed=3, n_topics=2, n_docs=40)
+        corpus = load_corpus(write_collection_files(tmp_path, topics, docs)[0])
+        refs, alive = [], []
+
+        def document_text(doc, config):
+            refs.append(weakref.ref(doc))
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_document_text(doc, config)
+
+        real_document_text = seedrank.vectors.document_text
+        monkeypatch.setattr(seedrank.vectors, "document_text", document_text)
+        for embeddings in (None, TABLE):
+            index = build_index(topics[0], corpus, "bow", pipeline, embeddings=embeddings)
+            assert all(ref() is None for ref in refs)
+        assert len(alive) == 80 and max(alive) == 1
+        monkeypatch.undo()
+        eager = build_index(topics[0], docs, "bow", pipeline, embeddings=TABLE)
+        assert index.terms == eager.terms and np.array_equal(index.embeddings, eager.embeddings)
+        assert all(np.array_equal(getattr(index.counts, a), getattr(eager.counts, a)) for a in ("indptr", "indices", "data"))
 
     def test_more_columns_than_one_radix_digit(self):
         # 70,000 columns: sorting the entries by column takes a second 16-bit pass.
