@@ -1,14 +1,14 @@
 """The per-topic term matrix, run-unit statistics, tf-idf weights and embedding averages.
 
-A topic's candidates are counted once, into a ``TopicIndex``: doc-term
-counts stored row by row as numpy arrays, each row keeping its document's
-terms in order of first occurrence; a column-by-column copy whose columns
-are postings in candidate order; and integer document lengths, document
-frequencies and collection counts. Each candidate's counts are appended to
-flat 32-bit buffers as soon as it is counted, so the build never holds a
-mapping per candidate; column numbers, row numbers and counts stay 32-bit,
-line offsets and totals are 64-bit. An entry's row is not stored: it is the
-line of the row offsets the entry falls in.
+A topic's candidates are counted once, into a ``TopicIndex``: one copy of
+the doc-term counts, stored row by row as numpy arrays, each row keeping its
+document's terms in order of first occurrence; and integer document
+lengths, document frequencies and collection counts. Each candidate's
+counts are appended to flat 32-bit buffers as soon as it is counted, so the
+build never holds a mapping per candidate; column numbers and counts stay
+32-bit, so a stored count takes 8 bytes; line offsets and totals are
+64-bit. An entry's row is not stored: it is the line of the row offsets the
+entry falls in.
 For AES it also holds every candidate's mean embedding. Every run unit of
 the topic (one seed, or one seed group) ranks against that one index, and
 takes its tf-idf cosines over blocks of whole rows (``blocks``), so a
@@ -45,8 +45,7 @@ class Compressed:
     """A sparse matrix stored line by line: line i holds ``indices[indptr[i]:indptr[i + 1]]``
     with ``data`` at the same positions.
 
-    A ``TopicIndex`` keeps its counts as lines of rows (indices are columns)
-    and its postings as lines of columns (indices are rows).
+    A ``TopicIndex`` keeps its counts as lines of rows (indices are columns).
     """
 
     indptr: np.ndarray
@@ -81,23 +80,6 @@ def _line_sums(matrix: Compressed) -> np.ndarray:
     return totals
 
 
-def _postings(counts: Compressed, rows: np.ndarray, doc_freq: np.ndarray) -> Compressed:
-    """The column-by-column copy of ``counts``, whose entries lie in ``rows``: each column's rows ascending.
-
-    The entries are sorted by column, stably, so rows stay in order: a
-    least-significant-digit radix sort over 16-bit digits (the uint16 cast
-    keeps the low 16 bits). numpy's stable sort of uint16 keys is itself a
-    radix sort, and much faster than a stable sort of the full-width keys.
-    """
-    indices = counts.indices
-    order = np.argsort(indices.astype(np.uint16), kind="stable")
-    shift = 16
-    while len(doc_freq) > 1 << shift:
-        order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
-        shift += 16
-    return Compressed(np.concatenate(([0], np.cumsum(doc_freq))), rows[order], counts.data[order])
-
-
 @dataclass(frozen=True, eq=False)
 class TopicIndex:
     """One topic's candidates, counted once and shared by all its run units.
@@ -105,13 +87,13 @@ class TopicIndex:
     Rows follow ``doc_ids`` (the topic's candidate order), columns follow
     ``terms`` (order of first occurrence). ``counts`` holds the rows, each
     in order of first occurrence of its terms; an entry's row is the line of
-    ``counts.indptr`` it falls in, and is not stored. ``postings`` holds the
-    columns, rows ascending. Column numbers (``counts.indices``), row
-    numbers (``postings.indices``) and counts (both ``data``) are int32, so
-    a stored count takes 16 bytes over both copies; the line offsets
-    (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
-    ``collection_counts`` are int64. Sums over the int32 arrays, and
-    products of a row number with a column number, are taken in int64.
+    ``counts.indptr`` it falls in, and is not stored. ``counts`` is the
+    index's one copy of the counts: a unit finds its seed terms' postings
+    in it (``build_stats``). Column numbers (``counts.indices``) and counts
+    (``counts.data``) are int32, so a stored count takes 8 bytes; the line
+    offsets (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
+    ``collection_counts`` are int64. Sums over the int32 arrays are taken
+    in int64.
     ``doc_order`` is each row's position in ``sorted(doc_ids)``
     (``corpus.doc_order``, which breaks score ties in a ranking); ``relevant``
     marks the rows judged relevant (``corpus.is_relevant``). ``embeddings``
@@ -128,7 +110,6 @@ class TopicIndex:
     rows: dict[str, int]
     terms: tuple[str, ...]
     counts: Compressed
-    postings: Compressed
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
     collection_counts: np.ndarray
@@ -166,11 +147,7 @@ class TopicIndex:
         terms = tuple(terms)
         # The arrays view the buffers; typecode "i" is a C int, 32 bits wide.
         lengths, indices, data = (np.frombuffer(buffer, np.int32) for buffer in (lengths, indices, data))
-        doc_freq = np.bincount(indices, minlength=len(terms)).astype(np.int64)
         counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
-        # Each entry's row is an input of the sort. No name holds it after, so it
-        # is freed before the index's totals and row maps are made.
-        postings = _postings(counts, np.repeat(np.arange(len(lengths), dtype=np.int32), lengths), doc_freq)
         judgments = topic.judgments
         return cls(
             topic=topic,
@@ -179,10 +156,10 @@ class TopicIndex:
             rows={doc_id: i for i, doc_id in enumerate(doc_ids)},
             terms=terms,
             counts=counts,
-            postings=postings,
             doc_lengths=_line_sums(counts),
-            doc_freq=doc_freq,
-            collection_counts=_line_sums(postings),
+            doc_freq=np.bincount(indices, minlength=len(terms)).astype(np.int64),
+            # The float sums of integer counts are exact below 2**53.
+            collection_counts=np.bincount(indices, weights=data, minlength=len(terms)).astype(np.int64),
             doc_order=doc_order(doc_ids),
             relevant=np.fromiter((is_relevant(judgments.get(d, 0)) for d in doc_ids), bool, len(doc_ids)),
         )
@@ -243,7 +220,7 @@ def build_index(
 
     # Made one at a time as from_rows stores them; each also fills its row's embedding mean.
     # The form table lives in the generator's frame, so it is freed once the last row is
-    # made and its terms are handed over, before from_rows sorts the postings.
+    # made and its terms are handed over, before from_rows takes the index's arrays and totals.
     def rows():
         forms = SurfaceForms(pipeline.stopwords, lexicon if representation == "boc" else None, embeddings)
         for i, doc_id in enumerate(doc_ids):
@@ -313,9 +290,20 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
     seed_terms = terms[np.sort(firsts)]
     seed_counts = np.bincount(terms, weights=counts.data[seed_entries], minlength=n_terms)[seed_terms].astype(np.int64)
 
-    positions, df = line_entries(index.postings.indptr, seed_terms)
-    rows = index.postings.indices[positions]
-    kept = is_candidate[rows]
+    # Each entry's seed-term position, or -1: for other terms and for the seed rows' entries.
+    position = np.full(n_terms, -1, dtype=np.int32)
+    position[seed_terms] = np.arange(len(seed_terms), dtype=np.int32)
+    keys = position[counts.indices]
+    keys[removed] = -1
+    entries = np.flatnonzero(keys >= 0)
+    # Rebinding frees the key of every entry. numpy's stable sort radix-sorts keys of
+    # 16 bits or fewer, so the kept keys take the narrowest unsigned type.
+    keys = keys[entries].astype(np.min_scalar_type(len(seed_terms)))
+    # Each entry's row: every row repeated as often as it holds entries, which ascend.
+    rows = np.repeat(np.arange(len(index.doc_ids), dtype=np.int32), np.diff(np.searchsorted(entries, counts.indptr)))
+    # Sorted stably on their keys, each term's entries keep their row order. Each array is
+    # gathered in entry order first, which is several times faster than through the sort.
+    order = np.argsort(keys, kind="stable")
     return CollectionStats(
         index=index,
         seed_rows=seed_rows,
@@ -328,9 +316,9 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
         avg_doc_length=total / len(candidates),
         seed_terms=seed_terms,
         seed_counts=seed_counts,
-        posting_terms=np.repeat(np.arange(len(seed_terms)), df)[kept],
-        posting_rows=rows[kept],
-        posting_counts=index.postings.data[positions][kept],
+        posting_terms=keys[order].astype(np.intp),
+        posting_rows=rows[order],
+        posting_counts=counts.data[entries][order],
     )
 
 

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script, and every Python block of README.md, runs to completion against the package source."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,15 @@ import pytest
 
 import seedrank
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-5]_*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+
+
+def run_python(args, tmp_path):
+    src = str(Path(seedrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True)
 
 
 def test_all_five_demos_found():
@@ -18,7 +27,12 @@ def test_all_five_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
-    src = str(Path(seedrank.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path, capture_output=True, text=True)
+    result = run_python([str(demo)], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        result = run_python(["-c", block], tmp_path)
+        assert result.returncode == 0, f"{block}\n{result.stderr}"

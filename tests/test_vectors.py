@@ -60,17 +60,26 @@ def check_against_counts(index, counts):
         assert entry_rows(index.counts)[start:end].tolist() == [row] * len(doc)
         assert index.doc_lengths[row] == sum(doc.values())
     for col, term in enumerate(index.terms):
-        start, end = index.postings.indptr[col], index.postings.indptr[col + 1]
-        holders = [row for row, doc in enumerate(docs) if term in doc]
-        assert index.postings.indices[start:end].tolist() == holders
-        assert index.postings.data[start:end].tolist() == [docs[row][term] for row in holders]
-        assert index.doc_freq[col] == len(holders)
-        assert index.collection_counts[col] == sum(docs[row][term] for row in holders)
-    rows, columns = index.counts, index.postings
-    for values in (rows.indices, rows.data, entry_rows(rows), columns.indices, columns.data):
+        assert index.doc_freq[col] == sum(1 for doc in docs if term in doc)
+        assert index.collection_counts[col] == sum(doc.get(term, 0) for doc in docs)
+    rows = index.counts
+    for values in (rows.indices, rows.data, entry_rows(rows)):
         assert values.dtype == np.int32
-    for values in (rows.indptr, columns.indptr, index.doc_lengths, index.doc_freq, index.collection_counts):
+    for values in (rows.indptr, index.doc_lengths, index.doc_freq, index.collection_counts):
         assert values.dtype == np.int64
+
+
+def check_postings(stats, counts, seeds):
+    """A unit's posting arrays against doc_id -> term -> count dicts: the kept candidates holding each
+    seed term, in seed-term order, rows ascending within a term."""
+    expected = [
+        (k, row, doc[stats.index.terms[col]])
+        for k, col in enumerate(stats.seed_terms.tolist())
+        for row, (doc_id, doc) in enumerate(counts.items())
+        if doc_id not in seeds and stats.index.terms[col] in doc
+    ]
+    postings = zip(stats.posting_terms.tolist(), stats.posting_rows.tolist(), stats.posting_counts.tolist())
+    assert list(postings) == expected
 
 
 STOPWORDS = ("the", "The", "AND", "of", "i", "I", "with")
@@ -118,12 +127,14 @@ class TestTopicIndex:
         assert list(index.doc_lengths) == [3, 2]
 
     def test_postings_in_candidate_order(self):
-        index = count_index(d1=tc(a=1), d2=tc(b=1), d3=tc(a=4))
-        assert list(index.postings.indptr) == [0, 2, 3]
-        a = index.terms.index("a")
-        start, end = index.postings.indptr[a], index.postings.indptr[a + 1]
-        assert list(index.postings.indices[start:end]) == [0, 2]
-        assert list(index.postings.data[start:end]) == [1, 4]
+        # Seed terms b then a; each term's candidates in row order, the seed's own row left out.
+        counts = {"d1": tc(a=1), "s": tc(b=2, a=1), "d2": tc(b=1), "d3": tc(a=4)}
+        stats = build_stats(count_index(**counts), ["s"])
+        assert [stats.index.terms[c] for c in stats.seed_terms] == ["b", "a"]
+        assert stats.posting_terms.tolist() == [0, 1, 1]
+        assert stats.posting_rows.tolist() == [2, 0, 3]
+        assert stats.posting_counts.tolist() == [1, 1, 4]
+        check_postings(stats, counts, {"s"})
 
     @given(st.lists(
         st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 9), max_size=8),
@@ -151,8 +162,9 @@ class TestTopicIndex:
         assert index.terms == tuple(dict.fromkeys(t for doc in counts.values() for t in doc))
         check_against_counts(index, counts)
 
-    def test_form_table_is_freed_before_the_column_sort(self, pipeline, monkeypatch):
-        # The form table's last reference is the counting generator's, which ends before _postings runs.
+    def test_form_table_is_freed_after_the_last_row(self, pipeline, monkeypatch):
+        # The form table's last reference is the counting generator's, which ends with the last row,
+        # before from_rows views its buffers as arrays (its first numpy call after the rows).
         tables, alive = [], []
 
         class Forms(seedrank.vectors.SurfaceForms):
@@ -160,18 +172,18 @@ class TestTopicIndex:
                 super().__init__(*args)
                 tables.append(weakref.ref(self))
 
-        def postings(*args):
+        def frombuffer(*args, **kwargs):
             alive.append(any(table() is not None for table in tables))
-            return real_postings(*args)
+            return real_frombuffer(*args, **kwargs)
 
-        real_postings = seedrank.vectors._postings
+        real_frombuffer = np.frombuffer
         monkeypatch.setattr(seedrank.vectors, "SurfaceForms", Forms)
-        monkeypatch.setattr(seedrank.vectors, "_postings", postings)
+        monkeypatch.setattr(np, "frombuffer", frombuffer)
         corpus = {d: Document(d, "Heart", f"word{d} \u0130stanbul shared") for d in ("a", "b", "c")}
         for embeddings in (None, TABLE):
             index = build_index(Topic("T", list(corpus)), corpus, "bow", pipeline, embeddings=embeddings)
             assert index.terms == ("heart", "worda", "i\u0307stanbul", "shared", "wordb", "wordc")
-        assert len(tables) == 2 and alive == [False, False]
+        assert len(tables) == 2 and alive == [False] * 6
 
     def test_build_holds_one_candidate_document_at_a_time(self, tmp_path, pipeline, monkeypatch):
         # With a loaded corpus, each row reads its candidate, and no document outlives its row or the build.
@@ -196,25 +208,29 @@ class TestTopicIndex:
         assert all(np.array_equal(getattr(index.counts, a), getattr(eager.counts, a)) for a in ("indptr", "indices", "data"))
 
     def test_more_columns_than_one_radix_digit(self):
-        # 70,000 columns: sorting the entries by column takes a second 16-bit pass.
+        # A seed of 70,000 terms: its postings are sorted on seed-term positions wider than 16 bits.
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(70_000)]
-        counts = {"d0": {words[i]: 1 for i in rng.permutation(len(words))}}
-        for doc_id in ("d1", "d2"):
-            held = rng.choice(len(words), size=20_000, replace=False)
+        counts = {}
+        for doc_id in ("d1", "s", "d2"):
+            held = rng.permutation(len(words)) if doc_id == "s" else rng.choice(len(words), size=20_000, replace=False)
             counts[doc_id] = {words[i]: int(c) for i, c in zip(held, rng.integers(1, 5, size=len(held)))}
         index = index_from_counts(Topic("T", list(counts)), counts)
         assert len(index.terms) == 70_000
         check_against_counts(index, counts)
+        stats = build_stats(index, ["s"])
+        assert len(stats.seed_terms) == 70_000 and len(stats.posting_rows) == 40_000
+        check_postings(stats, counts, {"s"})
 
     def test_build_holds_one_candidates_counts_at_a_time(self, pipeline, zipf_corpus):
         """tracemalloc peak of build_index on 1100 candidates of 150-250 Zipf tokens, the benchmark's loocv shape, < 6.5 MiB.
 
         The build appends each candidate's counts to flat 32-bit buffers and
         drops its Counter; holding every candidate's Counter took 17 MiB here.
-        The peak, 5.7 MiB, is in the column sort. It was 7.9 MiB while the
-        form table lived through the sort, and each entry's row through the
-        totals taken after it.
+        The index keeps one copy of the counts, and the form table is freed
+        with the last row, before the totals are taken. The peak measured
+        5.1 MiB; it was 5.7 MiB while a column copy of the counts was sorted,
+        and 7.9 MiB while the form table lived through that sort.
         """
         index, peak = traced_peak(lambda: build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline))
         assert len(index.counts.data) > 150_000 and len(index.terms) > 15_000
@@ -328,6 +344,7 @@ class TestBuildStats:
         for col, term in enumerate(stats.index.terms):
             assert stats.doc_freq[col] == sum(1 for c in kept if term in c)
             assert stats.collection_counts[col] == sum(c.get(term, 0) for c in kept)
+        check_postings(stats, counts, seeds)
 
 
 def unit_idf(stats):
