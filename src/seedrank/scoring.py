@@ -213,7 +213,11 @@ def phi_weights(
     without replacement, from the partition in candidate order) before the
     mean similarity is taken. Each term's sampling RNG is derived from
     (rng_seed, *rng_key, term), so results do not depend on evaluation
-    order or scheduling; a term draws its present side first.
+    order or scheduling; a term draws its present side first. A seed term
+    that no candidate holds derives no RNG and draws nothing: its present
+    side is empty and its complement is every candidate, unsampled, so all
+    such terms share one mean. Their weights multiply no posting, so no
+    score depends on them.
 
     Only the draws loop over terms; everything else runs over blocks of
     terms. Each partition's cosines are summed as a 1-D ``sum`` would sum
@@ -233,19 +237,20 @@ def phi_weights(
     posting and candidate.
     """
     cos = seed_similarities(stats)
-    candidate_cos = cos[stats.candidates]
-    ranks = np.cumsum(stats.is_candidate) - 1  # each candidate row's position among the candidates
+    # Each posting's position among the candidates, which is where its cosine is.
+    positions = (np.cumsum(stats.is_candidate) - 1)[stats.posting_rows]
     n, cap = stats.num_docs, params.undersample_cap
     n_terms = len(stats.seed_terms)
-    rows = stats.posting_rows
     bounds = np.searchsorted(stats.posting_terms, np.arange(n_terms + 1))
     present_len = np.diff(bounds)
     absent_len = n - present_len
+    held = present_len > 0
     present_sums = np.zeros(n_terms)
     absent_sums = np.zeros(n_terms)
+    absent_sums[~held] = cos.sum()
 
     sample_present = undersample & (present_len > cap)
-    sample_absent = undersample & (absent_len > cap)
+    sample_absent = undersample & (absent_len > cap) & held
     drawn = np.flatnonzero(sample_present | sample_absent)
     names = [stats.index.terms[column] for column in stats.seed_terms[drawn].tolist()]
     generators = keyed_generators((params.rng_seed, *rng_key), names)
@@ -261,28 +266,28 @@ def phi_weights(
                 absent_picks[j] = rng.choice(n - size, size=cap, replace=False)
                 j += 1
         terms = block[sample_present[block]]
-        present_sums[terms] = cos[rows[bounds[terms][:, None] + present_picks]].sum(axis=1)
+        present_sums[terms] = cos[positions[bounds[terms][:, None] + present_picks]].sum(axis=1)
         # Each posting of the block gets a key: its term's base plus how many of
         # the term's absent candidates precede it. Keys ascend, as postings do.
         start, stop = bounds[block[0]], bounds[block[-1] + 1]
         posting_terms = stats.posting_terms[start:stop]
-        keys = posting_terms * (n + 1) + ranks[rows[start:stop]] - np.arange(start, stop) + bounds[posting_terms]
+        keys = posting_terms * (n + 1) + positions[start:stop] - np.arange(start, stop) + bounds[posting_terms]
         terms = block[sample_absent[block]]
         found = np.searchsorted(keys, (terms * (n + 1))[:, None] + absent_picks, side="right")
         found += absent_picks + start - bounds[terms][:, None]
-        absent_sums[terms] = candidate_cos[found].sum(axis=1)
+        absent_sums[terms] = cos[found].sum(axis=1)
 
-    terms = np.flatnonzero(~sample_present & (present_len > 0))
+    terms = np.flatnonzero(~sample_present & held)
     terms = terms[np.argsort(present_len[terms], kind="stable")]
     for block in blocks(terms, 24 * present_len[terms]):
-        present_sums[block] = _row_sums(cos[rows[line_entries(bounds, block)[0]]], present_len[block].tolist())
-    terms = np.flatnonzero(~sample_absent & (absent_len > 0))
+        present_sums[block] = _row_sums(cos[positions[line_entries(bounds, block)[0]]], present_len[block].tolist())
+    terms = np.flatnonzero(~sample_absent & (absent_len > 0) & held)
     terms = terms[np.argsort(absent_len[terms], kind="stable")]
-    repeated = np.broadcast_to(candidate_cos, (max(1, BLOCK_BYTES // (9 * n)), n))
+    repeated = np.broadcast_to(cos, (max(1, BLOCK_BYTES // (9 * n)), n))
     for block in blocks(terms, 9 * n + 24 * present_len[terms]):
         entries, df = line_entries(bounds, block)
         mask = np.ones((len(block), n), dtype=bool)
-        mask[np.repeat(np.arange(len(block)), df), ranks[rows[entries]]] = False
+        mask[np.repeat(np.arange(len(block)), df), positions[entries]] = False
         absent_sums[block] = _row_sums(repeated[: len(block)][mask], absent_len[block].tolist())
 
     gammas = []

@@ -10,9 +10,11 @@ build never holds a mapping per candidate; column numbers and counts stay
 64-bit. An entry's row is not stored: it is the line of the row offsets the
 entry falls in.
 For AES it also holds every candidate's mean embedding. Every run unit of
-the topic (one seed, or one seed group) ranks against that one index, and
-takes its tf-idf cosines over blocks of whole rows (``blocks``), so a
-unit's temporaries stay within ``BLOCK_BYTES`` whatever the topic's size.
+the topic (one seed, or one seed group) ranks against that one index. The
+index also holds three sums per row, taken once per build over blocks of
+whole rows (``blocks``), from which a unit takes its candidates' tf-idf
+norms; its seed dots come from its seed terms' postings, so a unit's
+cosines cost time in its postings, not in the topic's stored counts.
 
 A unit's statistics are the index's minus its seed rows, which is exact in
 integers: seeds are judged, not screened, so they are not part of the
@@ -36,7 +38,8 @@ from .text import PipelineConfig, SurfaceForms, document_text, split
 
 REPRESENTATIONS = ("bow", "boc")
 
-# Bytes of temporaries per block of terms (phi) or rows (seed cosines), which bounds a run unit's memory.
+# Bytes of temporaries per block of terms (phi), rows or entries (an index's totals) or postings (seed
+# cosines), which bounds their memory.
 BLOCK_BYTES = 1 << 17
 
 
@@ -72,12 +75,43 @@ def blocks(items: np.ndarray, widths) -> Iterator[np.ndarray]:
         start = stop
 
 
-def _line_sums(matrix: Compressed) -> np.ndarray:
-    """Exact int64 total of each line's data; 0 for an empty line."""
-    # reduceat gives an empty line the next entry (or the appended 0 at the end).
-    totals = np.add.reduceat(np.append(matrix.data, 0), matrix.indptr[:-1], dtype=np.int64)
-    totals[matrix.indptr[1:] == matrix.indptr[:-1]] = 0
-    return totals
+def _column_totals(counts: Compressed, n_columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's number of entries (its df) and the int64 total of its counts.
+
+    Taken over consecutive blocks of entries, about 24 bytes of temporaries
+    per entry and at most ``BLOCK_BYTES`` per block, plus the two totals.
+    The float sums of integer counts are exact below 2**53.
+    """
+    doc_freq, totals = np.zeros(n_columns, dtype=np.int64), np.zeros(n_columns)
+    step = BLOCK_BYTES // 24
+    for start in range(0, len(counts.indices), step):
+        columns = counts.indices[start : start + step]
+        doc_freq += np.bincount(columns, minlength=n_columns)
+        totals += np.bincount(columns, weights=counts.data[start : start + step], minlength=n_columns)
+    return doc_freq, totals.astype(np.int64)
+
+
+def _row_totals(counts: Compressed, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's int64 total of its counts c, and the 3 x N row sums of c², c²·x and c²·x², x read per column.
+
+    Taken over consecutive blocks of whole rows, about 40 bytes of
+    temporaries per stored count and at most ``BLOCK_BYTES`` per block (or
+    one row); ``np.bincount`` adds each row's products one by one in stored
+    order from 0. The float sums of integer counts are exact below 2**53.
+    """
+    lengths = np.diff(counts.indptr)
+    totals, sums = np.empty(len(lengths)), np.empty((3, len(lengths)))
+    for block in blocks(np.arange(len(lengths)), 40 * lengths):
+        start, stop = block[0], block[-1] + 1
+        entries = slice(counts.indptr[start], counts.indptr[stop])
+        values = counts.data[entries].astype(float)
+        weights = values * x[counts.indices[entries]]
+        rows = np.repeat(np.arange(len(block)), lengths[start:stop])
+        totals[start:stop] = np.bincount(rows, weights=values, minlength=len(block))
+        sums[0, start:stop] = np.bincount(rows, weights=values * values, minlength=len(block))
+        sums[1, start:stop] = np.bincount(rows, weights=weights * values, minlength=len(block))
+        sums[2, start:stop] = np.bincount(rows, weights=weights * weights, minlength=len(block))
+    return totals.astype(np.int64), sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +126,9 @@ class TopicIndex:
     in it (``build_stats``). Column numbers (``counts.indices``) and counts
     (``counts.data``) are int32, so a stored count takes 8 bytes; the line
     offsets (``indptr``) and the totals ``doc_lengths``, ``doc_freq`` and
-    ``collection_counts`` are int64. Sums over the int32 arrays are taken
-    in int64.
+    ``collection_counts`` are int64. Sums over the int32 arrays are
+    exact: float sums of integers below 2**53, taken over blocks of entries
+    or rows within ``BLOCK_BYTES`` and cast to int64.
     ``doc_order`` is each row's position in ``sorted(doc_ids)``
     (``corpus.doc_order``, which breaks score ties in a ranking); ``relevant``
     marks the rows judged relevant (``corpus.is_relevant``). ``embeddings``
@@ -102,6 +137,12 @@ class TopicIndex:
     over. ``embedding_norms`` holds each mean's Euclidean norm, taken from
     ``embeddings`` whenever an index is made (``replace`` included), so every
     AES unit divides by the same norms without taking them again.
+    ``norm_sums`` holds three sums per row over its counts c, with x the
+    topic's idf ln(N/df) per column: Σc², Σc²·x and Σc²·x² (``_row_totals``).
+    They are taken once, by ``from_rows``; ``replace`` copies them. A unit
+    with N' candidates gives a term no seed holds the idf x + δ, δ =
+    ln(N'/N), so a row's squared tf-idf norm over those terms is
+    Σc²·x² + 2δ·Σc²·x + δ²·Σc² (``seed_similarities``).
     """
 
     topic: Topic
@@ -115,6 +156,7 @@ class TopicIndex:
     collection_counts: np.ndarray
     doc_order: np.ndarray
     relevant: np.ndarray
+    norm_sums: np.ndarray
     embeddings: np.ndarray | None = None
     embedding_hits: np.ndarray | None = None
     embedding_norms: np.ndarray | None = field(init=False, repr=False)
@@ -148,6 +190,8 @@ class TopicIndex:
         # The arrays view the buffers; typecode "i" is a C int, 32 bits wide.
         lengths, indices, data = (np.frombuffer(buffer, np.int32) for buffer in (lengths, indices, data))
         counts = Compressed(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), indices, data)
+        doc_freq, collection_counts = _column_totals(counts, len(terms))
+        doc_lengths, norm_sums = _row_totals(counts, idf(len(doc_ids), doc_freq))
         judgments = topic.judgments
         return cls(
             topic=topic,
@@ -156,12 +200,12 @@ class TopicIndex:
             rows={doc_id: i for i, doc_id in enumerate(doc_ids)},
             terms=terms,
             counts=counts,
-            doc_lengths=_line_sums(counts),
-            doc_freq=np.bincount(indices, minlength=len(terms)).astype(np.int64),
-            # The float sums of integer counts are exact below 2**53.
-            collection_counts=np.bincount(indices, weights=data, minlength=len(terms)).astype(np.int64),
+            doc_lengths=doc_lengths,
+            doc_freq=doc_freq,
+            collection_counts=collection_counts,
             doc_order=doc_order(doc_ids),
             relevant=np.fromiter((is_relevant(judgments.get(d, 0)) for d in doc_ids), bool, len(doc_ids)),
+            norm_sums=norm_sums,
         )
 
     @property
@@ -337,30 +381,39 @@ def cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
 
 
 def seed_similarities(stats: CollectionStats) -> np.ndarray:
-    """tf-idf cosine between the summed seed rows and every index row.
+    """tf-idf cosine between the summed seed rows and each of the unit's candidates, in candidate order.
 
-    The row norms and seed dots are taken over consecutive blocks of whole
-    rows, about 32 bytes of temporaries per stored count and at most
-    ``BLOCK_BYTES`` per block (or one row), so no temporary grows with the
-    topic. Within a block ``np.bincount`` adds each row's products one by
-    one in stored order from 0.
+    A term no seed holds keeps its df, so its idf under the unit is the
+    topic's x plus δ = ln(N'/N), and a candidate's squared norm over such
+    terms is C + 2δB + δ²A from the index's per-row sums (``TopicIndex``).
+    Only the seed terms' df changed: ``np.bincount`` over their postings
+    swaps their (x + δ)² for their idf under the unit, and takes the dots.
+    The postings are read in blocks of at most ``BLOCK_BYTES`` of
+    temporaries, about 40 bytes per posting. So a unit costs time in its
+    postings and candidates, never in the topic's stored counts, and reads
+    no seed row. The sums are centred on the topic's idf, not on ln df, so
+    the rounding of a norm is a few ulps of Σc²(x + |δ|)², close to the norm
+    itself unless a row is mostly terms held by nearly every candidate.
     """
-    term_idf = idf(stats.num_docs, stats.doc_freq)
-    seed_weights = stats.seed_counts * term_idf[stats.seed_terms]
-    seed = np.zeros(len(term_idf))
-    seed[stats.seed_terms] = seed_weights
-    counts = stats.index.counts
-    lengths = np.diff(counts.indptr)
-    squares, dots = np.empty(len(lengths)), np.empty(len(lengths))
-    for block in blocks(np.arange(len(lengths)), 32 * lengths):
-        start, stop = block[0], block[-1] + 1
-        entries = slice(counts.indptr[start], counts.indptr[stop])
-        columns = counts.indices[entries].astype(np.intp)
-        weights = counts.data[entries] * term_idf[columns]
-        rows = np.repeat(np.arange(len(block)), lengths[start:stop])
-        squares[start:stop] = np.bincount(rows, weights=weights * weights, minlength=len(block))
-        dots[start:stop] = np.bincount(rows, weights=weights * seed[columns], minlength=len(block))
-    return cosine(dots, np.sqrt(squares), math.sqrt(float((seed_weights * seed_weights).sum())))
+    index = stats.index
+    n_rows, seed_terms = len(index.doc_ids), stats.seed_terms
+    delta = math.log(stats.num_docs / n_rows)
+    term_idf = idf(stats.num_docs, stats.doc_freq[seed_terms])
+    shifted = idf(n_rows, index.doc_freq[seed_terms]) + delta
+    seed_weights = stats.seed_counts * term_idf
+    # Per seed term: what a squared count adds to a norm, and what a count adds to a dot.
+    norm_changes, dot_weights = term_idf * term_idf - shifted * shifted, term_idf * seed_weights
+    changes, dots = np.zeros(n_rows), np.zeros(n_rows)
+    step = BLOCK_BYTES // 40
+    for start in range(0, len(stats.posting_rows), step):
+        k, rows = stats.posting_terms[start : start + step], stats.posting_rows[start : start + step]
+        counts = stats.posting_counts[start : start + step].astype(float)
+        changes += np.bincount(rows, weights=counts * counts * norm_changes[k], minlength=n_rows)
+        dots += np.bincount(rows, weights=counts * dot_weights[k], minlength=n_rows)
+    a, b, c = index.norm_sums[:, stats.candidates]
+    squares = c + 2.0 * delta * b + delta * delta * a + changes[stats.candidates]
+    norms = np.sqrt(np.maximum(squares, 0.0))
+    return cosine(dots[stats.candidates], norms, math.sqrt(float((seed_weights * seed_weights).sum())))
 
 
 def seed_embedding(stats: CollectionStats) -> np.ndarray:

@@ -214,3 +214,28 @@ def eager_corpus(data: bytes):
             record = json.loads(line)
             docs[record["doc_id"]] = Document(record["doc_id"], record["title"] or "", record["abstract"] or "")
     return docs
+
+
+def reference_seed_similarities(stats):
+    """tf-idf cosine between the summed seed rows and every index row, seeds included, in row order.
+
+    Each weight is its count times ln(N/df) under the unit (0 where df is 0
+    or N), taken entry by entry; each row's squares and seed products are
+    added one by one in stored order from 0 (``np.bincount``), so this is,
+    bit for bit, the row-block path ``seed_similarities`` took before the
+    index kept per-row sums.
+    """
+    n, df = stats.num_docs, stats.doc_freq
+    term_idf = np.zeros(len(df))
+    defined = (df > 0) & (df < n)
+    term_idf[defined] = np.log(n / df[defined])
+    seed = np.zeros(len(df))
+    seed[stats.seed_terms] = stats.seed_counts * term_idf[stats.seed_terms]
+    counts = stats.index.counts
+    lengths = np.diff(counts.indptr)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    weights = counts.data * term_idf[counts.indices]
+    squares = np.bincount(rows, weights=weights * weights, minlength=len(lengths))
+    dots = np.bincount(rows, weights=weights * seed[counts.indices], minlength=len(lengths))
+    denominators = np.sqrt(squares) * math.sqrt(float((seed[stats.seed_terms] ** 2).sum()))
+    return np.divide(dots, denominators, out=np.zeros(len(dots)), where=denominators != 0.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from seedrank.scoring import (
     _seed_sequence_states,
     keyed_generators,
 )
+import seedrank.scoring
 from seedrank.text import tokenize
 from seedrank.vectors import seed_similarities
 from synth import by_term, count_index, synth_collection
@@ -289,19 +291,23 @@ class TestSortScored:
 
 
 def reference_phi_weights(stats, params, *, undersample=False, rng_key=()):
-    """phi_weights as a per-term loop: one generator, mask copy and 1-D sum per term."""
+    """phi_weights as a per-term loop: one generator, mask copy and 1-D sum per term.
+
+    A term no candidate holds derives no generator: its complement, every candidate, is not sampled.
+    """
     cos = seed_similarities(stats)
     n = stats.num_docs
     cap = params.undersample_cap
     terms = stats.index.terms
+    position = np.cumsum(stats.is_candidate) - 1
     bounds = np.searchsorted(stats.posting_terms, np.arange(len(stats.seed_terms) + 1))
     weights = np.empty(len(stats.seed_terms))
     for k, column in enumerate(stats.seed_terms.tolist()):
-        present = stats.posting_rows[bounds[k] : bounds[k + 1]]
+        present = position[stats.posting_rows[bounds[k] : bounds[k + 1]]]
         n_present = len(present)
         n_absent = n - n_present
         rng = None
-        if undersample and (n_present > cap or n_absent > cap):
+        if undersample and n_present and (n_present > cap or n_absent > cap):
             rng = reference_derive_rng(params.rng_seed, *rng_key, terms[column])
         if rng is not None and n_present > cap:
             chosen = rng.choice(n_present, size=cap, replace=False)
@@ -313,7 +319,7 @@ def reference_phi_weights(stats, params, *, undersample=False, rng_key=()):
         if n_absent:
             # Sum the complement directly: deriving it from the total cancels
             # catastrophically and can turn an exact zero into noise.
-            mask = stats.is_candidate.copy()
+            mask = np.ones(n, dtype=bool)
             mask[present] = False
             absent = np.flatnonzero(mask)
             if rng is not None and n_absent > cap:
@@ -369,6 +375,41 @@ class TestPhiBitIdentity:
         weights = by_term(stats, got)
         assert weights["a"] == weights["c"] == math.log(2)  # zero-cosine complement; no complement
         assert weights["b"] == 0.0  # no candidate holds it
+
+
+class TestNoDrawForUnheldTerms:
+    """A seed term that no candidate holds derives no keyed state and draws nothing."""
+
+    def test_no_name_derived_for_a_term_no_candidate_holds(self):
+        names = []
+
+        def keyed_states(prefix, batch):
+            names.extend(batch)
+            return real_keyed_states(prefix, batch)
+
+        real_keyed_states = seedrank.scoring._keyed_states
+        params = ScoringParams(undersample_cap=1)
+        with mock.patch.object(seedrank.scoring, "_keyed_states", keyed_states):
+            for stats, key in synth_units(11, 90, 0.3):
+                names.clear()
+                phi_weights(stats, params, undersample=True, rng_key=key)
+                held = set(stats.posting_terms.tolist())
+                unheld = {stats.index.terms[c] for k, c in enumerate(stats.seed_terms.tolist()) if k not in held}
+                assert unheld and names and unheld.isdisjoint(names)
+                assert len(names) == len(held)  # with a cap of 1, every held term draws
+
+    def test_edge_unit_unheld_term_is_zero(self):
+        stats = edge_unit()
+        for undersample in (False, True):
+            weights = by_term(stats, phi_weights(stats, ScoringParams(undersample_cap=1), undersample=undersample))
+            assert weights["b"] == 0.0
+
+    def test_zero_cosines_give_an_unheld_term_ln2(self):
+        # "c" is in every candidate, so its idf is 0 and every cosine is 0; nobody holds "a".
+        stats = unit(s=tc(a=1, c=1), **{f"d{i}": tc(c=1, **{f"u{i}": 1}) for i in range(6)})
+        assert not seed_similarities(stats).any()
+        weights = by_term(stats, phi_weights(stats, ScoringParams(undersample_cap=2), undersample=True))
+        assert weights["a"] == math.log(2)
 
 
 class TestKeyedStreams:

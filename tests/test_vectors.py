@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ref_cosine, ref_tfidf
+from oracles import ref_cosine, ref_tfidf, reference_seed_similarities
 from seedrank import (
     Document,
     EmbeddingTable,
@@ -24,6 +24,7 @@ from seedrank import (
     load_corpus,
     rank,
 )
+from seedrank.corpus import rank_order
 from seedrank.text import document_text, kept_term, tokenize
 import seedrank.vectors
 from seedrank.vectors import seed_similarities
@@ -228,9 +229,12 @@ class TestTopicIndex:
         The build appends each candidate's counts to flat 32-bit buffers and
         drops its Counter; holding every candidate's Counter took 17 MiB here.
         The index keeps one copy of the counts, and the form table is freed
-        with the last row, before the totals are taken. The peak measured
-        5.1 MiB; it was 5.7 MiB while a column copy of the counts was sorted,
-        and 7.9 MiB while the form table lived through that sort.
+        with the last row, before the totals are taken. The totals and the
+        per-row norm sums are taken over blocks of entries or rows, and the
+        peak measured 3.5 MiB; it was 5.1 MiB while the column totals took
+        int64 and float64 copies of all the columns and counts at once, 5.7
+        MiB while a column copy of the counts was sorted, and 7.9 MiB while
+        the form table lived through that sort.
         """
         index, peak = traced_peak(lambda: build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline))
         assert len(index.counts.data) > 150_000 and len(index.terms) > 15_000
@@ -239,9 +243,10 @@ class TestTopicIndex:
     def test_unit_memory_does_not_grow_with_the_topic(self, pipeline, params, zipf_corpus):
         """tracemalloc peak of one sdr run unit on the same 1100-candidate index, < 3 MiB.
 
-        The seed cosines take their tf-idf weights a block of rows at a time
-        (``vectors.BLOCK_BYTES``) and measured 1.8 MiB here; float copies of
-        all 154k stored counts at once took 4.5 MiB.
+        The seed cosines read the index's per-row sums and the seed terms'
+        postings, a block of postings at a time (``vectors.BLOCK_BYTES``), and
+        the unit measured 1.8 MiB here, most of it ``build_stats``; float
+        copies of all 154k stored counts at once took 4.5 MiB.
         """
         index = build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline)
         unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr", params))
@@ -364,8 +369,8 @@ class TestTfidf:
     def test_df_equals_n_dropped(self):
         stats = build_stats(count_index(s=tc(a=3), d1=tc(a=1), d2=tc(a=1)), ["s"])
         assert unit_idf(stats).tolist() == [0.0]
-        # Every weight is 0, so every norm is, and each cosine is 0, not NaN.
-        assert seed_similarities(stats).tolist() == [0.0, 0.0, 0.0]
+        # Every weight is 0, so every norm is, and each candidate's cosine is 0, not NaN.
+        assert seed_similarities(stats).tolist() == [0.0, 0.0]
 
     def test_unseen_term_dropped(self):
         stats = build_stats(count_index(s=tc(z=5, a=1), d1=tc(a=1), d2=tc(b=1)), ["s"])
@@ -385,15 +390,16 @@ class TestTfidf:
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_norm_is_consistent(self):
-        """A single seed's own row has cosine 1: its row norm is the seed norm, taken the other way."""
-        stats = build_stats(count_index(s=tc(a=2, b=1, c=3), d1=tc(a=1, b=2), d2=tc(b=1), d3=tc(c=1)), ["s"])
+        """A candidate that copies the single seed has cosine 1: its norm comes from the row sums, the seed's from its weights."""
+        counts = {"s": tc(a=2, b=1, c=3), "d1": tc(a=1, b=2), "d2": tc(b=1), "d3": tc(c=1), "d4": tc(a=2, b=1, c=3)}
+        stats = build_stats(count_index(**counts), ["s"])
         matrix = dense(stats.index) * unit_idf(stats)
         assert (matrix >= 0).all()
         norms = np.sqrt((matrix * matrix).sum(axis=1))
         expected = matrix @ matrix[0] / (norms * norms[0])
         cos = seed_similarities(stats)
-        assert cos == pytest.approx(expected, abs=1e-12)
-        assert cos[0] == pytest.approx(1.0, abs=1e-15)
+        assert cos == pytest.approx(expected[stats.candidates], abs=1e-12)
+        assert cos[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_seed_similarities_match_reference(self):
         counts = {"s": tc(a=1, b=1), "d1": tc(a=1, c=2), "d2": tc(b=3), "d3": tc(c=1), "d4": tc(a=1, b=1, c=1)}
@@ -401,37 +407,91 @@ class TestTfidf:
         collection = [c for d, c in counts.items() if d != "s"]
         seed_vec = ref_tfidf(counts["s"], collection)
         cos = seed_similarities(stats)
-        for row in stats.candidates:
+        for position, row in enumerate(stats.candidates):
             expected = ref_cosine(ref_tfidf(counts[stats.index.doc_ids[row]], collection), seed_vec)
-            assert cos[row] == pytest.approx(expected, abs=1e-12)
+            assert cos[position] == pytest.approx(expected, abs=1e-12)
 
-    @given(
-        st.lists(
-            st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 9), max_size=8),
-            min_size=3, max_size=10,
-        ),
-    )
-    def test_seed_similarities_add_each_row_in_stored_order(self, docs):
-        stats = build_stats(count_index(**{f"d{i}": tc(**d) for i, d in enumerate(docs)}), ["d0", "d1"])
-        term_idf = unit_idf(stats)
-        seed = np.zeros(len(term_idf))
-        seed[stats.seed_terms] = stats.seed_counts * term_idf[stats.seed_terms]
-        seed_norm = math.sqrt(float((seed[stats.seed_terms] ** 2).sum()))
-        counts = stats.index.counts
-        expected = []
-        for row in range(len(docs)):
-            dot = squares = 0.0
-            for e in range(counts.indptr[row], counts.indptr[row + 1]):
-                weight = counts.data[e] * term_idf[counts.indices[e]]
-                dot += weight * seed[counts.indices[e]]
-                squares += weight * weight
-            denominator = math.sqrt(squares) * seed_norm
-            expected.append(dot / denominator if denominator else 0.0)
-        # Under budgets of 1, 2 and 3 counts' worth (32 bytes each) blocks end
-        # between rows, a wider row is a block of its own, and empty rows fall on block edges.
-        for budget in (seedrank.vectors.BLOCK_BYTES, 32, 64, 96):
+    @given(st.data())
+    def test_seed_similarities_match_block_path(self, data):
+        """Hand-made units of 1-10 seeds against the block path, over the cases where the row sums cancel.
+
+        Each candidate holds "z", a term no seed holds with df = N'; the
+        seeds hold "y", which no candidate holds. With two candidates or
+        more, one row is made only of "p" and "q", which every candidate
+        but one holds, and some seeds may hold "p" too; the one without them
+        may be emptied, which leaves "z" in every candidate but one. Seed
+        rows may be empty, and a unit may have one candidate.
+        """
+        documents = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), max_size=5)
+        seeds = data.draw(st.lists(documents, min_size=1, max_size=10))
+        candidates = data.draw(st.lists(documents, min_size=1, max_size=8))
+        for doc in candidates:
+            doc["z"] = data.draw(st.integers(1, 9))
+        if len(candidates) > 1:
+            row, without = data.draw(st.permutations(range(len(candidates))))[:2]
+            candidates[row] = {}
+            for i, doc in enumerate(candidates):
+                if i != without:
+                    doc.update(p=data.draw(st.integers(1, 9)), q=data.draw(st.integers(1, 9)))
+            if data.draw(st.booleans()):
+                candidates[without] = {}
+            for doc in data.draw(st.lists(st.sampled_from(seeds), max_size=len(seeds))):
+                doc.setdefault("p", 1)
+        seeds[0]["y"] = data.draw(st.integers(1, 9))
+        counts = {f"s{i}": doc for i, doc in enumerate(seeds)}
+        counts.update({f"d{i}": doc for i, doc in enumerate(candidates)})
+        topic = Topic("T", list(counts))
+        index = index_from_counts(topic, counts)
+        check_seed_similarities(build_stats(index, list(counts)[: len(seeds)]))
+        # The row sums are the same, bit for bit, whichever rows share a block: under budgets of
+        # 1, 2 and 3 counts' worth (40 bytes each) a wider row is a block of its own.
+        for budget in (40, 80, 120):
             with mock.patch.object(seedrank.vectors, "BLOCK_BYTES", budget):
-                assert seed_similarities(stats).tolist() == expected
+                blocked = index_from_counts(topic, counts)
+            assert blocked.norm_sums.tobytes() == index.norm_sums.tobytes()
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(10, 300), st.floats(0.0, 1.0), st.data())
+    def test_seed_similarities_match_block_path_on_synth(self, seed, n_docs, vocab_size, overlap, data):
+        topics, corpus = synth_collection(seed, 1, n_docs, vocab_size, min(4, n_docs), overlap)
+        index = build_index(topics[0], corpus, "bow", PipelineConfig())
+        n_seeds = data.draw(st.integers(1, min(10, n_docs - 1)))
+        check_seed_similarities(build_stats(index, list(index.doc_ids[:n_seeds])))
+
+
+# seed_similarities' cosines differ from the block path's by at most this much relative to
+# kappa = 1 + S / |w|^2, with S = sum c^2 (x + |delta|)^2 and |w|^2 the row's squared norm.
+SIMILARITY_RTOL = 1e-14
+
+
+def check_seed_similarities(stats):
+    """``seed_similarities`` against the block path: within ``SIMILARITY_RTOL``, and ranked the same.
+
+    A row's squared norm is C + 2δB + δ²A plus the seed terms' correction,
+    sums of magnitude S; rounding leaves a few ulps of S, so the relative
+    difference of a cosine is bounded by ``SIMILARITY_RTOL`` times kappa,
+    which is 2 to 4 for most rows and larger for a row made mostly of terms
+    held by nearly every candidate. The two rankings (``corpus.rank_order``)
+    are identical but for pairs whose block-path cosines lie within their
+    bounds of each other, which rounding may order either way.
+    """
+    index = stats.index
+    got = seed_similarities(stats)
+    expected = reference_seed_similarities(stats)[stats.candidates]
+    delta = math.log(stats.num_docs / len(index.doc_ids))
+    squares = dense(index).astype(float)[stats.candidates] ** 2
+    magnitudes = squares @ (idf(len(index.doc_ids), index.doc_freq) + abs(delta)) ** 2
+    norms = squares @ unit_idf(stats) ** 2
+    # A row of zero norm has zero dots: its cosine is 0 on both paths.
+    kappa = 1.0 + np.divide(magnitudes, norms, out=np.zeros(len(norms)), where=norms > 0)
+    tolerance = SIMILARITY_RTOL * kappa * expected
+    assert got.shape == expected.shape
+    assert (np.abs(got - expected) <= tolerance).all()
+    order = index.doc_order[stats.candidates]
+    places = [np.argsort(rank_order(np.arange(len(got)), cosines, order)[0]) for cosines in (got, expected)]
+    swapped = np.not_equal(*(place[:, None] < place[None, :] for place in places))
+    gaps = np.abs(expected[:, None] - expected[None, :])
+    assert (gaps[swapped] <= (tolerance[:, None] + tolerance[None, :])[swapped]).all()
 
 
 def cos(wu, wv):
