@@ -190,7 +190,9 @@ def multi_sdr(
     """Rank with a concatenated seed group; candidates exclude every member.
 
     Term-weight partitions larger than ``params.undersample_cap`` are
-    randomly under-sampled (this is what makes large groups tractable).
+    randomly under-sampled, as in the paper. The exact sums over every
+    candidate cost less than sampling does (``scoring.phi_weights``), so
+    undersampling is kept for the paper's setting, not for speed.
     """
     return rank(index, group.member_ids, method, params, undersample=True, run_key=f"{index.topic_id}.{group.unit}")
 

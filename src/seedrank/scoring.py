@@ -25,7 +25,6 @@ determined by the inputs and ``ScoringParams.rng_seed``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -41,7 +40,6 @@ from .vectors import (
     blocks,
     build_stats,
     cosine,
-    line_entries,
     seed_embedding,
     seed_similarities,
 )
@@ -179,24 +177,6 @@ def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
     return math.log(1.0 + gamma_present / gamma_absent)
 
 
-def _row_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """Sums of the consecutive rows of ``values``, of ascending ``lengths``, each added as a 1-D ``sum`` adds it.
-
-    The rows of one length are summed as one C-contiguous block, whose row
-    sums match the 1-D sums bit for bit (numpy's pairwise summation);
-    ``np.add.reduceat`` and ``np.bincount`` add sequentially and round
-    differently.
-    """
-    sums = np.empty(len(lengths))
-    first = offset = 0
-    for length, run in itertools.groupby(lengths):
-        count = len(list(run))
-        sums[first : first + count] = np.add.reduce(values[offset : offset + count * length].reshape(count, length), 1)
-        first += count
-        offset += count * length
-    return sums
-
-
 def phi_weights(
     stats: CollectionStats,
     params: ScoringParams,
@@ -219,22 +199,28 @@ def phi_weights(
     such terms share one mean. Their weights multiply no posting, so no
     score depends on them.
 
-    Only the draws loop over terms; everything else runs over blocks of
-    terms. Each partition's cosines are summed as a 1-D ``sum`` would sum
-    them, as rows of blocks (``_row_sums``): sampled partitions are rows of
-    width cap, the others are grouped by length. phi itself is ``math.log``
-    per term, which ``np.log`` does not match in the last bit.
+    Only the draws loop over terms. Every partition's sum starts from
+    per-term totals over the unit's postings, and the draws overwrite the
+    sampled ones. Each cosine c is split into hi = rint(c * 2**30) / 2**30
+    and lo = c - hi, both exact, with |lo| <= 2**-31. A sum of fewer than
+    2**23 hi values is exact in any order, so a complement's hi part,
+    total minus present, is exact, and only lo, at most 2**-31 per
+    candidate, cancels. The unit must hold fewer than 2**23 candidates. A
+    complement with no cosine above 2**-31 (its hi part is 0) is summed
+    directly, so an all-zero complement gives exactly 0 and
+    ``_phi_from_gammas``' ln 2 rule still holds. A present side is summed
+    without cancellation. Against sums of each partition's cosines on
+    their own, phi moves in the last digits (6.4e-16 relative at most on
+    the synthetic collections). phi itself is ``math.log`` per term, which
+    ``np.log`` does not match in the last bit.
 
-    The complement is summed directly: deriving it from the total cancels
-    catastrophically and can turn an exact zero into noise. A sampled
-    complement's pick p is the candidate at position p + #{i : e_i - i <= p},
-    where e are the term's present positions among the candidates; one
-    ``searchsorted`` per block finds every pick. Unsampled complements are
-    read through a row mask per block of terms. Beyond the unit's postings
-    and a few arrays of one value per candidate, memory is one block of
-    ``BLOCK_BYTES`` (or one row of candidates), never terms x
-    candidates. Block widths count a few 8-byte temporaries per pick,
-    posting and candidate.
+    A sampled complement's pick p is the candidate at position
+    p + #{i : e_i - i <= p}, where e are the term's present positions
+    among the candidates; one ``searchsorted`` per block finds every pick.
+    Beyond the unit's postings and a few arrays of one value per
+    candidate, memory is one block of ``BLOCK_BYTES``, never terms x
+    candidates. Block widths count a few 8-byte temporaries per pick and
+    posting.
     """
     cos = seed_similarities(stats)
     # Each posting's position among the candidates, which is where its cosine is.
@@ -244,13 +230,27 @@ def phi_weights(
     bounds = np.searchsorted(stats.posting_terms, np.arange(n_terms + 1))
     present_len = np.diff(bounds)
     absent_len = n - present_len
-    held = present_len > 0
-    present_sums = np.zeros(n_terms)
-    absent_sums = np.zeros(n_terms)
-    absent_sums[~held] = cos.sum()
+
+    # cos = hi + lo, both exact: hi on a grid of 2**-30, |lo| <= 2**-31. Sums of
+    # fewer than 2**23 hi values are exact in any order, so only lo cancels.
+    hi = np.rint(cos * 2.0**30) / 2.0**30
+    lo = cos - hi
+    present_hi, present_lo = np.zeros(n_terms), np.zeros(n_terms)
+    step = BLOCK_BYTES // 40
+    for start in range(0, len(positions), step):
+        terms, rows = stats.posting_terms[start : start + step], positions[start : start + step]
+        present_hi += np.bincount(terms, weights=hi[rows], minlength=n_terms)
+        present_lo += np.bincount(terms, weights=lo[rows], minlength=n_terms)
+    absent_hi = hi.sum() - present_hi
+    present_sums = present_hi + present_lo
+    absent_sums = absent_hi + (lo.sum() - present_lo)
+    # A complement with no cosine above 2**-31 would keep only lo's rounding
+    # error, of either sign: sum it directly (all zeros give exactly 0).
+    for k in np.flatnonzero(absent_hi == 0).tolist():
+        absent_sums[k] = np.delete(cos, positions[bounds[k] : bounds[k + 1]]).sum()
 
     sample_present = undersample & (present_len > cap)
-    sample_absent = undersample & (absent_len > cap) & held
+    sample_absent = undersample & (absent_len > cap) & (present_len > 0)
     drawn = np.flatnonzero(sample_present | sample_absent)
     names = [stats.index.terms[column] for column in stats.seed_terms[drawn].tolist()]
     generators = keyed_generators((params.rng_seed, *rng_key), names)
@@ -276,19 +276,6 @@ def phi_weights(
         found = np.searchsorted(keys, (terms * (n + 1))[:, None] + absent_picks, side="right")
         found += absent_picks + start - bounds[terms][:, None]
         absent_sums[terms] = cos[found].sum(axis=1)
-
-    terms = np.flatnonzero(~sample_present & held)
-    terms = terms[np.argsort(present_len[terms], kind="stable")]
-    for block in blocks(terms, 24 * present_len[terms]):
-        present_sums[block] = _row_sums(cos[positions[line_entries(bounds, block)[0]]], present_len[block].tolist())
-    terms = np.flatnonzero(~sample_absent & (absent_len > 0) & held)
-    terms = terms[np.argsort(absent_len[terms], kind="stable")]
-    repeated = np.broadcast_to(cos, (max(1, BLOCK_BYTES // (9 * n)), n))
-    for block in blocks(terms, 9 * n + 24 * present_len[terms]):
-        entries, df = line_entries(bounds, block)
-        mask = np.ones((len(block), n), dtype=bool)
-        mask[np.repeat(np.arange(len(block)), df), positions[entries]] = False
-        absent_sums[block] = _row_sums(repeated[: len(block)][mask], absent_len[block].tolist())
 
     gammas = []
     for sums, lengths, sampled in ((present_sums, present_len, sample_present), (absent_sums, absent_len, sample_absent)):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oracles import (
     ref_counts,
@@ -290,12 +291,13 @@ class TestSortScored:
         assert [(doc_ids[r], s) for r, s in zip(rows.tolist(), ranked.tolist())] == sort_scored(scores)
 
 
-def reference_phi_weights(stats, params, *, undersample=False, rng_key=()):
+def reference_phi_weights(stats, params, *, undersample=False, rng_key=(), cos=None):
     """phi_weights as a per-term loop: one generator, mask copy and 1-D sum per term.
 
     A term no candidate holds derives no generator: its complement, every candidate, is not sampled.
+    ``cos`` stands in for the unit's seed cosines when given.
     """
-    cos = seed_similarities(stats)
+    cos = seed_similarities(stats) if cos is None else cos
     n = stats.num_docs
     cap = params.undersample_cap
     terms = stats.index.terms
@@ -351,8 +353,44 @@ def edge_unit():
     return build_stats(count_index(**docs), ["s"])
 
 
+# phi_weights against the per-term loop. A sampled partition draws and adds the same cosines in the
+# same order, so a term with both sides sampled matches bit for bit. An unsampled partition's sum comes
+# from per-term totals. A present sum is within m units of 2**-53 of the loop's, relative, over m
+# candidates. A complement's lo part cancels against at most n * 2**-31 of |lo| over the unit's n
+# candidates, so a complement above 2**-31 is within about 2 * n**2 units, relative; one with no
+# cosine above 2**-31 is summed as the loop sums it. phi = ln(1 + r) moves by at most r's relative
+# error, plus one rounding of 1 + r. 2**-45 is 256 units: it holds every unit of at most 8
+# candidates, and the synth units (90 to 160 candidates) measured 6.4e-16 at most.
+PHI_RTOL = 2.0**-45
+
+
+def fully_sampled(stats, cap):
+    """The seed terms whose present side and complement are both sampled down to ``cap``."""
+    present = np.bincount(stats.posting_terms, minlength=len(stats.seed_terms))
+    return (present > cap) & (stats.num_docs - present > cap)
+
+
+def assert_phi_matches(got, expected, sampled):
+    """Bit for bit on the ``sampled`` terms, within PHI_RTOL on the others."""
+    assert got[sampled].tobytes() == expected[sampled].tobytes()
+    assert np.all((got == expected) | (np.abs(got - expected) <= PHI_RTOL * np.abs(expected) + 2.0**-52))
+
+
+# A cosine is 0, below 2**-31 (hi is 0 and lo is not) or up to 1. 2**-900 keeps every sum and ratio
+# clear of subnormals and overflow, where relative rounding bounds do not hold.
+COSINES = st.one_of(st.just(0.0), st.floats(2.0**-900, 2.0**-31), st.floats(2.0**-31, 1.0))
+
+
+@st.composite
+def hand_units(draw):
+    """(holds, cosines): which of up to 4 seed terms each of 1 to 8 candidates holds, and its seed cosine."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    holds = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=n, max_size=n))
+    return holds, draw(st.lists(COSINES, min_size=n, max_size=n))
+
+
 class TestPhiBitIdentity:
-    """phi_weights gives the per-term loop's weights, bit for bit, draws included."""
+    """phi_weights gives the per-term loop's weights: bit for bit where both sides are sampled, else within PHI_RTOL."""
 
     @pytest.mark.parametrize("cap", [1, 5, 50])
     @pytest.mark.parametrize("undersample", [False, True])
@@ -362,7 +400,12 @@ class TestPhiBitIdentity:
         for stats, key in synth_units(seed, n_docs, overlap):
             got = phi_weights(stats, params, undersample=undersample, rng_key=key)
             expected = reference_phi_weights(stats, params, undersample=undersample, rng_key=key)
-            assert got.tobytes() == expected.tobytes()
+            sampled = fully_sampled(stats, cap) & undersample
+            if undersample and cap == 1:
+                assert sampled.any()
+            assert_phi_matches(got, expected, sampled)
+            assert np.array_equal(got == 0.0, expected == 0.0)
+            assert np.array_equal(got == math.log(2), expected == math.log(2))
 
     @pytest.mark.parametrize("cap", [1, 5, 50])
     @pytest.mark.parametrize("undersample", [False, True])
@@ -371,10 +414,42 @@ class TestPhiBitIdentity:
         params = ScoringParams(undersample_cap=cap)
         got = phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"))
         expected = reference_phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"))
-        assert got.tobytes() == expected.tobytes()
+        assert_phi_matches(got, expected, fully_sampled(stats, cap) & undersample)
         weights = by_term(stats, got)
         assert weights["a"] == weights["c"] == math.log(2)  # zero-cosine complement; no complement
         assert weights["b"] == 0.0  # no candidate holds it
+
+    @given(hand_units(), st.booleans(), st.integers(1, 3))
+    @example(([[True], [True], [False], [False]], [0.5, 0.3, 0.0, 0.0]), False, 1)  # an all-zero complement
+    @example(([[True], [True], [True], [False]], [0.2, 0.7, 0.1, 0.4]), False, 1)  # held by all but one
+    @example(([[True, False]], [0.6]), True, 1)  # one candidate
+    @example(([[True], [True], [False], [False]], [0.3, 0.7, 1e-12, 3e-20]), False, 1)  # complement below 2**-31
+    @example(([[True], [False]], [0.3, 1e-200]), False, 1)  # ... that the total absorbs
+    @example(([[True], [False]], [0.9, 1e-9]), False, 1)  # a complement far below the total
+    @example(([[False, True], [False, False], [False, True]], [0.3, 2e-10, 0.0]), True, 1)  # unheld term
+    def test_hand_made_units(self, unit_spec, undersample, cap):
+        # The same cosines go to both, so only the summation differs.
+        holds, cos = unit_spec
+        cos = np.array(cos)
+        docs = {"s": {f"t{j}": 1 for j in range(len(holds[0]))}}
+        docs.update({f"d{i}": {**{f"t{j}": 1 for j, h in enumerate(row) if h}, f"u{i}": 1} for i, row in enumerate(holds)})
+        stats = build_stats(count_index(**docs), ["s"])
+        params = ScoringParams(undersample_cap=cap)
+        with mock.patch.object(seedrank.scoring, "seed_similarities", lambda _: cos):
+            got = phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"))
+        expected = reference_phi_weights(stats, params, undersample=undersample, rng_key=("T", "s"), cos=cos)
+        assert_phi_matches(got, expected, fully_sampled(stats, cap) & undersample)
+        # With neither side sampled, the 0 and ln 2 rules hold exactly.
+        weights = by_term(stats, got)
+        for j, column in enumerate(zip(*holds)):
+            held = np.array(column)
+            m = np.count_nonzero(held)
+            if undersample and (m > cap or (m and len(cos) - m > cap)):
+                continue
+            if not cos[~held].any():
+                assert weights[f"t{j}"] == math.log(2)
+            elif not cos[held].any():
+                assert weights[f"t{j}"] == 0.0
 
 
 class TestNoDrawForUnheldTerms:
