@@ -6,28 +6,21 @@ and WSS says how much of the candidate list a reviewer could skip after
 finding the last relevant one.
 """
 
-from seedrank import (
-    average_precision,
-    bonferroni,
-    last_rel_percent,
-    metric_set,
-    ndcg_at,
-    paired_t_test,
-    wss,
-)
+from seedrank import bonferroni, metric_set, paired_t_test
 
 run = ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8"]
 qrels = {"d1": 1, "d3": 1, "d6": 1, "d2": 0, "d4": 0, "d5": 0, "d7": 0, "d8": 0}
 
 print("run:", " > ".join(run))
 print("relevant:", sorted(d for d, g in qrels.items() if g))
-print(f"\nAP      = {average_precision(run, qrels):.4f}   (hits at 1, 3, 6)")
-print(f"nDCG@5  = {ndcg_at(run, qrels, 5):.4f}")
-print(f"LastRel = {last_rel_percent(run, qrels):.4f}   (last relevant at rank 6 of 8)")
-print(f"WSS     = {wss(run, qrels):.4f}   (a quarter of the screening saved)")
+metrics = metric_set(run, qrels, cutoffs=(5,))
+print(f"\nAP      = {metrics['map']:.4f}   (hits at 1, 3, 6)")
+print(f"nDCG@5  = {metrics['ndcg@5']:.4f}")
+print(f"LastRel = {metrics['lastrel%']:.4f}   (last relevant at rank 6 of 8)")
+print(f"WSS     = {metrics['wss']:.4f}   (a quarter of the screening saved)")
 
 print("\nfull metric set:")
-for name, value in metric_set(run, qrels, cutoffs=(5,)).items():
+for name, value in metrics.items():
     print(f"  {name:8s} {value:.4f}")
 
 # Paired comparison over per-topic scores of two methods.

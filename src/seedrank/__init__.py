@@ -38,18 +38,7 @@ from .errors import (
     SeedRankError,
     UndefinedMetricError,
 )
-from .evaluation import (
-    average_precision,
-    bonferroni,
-    last_rel_percent,
-    metric_set,
-    ndcg_at,
-    paired_t_test,
-    precision_at,
-    ranked_metrics,
-    recall_at,
-    wss,
-)
+from .evaluation import bonferroni, metric_set, paired_t_test, ranked_metrics
 from .experiments import (
     ExperimentReport,
     SeedGroup,
@@ -71,7 +60,7 @@ from .scoring import (
     rank,
     sdr_score,
 )
-from .text import LEE, OURS, PipelineConfig, default_stopwords, tokenize
+from .text import LEE, OURS, PipelineConfig, default_stopwords
 from .vectors import CollectionStats, TopicIndex, aes_vector, build_index, build_stats, cosine, idf
 
 __version__ = "0.1.0"

@@ -459,9 +459,8 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
     one matrix of the kept rows. Every row is kept when ``keep`` is None;
     otherwise only the rows whose token's lowercase passes ``keep``, which
     holds both rows ``EmbeddingTable.row`` can look up for a form whose
-    lowercase passes. Without ``keep`` the matrix is sized from the header's
-    vocabulary size, but to no more rows than the file's bytes can hold; with
-    it the matrix starts empty. When a chunk's kept rows do not fit, it grows
+    lowercase passes. The matrix starts empty (the header's vocabulary size
+    is checked but not trusted). When a chunk's kept rows do not fit, it grows
     by a quarter (or to fit them), in place where the allocator can, so it
     holds at most about a quarter more rows than it keeps, and is cut to them
     at the end. Every line is checked, kept or not: a chunk that does not
@@ -472,16 +471,8 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
     with closing(_lines(path)) as lines:
         # The header is line 1, so a blank first line is not one.
         lineno, header = next(lines, (1, ""))
-        vocab_size, dimension = _embedding_header(path, header if lineno == 1 else "")
-        if keep is None:
-            # A row takes at least 2d + 2 bytes: a token and d values of one character
-            # each, a separator before each value and a line break (+ 1: the last
-            # line may have none).
-            fits = (os.stat(path).st_size + 1) // (2 * dimension + 2)
-            matrix = np.empty((min(vocab_size, fits), dimension))
-        else:
-            # How many rows pass is not known ahead.
-            matrix = np.empty((0, dimension))
+        dimension = _embedding_dimension(path, header if lineno == 1 else "")
+        matrix = np.empty((0, dimension))
         rows: dict[str, int] = {}
         n = read = 0
         non_finite = None
@@ -511,8 +502,8 @@ def load_embeddings(path, keep: Callable[[str], bool] | None = None) -> Embeddin
     return EmbeddingTable(matrix, rows, read)
 
 
-def _embedding_header(path, line: str) -> tuple[int, int]:
-    """``(vocab_size, dimension)`` from the header line."""
+def _embedding_dimension(path, line: str) -> int:
+    """The dimension from the header line ``vocab_size dimension``, both checked."""
     header = line.split()
     if len(header) != 2:
         raise ParseError(path, 1, "expected header 'vocab_size dimension'")
@@ -531,7 +522,7 @@ def _embedding_header(path, line: str) -> tuple[int, int]:
         raise ParseError(path, 1, f"dimension must be positive, got {dimension}")
     if dimension > _MAX_DIMENSION:
         raise ParseError(path, 1, f"dimension must be at most {_MAX_DIMENSION}, got {dimension}")
-    return vocab_size, dimension
+    return dimension
 
 
 def _embedding_chunks(path, lines: Iterator[tuple[int, str]], dimension: int):

@@ -12,8 +12,8 @@ WSS + LastRel% = 1 on every evaluable run.
 Every metric is computed from a ranking's 0/1 relevance vector in rank
 order (``ranked_metrics``, as array-based evaluators such as ranx do),
 visiting only the ranks of the relevant documents and adding their terms
-one by one in rank order. The functions over doc-id lists build that
-vector and call the same code.
+one by one in rank order. ``metric_set`` is its front end for a run of doc
+ids and a topic's qrels.
 """
 
 from __future__ import annotations
@@ -30,91 +30,6 @@ from .errors import ContractError, DegenerateTestError, UndefinedMetricError
 DEFAULT_CUTOFFS = (10, 100, 1000)
 
 
-def _num_relevant(qrels: Mapping[str, int]) -> int:
-    return sum(map(is_relevant, qrels.values()))
-
-
-def _relevance(run: Sequence[str], qrels: Mapping[str, int]) -> np.ndarray:
-    """Whether each document of a doc-id list is judged relevant, in rank order."""
-    return np.fromiter((is_relevant(qrels.get(doc_id, 0)) for doc_id in run), bool, len(run))
-
-
-def _hit_ranks(relevant: np.ndarray) -> list[int]:
-    """The ranks (from 1) of the relevant documents, ascending."""
-    return (np.flatnonzero(relevant) + 1).tolist()
-
-
-def _check_cutoff(k: int) -> None:
-    if k < 1:
-        raise ContractError(f"cutoff must be >= 1, got {k}")
-
-
-def _average_precision(hits: list[int], total_relevant: int) -> float:
-    if total_relevant == 0:
-        raise UndefinedMetricError("average precision is undefined without relevant documents")
-    precision_sum = 0.0
-    for found, r in enumerate(hits, start=1):
-        precision_sum += found / r
-    return precision_sum / total_relevant
-
-
-def _precision_at(hits: list[int], k: int) -> float:
-    _check_cutoff(k)
-    return bisect_right(hits, k) / k
-
-
-def _recall_at(hits: list[int], total_relevant: int, k: int) -> float:
-    _check_cutoff(k)
-    if total_relevant == 0:
-        raise UndefinedMetricError("recall is undefined without relevant documents")
-    return bisect_right(hits, k) / total_relevant
-
-
-def _ndcg_at(hits: list[int], total_relevant: int, k: int) -> float:
-    _check_cutoff(k)
-    dcg = 0.0
-    for r in hits[: bisect_right(hits, k)]:
-        dcg += 1.0 / math.log2(r + 1)
-    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, total_relevant) + 1))
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
-
-
-def _last_rel_percent(hits: list[int], n: int) -> float:
-    if not hits:
-        raise UndefinedMetricError("no relevant document retrieved")
-    return hits[-1] / n
-
-
-def average_precision(run: Sequence[str], qrels: Mapping[str, int]) -> float:
-    """AP with the qrels total as denominator; unretrieved relevants count 0."""
-    return _average_precision(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels))
-
-
-def precision_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    return _precision_at(_hit_ranks(_relevance(run, qrels)), k)
-
-
-def recall_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    return _recall_at(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels), k)
-
-
-def ndcg_at(run: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    """Binary-gain nDCG@k; 0.0 when the ideal DCG is zero."""
-    return _ndcg_at(_hit_ranks(_relevance(run, qrels)), _num_relevant(qrels), k)
-
-
-def last_rel_percent(run: Sequence[str], qrels: Mapping[str, int]) -> float:
-    """Rank of the last relevant document, as a fraction of the run length."""
-    return _last_rel_percent(_hit_ranks(_relevance(run, qrels)), len(run))
-
-
-def wss(run: Sequence[str], qrels: Mapping[str, int]) -> float:
-    """Work saved over sampling: the fraction of the run below the last relevant."""
-    return 1.0 - last_rel_percent(run, qrels)
-
-
 def ranked_metrics(
     relevant: np.ndarray,
     total_relevant: int,
@@ -123,18 +38,33 @@ def ranked_metrics(
     """All reported metrics of one ranking, from whether each ranked document is relevant.
 
     ``relevant`` is in rank order; ``total_relevant`` is the AP and recall
-    denominator. The ``lastrel%``/``wss`` keys are present only when at
-    least one relevant document was retrieved; callers track the
-    exclusions.
+    denominator. A total of 0 raises ``UndefinedMetricError`` before any
+    cutoff is checked; a cutoff below 1 raises ``ContractError``. The
+    ``lastrel%``/``wss`` keys are present only when at least one relevant
+    document was retrieved; callers track the exclusions.
     """
-    hits = _hit_ranks(relevant)
-    out = {"map": _average_precision(hits, total_relevant)}
+    if total_relevant == 0:
+        raise UndefinedMetricError("average precision is undefined without relevant documents")
+    # The ranks (from 1) of the relevant documents, ascending.
+    hits = (np.flatnonzero(relevant) + 1).tolist()
+    precision_sum = 0.0
+    for found, r in enumerate(hits, start=1):
+        precision_sum += found / r
+    out = {"map": precision_sum / total_relevant}
     for k in cutoffs:
-        out[f"p@{k}"] = _precision_at(hits, k)
-        out[f"r@{k}"] = _recall_at(hits, total_relevant, k)
-        out[f"ndcg@{k}"] = _ndcg_at(hits, total_relevant, k)
+        if k < 1:
+            raise ContractError(f"cutoff must be >= 1, got {k}")
+        found = bisect_right(hits, k)
+        dcg = 0.0
+        for r in hits[:found]:
+            dcg += 1.0 / math.log2(r + 1)
+        # At least rank 1 enters, so the ideal DCG is positive.
+        idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, total_relevant) + 1))
+        out[f"p@{k}"] = found / k
+        out[f"r@{k}"] = found / total_relevant
+        out[f"ndcg@{k}"] = dcg / idcg
     if hits:
-        lr = _last_rel_percent(hits, len(relevant))
+        lr = hits[-1] / len(relevant)
         out["lastrel%"] = lr
         out["wss"] = 1.0 - lr
     return out
@@ -145,8 +75,9 @@ def metric_set(
     qrels: Mapping[str, int],
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> dict[str, float]:
-    """All reported metrics for one run of doc ids (``ranked_metrics``)."""
-    return ranked_metrics(_relevance(run, qrels), _num_relevant(qrels), cutoffs)
+    """All reported metrics for one run of doc ids: ``ranked_metrics`` with the qrels total as denominator."""
+    relevant = np.fromiter((is_relevant(qrels.get(doc_id, 0)) for doc_id in run), bool, len(run))
+    return ranked_metrics(relevant, sum(map(is_relevant, qrels.values())), cutoffs)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

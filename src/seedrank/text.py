@@ -123,14 +123,6 @@ class SurfaceForms(dict):
         return column
 
 
-def tokenize(text: str, config: PipelineConfig) -> list[str]:
-    """The terms of one text, in text order, under the configured pipeline. Empty text -> []."""
-    forms = SurfaceForms(config.stopwords)
-    columns = list(map(forms.__getitem__, split(text, config.variant)))
-    terms = list(forms.columns)
-    return [terms[column] for column in columns if column >= 0]
-
-
 def document_text(doc: Document, config: PipelineConfig) -> str:
     """The text a document is ranked by: title+abstract, or abstract only."""
     if config.include_title:

@@ -3,8 +3,17 @@
 import numpy as np
 
 from seedrank import Document, Topic, TopicIndex
+from seedrank.text import SurfaceForms, split
 
 _WORDS = None
+
+
+def tokenize(text, config):
+    """The terms of one text, in text order, as ``build_index`` counts them under ``config``. Empty text -> []."""
+    forms = SurfaceForms(config.stopwords)
+    columns = list(map(forms.__getitem__, split(text, config.variant)))
+    terms = list(forms.columns)
+    return [terms[column] for column in columns if column >= 0]
 
 
 def _vocabulary(size):

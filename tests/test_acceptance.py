@@ -28,21 +28,16 @@ from seedrank import (
     build_index,
     build_stats,
     intra_similarity,
-    last_rel_percent,
     loocv_single,
     make_groups,
+    metric_set,
     multi_sdr,
-    ndcg_at,
     oracle_single,
     phi_weights,
-    precision_at,
     rank,
-    recall_at,
     sdr_score,
     write_run,
-    wss,
 )
-from seedrank.evaluation import average_precision
 from synth import by_term, count_index, synth_collection, synth_topic, write_collection_files
 
 from conftest import unit_lines
@@ -109,13 +104,14 @@ def test_criterion_2_metric_oracle_equivalence():
             if sum(qrels.values()) == 0:
                 continue
             checked += 1
-            assert abs(average_precision(run, qrels) - ref_average_precision(run, qrels)) < 1e-9
+            out = metric_set(run, qrels, (1, 5, 10))
+            assert abs(out["map"] - ref_average_precision(run, qrels)) < 1e-9
             for k in (1, 5, 10):
-                assert abs(precision_at(run, qrels, k) - ref_precision_at(run, qrels, k)) < 1e-9
-                assert abs(recall_at(run, qrels, k) - ref_recall_at(run, qrels, k)) < 1e-9
-                assert abs(ndcg_at(run, qrels, k) - ref_ndcg_at(run, qrels, k)) < 1e-9
+                assert abs(out[f"p@{k}"] - ref_precision_at(run, qrels, k)) < 1e-9
+                assert abs(out[f"r@{k}"] - ref_recall_at(run, qrels, k)) < 1e-9
+                assert abs(out[f"ndcg@{k}"] - ref_ndcg_at(run, qrels, k)) < 1e-9
             if any(qrels.get(d, 0) >= 1 for d in run):
-                assert abs(wss(run, qrels) + last_rel_percent(run, qrels) - 1.0) < 1e-12
+                assert abs(out["wss"] + out["lastrel%"] - 1.0) < 1e-12
         if shutil.which("trec_eval") is None:
             print("  (trec_eval binary not installed; skipping the binary cross-check)")
         else:
@@ -157,15 +153,10 @@ def _cross_check_against_trec_eval():
             metric, topic, value = line.split()
             if topic == "all" or topic not in by_topic:
                 continue
-            run = by_topic[topic]
-            if metric == "map":
-                mine = average_precision(run, judged[topic])
-            elif metric == "P_5":
-                mine = precision_at(run, judged[topic], 5)
-            elif metric == "ndcg_cut_5":
-                mine = ndcg_at(run, judged[topic], 5)
-            else:
+            key = {"map": "map", "P_5": "p@5", "ndcg_cut_5": "ndcg@5"}.get(metric)
+            if key is None:
                 continue
+            mine = metric_set(by_topic[topic], judged[topic], (5,))[key]
             assert abs(mine - float(value)) < 5e-5, f"{metric} on {topic}: {mine} vs {value}"
 
 

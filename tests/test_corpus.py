@@ -28,11 +28,11 @@ from seedrank import (
     load_qrels,
     load_run,
     load_topics,
-    tokenize,
     write_run,
 )
 from seedrank import corpus
 from seedrank.text import default_stopwords, document_text, kept_term
+from synth import tokenize
 
 from conftest import traced_peak, unit_lines
 

@@ -11,7 +11,7 @@ import pytest
 import seedrank
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
 
@@ -22,7 +22,7 @@ def run_python(args, tmp_path):
 
 
 def test_all_five_demos_found():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+    assert {"01", "02", "03", "04", "05"} <= {p.name[:2] for p in DEMOS}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -9,16 +9,10 @@ from seedrank import (
     ContractError,
     DegenerateTestError,
     UndefinedMetricError,
-    average_precision,
     bonferroni,
-    last_rel_percent,
     metric_set,
-    ndcg_at,
     paired_t_test,
-    precision_at,
     ranked_metrics,
-    recall_at,
-    wss,
 )
 from seedrank.evaluation import _t_two_sided_p, significance_rows
 
@@ -33,72 +27,68 @@ class TestAveragePrecision:
     def test_relevant_at_ranks_one_and_three(self):
         # (1 + 2/3) / 2
         run = ["d1", "d2", "d3"]
-        assert average_precision(run, qrels(["d1", "d3"])) == pytest.approx(0.8333333333, abs=1e-9)
+        assert metric_set(run, qrels(["d1", "d3"]))["map"] == pytest.approx(0.8333333333, abs=1e-9)
 
     def test_perfect_ranking(self):
         run = ["a", "b", "c", "x"]
-        assert average_precision(run, qrels(["a", "b", "c"])) == 1.0
+        assert metric_set(run, qrels(["a", "b", "c"]))["map"] == 1.0
 
     def test_unretrieved_relevant_contributes_zero(self):
-        assert average_precision(["d1"], qrels(["d1", "missing"])) == pytest.approx(0.5)
+        assert metric_set(["d1"], qrels(["d1", "missing"]))["map"] == pytest.approx(0.5)
 
     def test_no_relevant_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            average_precision(["d1"], qrels([], ["d1"]))
+            metric_set(["d1"], qrels([], ["d1"]))
 
 
 class TestPrecisionRecall:
     def test_precision_at_10(self):
         run = [f"d{i}" for i in range(10)]
-        assert precision_at(run, qrels(["d0", "d5"]), 10) == pytest.approx(0.2)
+        assert metric_set(run, qrels(["d0", "d5"]), (10,))["p@10"] == pytest.approx(0.2)
 
     def test_full_recall(self):
         run = [f"d{i}" for i in range(100)]
         rel = [f"d{i}" for i in range(5)]
-        assert recall_at(run, qrels(rel), 100) == 1.0
+        assert metric_set(run, qrels(rel), (100,))["r@100"] == 1.0
 
     def test_short_run_pads_with_nonrelevant(self):
-        assert precision_at(["d1", "d2", "d3"], qrels(["d1"]), 10) == pytest.approx(0.1)
+        assert metric_set(["d1", "d2", "d3"], qrels(["d1"]), (10,))["p@10"] == pytest.approx(0.1)
 
     def test_recall_without_relevant_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            recall_at(["d1"], qrels([]), 10)
+            metric_set(["d1"], qrels([]), (10,))
 
 
 class TestNdcg:
     def test_perfect_ranking(self):
-        assert ndcg_at(["a", "b", "x"], qrels(["a", "b"]), 3) == pytest.approx(1.0)
+        assert metric_set(["a", "b", "x"], qrels(["a", "b"]), (3,))["ndcg@3"] == pytest.approx(1.0)
 
     def test_hand_example(self):
         # gains [1,0,1]: DCG = 1 + 1/log2(4) = 1.5; IDCG = 1 + 1/log2(3)
-        value = ndcg_at(["a", "x", "b"], qrels(["a", "b"]), 3)
+        value = metric_set(["a", "x", "b"], qrels(["a", "b"]), (3,))["ndcg@3"]
         expected = 1.5 / (1.0 + 1.0 / math.log2(3))
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(0.9197, abs=1e-4)
 
     def test_no_relevant_in_top_k(self):
-        assert ndcg_at(["x", "y"], qrels(["a"]), 2) == 0.0
+        assert metric_set(["x", "y"], qrels(["a"]), (2,))["ndcg@2"] == 0.0
 
 
 class TestLastRelWss:
     def test_direct_formula(self):
         run = [f"d{i}" for i in range(10)]
-        judged = qrels(["d0", "d2"])
-        assert last_rel_percent(run, judged) == pytest.approx(0.3)
-        assert wss(run, judged) == pytest.approx(0.7)
+        out = metric_set(run, qrels(["d0", "d2"]))
+        assert out["lastrel%"] == pytest.approx(0.3)
+        assert out["wss"] == pytest.approx(0.7)
 
     def test_last_position(self):
         run = ["a", "b"]
-        assert wss(run, qrels(["b"])) == 0.0
+        assert metric_set(run, qrels(["b"]))["wss"] == 0.0
 
     def test_first_position_only(self):
-        run = ["a", "b", "c", "d"]
-        assert last_rel_percent(run, qrels(["a"])) == pytest.approx(0.25)
-        assert wss(run, qrels(["a"])) == pytest.approx(0.75)
-
-    def test_nothing_retrieved_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            last_rel_percent(["a"], qrels(["b"]))
+        out = metric_set(["a", "b", "c", "d"], qrels(["a"]))
+        assert out["lastrel%"] == pytest.approx(0.25)
+        assert out["wss"] == pytest.approx(0.75)
 
 
 def random_case(rng):
@@ -118,19 +108,12 @@ class TestOracleEquivalence:
             if sum(judged.values()) == 0:
                 continue
             checked += 1
-            assert average_precision(run, judged) == pytest.approx(
-                ref_average_precision(run, judged), abs=1e-9
-            )
+            out = metric_set(run, judged, (1, 3, 10))
+            assert out["map"] == pytest.approx(ref_average_precision(run, judged), abs=1e-9)
             for k in (1, 3, 10):
-                assert precision_at(run, judged, k) == pytest.approx(
-                    ref_precision_at(run, judged, k), abs=1e-9
-                )
-                assert recall_at(run, judged, k) == pytest.approx(
-                    ref_recall_at(run, judged, k), abs=1e-9
-                )
-                assert ndcg_at(run, judged, k) == pytest.approx(
-                    ref_ndcg_at(run, judged, k), abs=1e-9
-                )
+                assert out[f"p@{k}"] == pytest.approx(ref_precision_at(run, judged, k), abs=1e-9)
+                assert out[f"r@{k}"] == pytest.approx(ref_recall_at(run, judged, k), abs=1e-9)
+                assert out[f"ndcg@{k}"] == pytest.approx(ref_ndcg_at(run, judged, k), abs=1e-9)
 
     def test_wss_lastrel_complement(self):
         rng = np.random.default_rng(7)
@@ -140,7 +123,8 @@ class TestOracleEquivalence:
             if not any(judged.get(d, 0) >= 1 for d in run):
                 continue
             checked += 1
-            assert wss(run, judged) + last_rel_percent(run, judged) == pytest.approx(1.0, abs=1e-12)
+            out = metric_set(run, judged)
+            assert out["wss"] + out["lastrel%"] == pytest.approx(1.0, abs=1e-12)
 
     def test_reversal_minimizes_ap_and_ndcg(self):
         # A perfect ranking reversed is the worst permutation on binary gains.
@@ -148,10 +132,11 @@ class TestOracleEquivalence:
 
         run = ["a", "b", "c", "x", "y"]
         judged = qrels(["a", "b", "c"])
-        reversed_run = list(reversed(run))
+        worst = metric_set(list(reversed(run)), judged, (5,))
         for perm in itertools.permutations(run):
-            assert average_precision(list(perm), judged) >= average_precision(reversed_run, judged) - 1e-12
-            assert ndcg_at(list(perm), judged, 5) >= ndcg_at(reversed_run, judged, 5) - 1e-12
+            out = metric_set(list(perm), judged, (5,))
+            assert out["map"] >= worst["map"] - 1e-12
+            assert out["ndcg@5"] >= worst["ndcg@5"] - 1e-12
 
     @given(st.integers(2, 200))
     def test_rank_invariance_under_score_transform(self, n):
@@ -160,7 +145,7 @@ class TestOracleEquivalence:
         # sequence is equivalent.
         run = [f"d{i}" for i in range(n)]
         judged = qrels(run[:2])
-        assert average_precision(run, judged) == average_precision(list(run), judged)
+        assert metric_set(run, judged) == metric_set(list(run), judged)
 
 
 class TestMetricSet:
@@ -217,7 +202,7 @@ def loop_metric_set(run, judged, cutoffs):
 
 
 class TestMetricCore:
-    """``ranked_metrics`` over a 0/1 vector is the one metric core; the list functions adapt to it."""
+    """``ranked_metrics`` over a 0/1 vector is the one metric core; ``metric_set`` is its doc-id front end."""
 
     @settings(max_examples=300, deadline=None)
     @given(judged_runs, st.lists(st.integers(1, 40), min_size=1, max_size=4))
@@ -231,34 +216,37 @@ class TestMetricCore:
         if total == 0:
             with pytest.raises(UndefinedMetricError):
                 ranked_metrics(relevant, total, cutoffs)
+            with pytest.raises(UndefinedMetricError):
+                metric_set(run, judged, cutoffs)
             return
         core = ranked_metrics(relevant, total, cutoffs)
-        # Bit for bit: the list functions go through the same code, and it adds as a loop over the run adds.
+        # Bit for bit: metric_set goes through the same code, and it adds as a loop over the run adds.
         bits = [(k, v.hex()) for k, v in core.items()]
         assert bits == [(k, v.hex()) for k, v in metric_set(run, judged, cutoffs).items()]
         assert bits == [(k, v.hex()) for k, v in loop_metric_set(run, judged, cutoffs).items()]
-        assert core["map"].hex() == average_precision(run, judged).hex()
         assert abs(core["map"] - ref_average_precision(run, judged)) <= 1e-12
         for k in cutoffs:
-            assert core[f"p@{k}"].hex() == precision_at(run, judged, k).hex()
-            assert core[f"r@{k}"].hex() == recall_at(run, judged, k).hex()
-            assert core[f"ndcg@{k}"].hex() == ndcg_at(run, judged, k).hex()
             assert abs(core[f"p@{k}"] - ref_precision_at(run, judged, k)) <= 1e-12
             assert abs(core[f"r@{k}"] - ref_recall_at(run, judged, k)) <= 1e-12
             assert abs(core[f"ndcg@{k}"] - ref_ndcg_at(run, judged, k)) <= 1e-12
         if relevant.any():
             last = max(i for i, flag in enumerate(relevant, start=1) if flag)
-            assert core["lastrel%"].hex() == last_rel_percent(run, judged).hex()
-            assert core["wss"].hex() == wss(run, judged).hex()
             assert core["lastrel%"] == last / len(run)
+            assert core["wss"] == 1.0 - last / len(run)
         else:
             assert "lastrel%" not in core and "wss" not in core
-            with pytest.raises(UndefinedMetricError):
-                last_rel_percent(run, judged)
 
     def test_cutoff_below_one(self):
         with pytest.raises(ContractError):
             ranked_metrics(np.array([True]), 1, (0,))
+
+    def test_no_relevant_is_checked_before_the_cutoffs(self):
+        with pytest.raises(UndefinedMetricError):
+            ranked_metrics(np.array([False]), 0, (0,))
+
+    def test_duplicate_cutoffs_give_one_set_of_keys(self):
+        relevant = np.array([False, True, False, False, True, True])
+        assert list(ranked_metrics(relevant, 4, (5, 5)).items()) == list(ranked_metrics(relevant, 4, (5,)).items())
 
 
 class TestPairedTTest:

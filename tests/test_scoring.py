@@ -43,9 +43,8 @@ from seedrank.scoring import (
     keyed_generators,
 )
 import seedrank.scoring
-from seedrank.text import tokenize
 from seedrank.vectors import seed_similarities
-from synth import by_term, count_index, synth_collection
+from synth import by_term, count_index, synth_collection, tokenize
 
 from conftest import unit_lines
 

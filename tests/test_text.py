@@ -14,9 +14,9 @@ from seedrank import (
     Topic,
     build_index,
     default_stopwords,
-    tokenize,
 )
 from seedrank.text import LEE, _NonWordToSpace
+from synth import tokenize
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from seedrank import (
     rank,
 )
 from seedrank.corpus import rank_order
-from seedrank.text import document_text, kept_term, tokenize
+from seedrank.text import document_text, kept_term
 import seedrank.vectors
 from seedrank.vectors import seed_similarities
 from synth import (
@@ -36,6 +36,7 @@ from synth import (
     mixed_case,
     mixed_case_embedding_terms,
     synth_collection,
+    tokenize,
     write_collection_files,
     write_embeddings_file,
 )
@@ -153,7 +154,7 @@ class TestTopicIndex:
         st.booleans(),
     )
     def test_build_index_counts_each_documents_terms(self, docs, variant, boc, include_title):
-        # The reference counts the terms text.tokenize gives each document (under boc, those in the lexicon).
+        # The reference counts the terms synth.tokenize gives each document (under boc, those in the lexicon).
         pipeline = PipelineConfig(variant=variant, include_title=include_title)
         corpus = {f"d{i}": Document(f"d{i}", title, abstract) for i, (title, abstract) in enumerate(docs)}
         lexicon = LEXICON if boc else None

@@ -1,8 +1,11 @@
-"""Print the sha256 of every output file of ``rank``, ``multi`` and ``analyze`` on a generated collection.
+"""Print the sha256 of every output file of ``rank``, ``multi``, ``analyze``, ``compare`` and ``eval`` on a generated collection.
 
 The collection comes from ``tests/synth.py`` with a fixed seed. ``rank`` and
 ``multi`` run under every method and representation, and ``analyze`` under
-every representation. Each output file gets one line, ``<sha256>  <path>``,
+every representation. ``compare`` tests the ``rank`` metrics of ``sdr-bow``
+against those of ``qlm-bow``. ``eval`` scores one run per topic against the
+collection's qrels: the first unit of the topic's ``sdr-bow`` ``rank`` run
+file, keyed by the topic id. Each output file gets one line, ``<sha256>  <path>``,
 with the path relative to the output root, in sorted order. Run it against
 two commits and diff the two listings: no difference means every run file
 and CSV is byte-identical.
@@ -52,10 +55,24 @@ def write_inputs(base: Path) -> list[str]:
     ]
 
 
+def first_units(run_dir: Path) -> str:
+    """The first unit of each topic's run file in ``run_dir``, its key replaced by the topic id.
+
+    ``rank`` keys a unit ``<topic_id>.<seed_id>``; ``eval`` of such a run finds
+    no judged topic and exits 2.
+    """
+    lines = []
+    for path in sorted(run_dir.glob("*.run")):
+        fields = [line.split(maxsplit=1) for line in path.read_text(encoding="utf-8").splitlines()]
+        lines += [f"{path.stem} {rest}\n" for key, rest in fields if key == fields[0][0]]
+    return "".join(lines)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="seedrank-digests-") as tmp:
         base = Path(tmp)
         inputs = write_inputs(base)
+        qrels = inputs[inputs.index("--qrels") + 1]
         out = base / "out"
         runs = [(command, method, representation)
                 for command in ("rank", "multi") for method in METHODS for representation in REPRESENTATIONS]
@@ -66,6 +83,19 @@ def main() -> int:
                     "--output-dir", str(target)]
             if cli.main(argv) != 0:
                 print(f"seedrank {command} --method {method} --representation {representation} failed", file=sys.stderr)
+                return 1
+        run_path = base / "first-units.run"
+        run_path.write_text(first_units(out / "rank-sdr-bow" / "runs" / "sdr-bow"), encoding="utf-8")
+        for name, argv in [
+            ("compare/rank-sdr-bow-vs-qlm-bow.csv",
+             ["compare", "--metrics-a", str(out / "rank-sdr-bow" / "metrics.csv"), "--name-a", "sdr-bow",
+              "--metrics-b", str(out / "rank-qlm-bow" / "metrics.csv"), "--name-b", "qlm-bow"]),
+            ("eval/rank-sdr-bow-first-units.csv", ["eval", "--run", str(run_path), "--qrels", qrels]),
+        ]:
+            target = out / name
+            target.parent.mkdir()
+            if cli.main(["-q", *argv, "--output", str(target)]) != 0:
+                print(f"seedrank {argv[0]} failed", file=sys.stderr)
                 return 1
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
