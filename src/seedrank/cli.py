@@ -514,6 +514,7 @@ def _per_topic_means_from_csv(path: str) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     try:
         with corpus_io._text_file(path) as fh:
+            corpus_io._refuse_byte_order_mark(path, fh)
             reader = csv.DictReader(fh)
             expected = {"topic_id", "seed_or_window", "metric", "value"}
             if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
@@ -529,7 +530,7 @@ def _per_topic_means_from_csv(path: str) -> dict[str, dict[str, float]]:
                     out.setdefault(row["metric"], {})[row["topic_id"]] = value
     except csv.Error as exc:  # as a field past csv's size limit; DictReader's line_num counts only whole rows
         raise ConfigError("metrics", f"{path}:{reader.reader.line_num}: {exc}") from None
-    except ParseError as exc:  # from _text_file: a byte that is not UTF-8
+    except ParseError as exc:  # a byte that is not UTF-8, or a byte-order mark
         raise ConfigError("metrics", str(exc)) from None
     if not out:
         raise ConfigError("metrics", f"{path}: no per-topic mean rows found")

@@ -2,8 +2,8 @@
 
 Every input file is read the same way: as UTF-8, line by line, each line
 stripped of surrounding whitespace, blank lines skipped. A malformed line,
-or a byte that is not UTF-8, raises ParseError naming ``file:line``. In the
-whitespace-separated formats every line holds exactly the listed columns.
+a non-UTF-8 byte or a leading byte-order mark raises ParseError naming
+``file:line``. A whitespace-separated line holds exactly its format's columns.
 
 File formats:
   corpus      JSON lines, one document per line with the fields ``doc_id``,
@@ -161,6 +161,12 @@ def _undecodable_line(path) -> ParseError:
     return ParseError(path, 1, "the file is not valid UTF-8")
 
 
+def _refuse_byte_order_mark(path, fh) -> None:
+    """ParseError at line 1 if ``fh``'s bytes start with a UTF-8 byte-order mark, which would join its first field."""
+    if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):
+        raise ParseError(path, 1, "the file starts with a UTF-8 byte-order mark (U+FEFF); save it without one")
+
+
 def _lines(path, spans: bool = False) -> Iterator[tuple]:
     """``(line number, line)`` for each non-blank line of ``path``, stripped, read through ``_text_file``.
 
@@ -172,6 +178,7 @@ def _lines(path, spans: bool = False) -> Iterator[tuple]:
     that raises).
     """
     with _text_file(path, newline="") as fh:
+        _refuse_byte_order_mark(path, fh)
         offset = 0
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()

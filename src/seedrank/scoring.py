@@ -34,7 +34,6 @@ import numpy as np
 from .corpus import RunUnit, rank_order
 from .errors import ConfigError, ContractError
 from .vectors import (
-    BLOCK_BYTES,
     CollectionStats,
     TopicIndex,
     blocks,
@@ -200,27 +199,27 @@ def phi_weights(
     score depends on them.
 
     Only the draws loop over terms. Every partition's sum starts from
-    per-term totals over the unit's postings, and the draws overwrite the
-    sampled ones. Each cosine c is split into hi = rint(c * 2**30) / 2**30
-    and lo = c - hi, both exact, with |lo| <= 2**-31. A sum of fewer than
-    2**23 hi values is exact in any order, so a complement's hi part,
-    total minus present, is exact, and only lo, at most 2**-31 per
-    candidate, cancels. The unit must hold fewer than 2**23 candidates. A
-    complement with no cosine above 2**-31 (its hi part is 0) is summed
-    directly, so an all-zero complement gives exactly 0 and
-    ``_phi_from_gammas``' ln 2 rule still holds. A present side is summed
-    without cancellation. Against sums of each partition's cosines on
-    their own, phi moves in the last digits (6.4e-16 relative at most on
-    the synthetic collections). phi itself is ``math.log`` per term, which
+    per-term totals, one ``np.bincount`` over all the unit's postings, and
+    the draws overwrite the sampled ones. Each cosine c is split into
+    hi = rint(c * 2**30) / 2**30 and lo = c - hi, both exact, with
+    |lo| <= 2**-31. A sum of fewer than 2**23 hi values is exact in any
+    order, so a complement's hi part, total minus present, is exact, and
+    only lo, at most 2**-31 per candidate, cancels. The unit must hold fewer
+    than 2**23 candidates. A complement with no cosine above 2**-31 (its hi
+    part is 0) is summed directly, so an all-zero complement gives exactly 0
+    and ``_phi_from_gammas``' ln 2 rule still holds. A present side is
+    summed without cancellation. Against sums of each partition's cosines on
+    their own, phi moves in the last digits (6.4e-16 relative at most on the
+    synthetic collections). phi itself is ``math.log`` per term, which
     ``np.log`` does not match in the last bit.
 
     A sampled complement's pick p is the candidate at position
     p + #{i : e_i - i <= p}, where e are the term's present positions
     among the candidates; one ``searchsorted`` per block finds every pick.
-    Beyond the unit's postings and a few arrays of one value per
-    candidate, memory is one block of ``BLOCK_BYTES``, never terms x
-    candidates. Block widths count a few 8-byte temporaries per pick and
-    posting.
+    The draws go in blocks of terms of at most ``vectors.BLOCK_BYTES``, a
+    few 8-byte temporaries per pick and posting, never terms x cap; each
+    term draws from its own generator and sums its own picks, so no phi
+    depends on where a block ends.
     """
     cos = seed_similarities(stats)
     # Each posting's position among the candidates, which is where its cosine is.
@@ -235,12 +234,8 @@ def phi_weights(
     # fewer than 2**23 hi values are exact in any order, so only lo cancels.
     hi = np.rint(cos * 2.0**30) / 2.0**30
     lo = cos - hi
-    present_hi, present_lo = np.zeros(n_terms), np.zeros(n_terms)
-    step = BLOCK_BYTES // 40
-    for start in range(0, len(positions), step):
-        terms, rows = stats.posting_terms[start : start + step], positions[start : start + step]
-        present_hi += np.bincount(terms, weights=hi[rows], minlength=n_terms)
-        present_lo += np.bincount(terms, weights=lo[rows], minlength=n_terms)
+    present_hi = np.bincount(stats.posting_terms, weights=hi[positions], minlength=n_terms)
+    present_lo = np.bincount(stats.posting_terms, weights=lo[positions], minlength=n_terms)
     absent_hi = hi.sum() - present_hi
     present_sums = present_hi + present_lo
     absent_sums = absent_hi + (lo.sum() - present_lo)

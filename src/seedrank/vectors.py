@@ -38,8 +38,8 @@ from .text import PipelineConfig, SurfaceForms, document_text, split
 
 REPRESENTATIONS = ("bow", "boc")
 
-# Bytes of temporaries per block of terms (phi), rows or entries (an index's totals) or postings (seed
-# cosines), which bounds their memory.
+# Bytes of temporaries per block of drawn terms (phi), rows or entries (an index's totals), which
+# bounds their memory. No result depends on it: each block's sums are exact or whole per row or term.
 BLOCK_BYTES = 1 << 17
 
 
@@ -387,12 +387,12 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
     topic's x plus δ = ln(N'/N), and a candidate's squared norm over such
     terms is C + 2δB + δ²A from the index's per-row sums (``TopicIndex``).
     Only the seed terms' df changed: ``np.bincount`` over their postings
-    swaps their (x + δ)² for their idf under the unit, and takes the dots.
-    The postings are read in blocks of at most ``BLOCK_BYTES`` of
-    temporaries, about 40 bytes per posting. So a unit costs time in its
-    postings and candidates, never in the topic's stored counts, and reads
-    no seed row. The sums are centred on the topic's idf, not on ln df, so
-    the rounding of a norm is a few ulps of Σc²(x + |δ|)², close to the norm
+    swaps their (x + δ)² for their idf under the unit, and takes the dots,
+    in one pass over all the postings (a few 8-byte temporaries each), so
+    no cosine depends on ``BLOCK_BYTES``. A unit costs time in its postings
+    and candidates, never in the topic's stored counts, and reads no seed
+    row. The sums are centred on the topic's idf, not on ln df, so the
+    rounding of a norm is a few ulps of Σc²(x + |δ|)², close to the norm
     itself unless a row is mostly terms held by nearly every candidate.
     """
     index = stats.index
@@ -403,13 +403,9 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
     seed_weights = stats.seed_counts * term_idf
     # Per seed term: what a squared count adds to a norm, and what a count adds to a dot.
     norm_changes, dot_weights = term_idf * term_idf - shifted * shifted, term_idf * seed_weights
-    changes, dots = np.zeros(n_rows), np.zeros(n_rows)
-    step = BLOCK_BYTES // 40
-    for start in range(0, len(stats.posting_rows), step):
-        k, rows = stats.posting_terms[start : start + step], stats.posting_rows[start : start + step]
-        counts = stats.posting_counts[start : start + step].astype(float)
-        changes += np.bincount(rows, weights=counts * counts * norm_changes[k], minlength=n_rows)
-        dots += np.bincount(rows, weights=counts * dot_weights[k], minlength=n_rows)
+    k, rows, counts = stats.posting_terms, stats.posting_rows, stats.posting_counts.astype(float)
+    changes = np.bincount(rows, weights=counts * counts * norm_changes[k], minlength=n_rows)
+    dots = np.bincount(rows, weights=counts * dot_weights[k], minlength=n_rows)
     a, b, c = index.norm_sums[:, stats.candidates]
     squares = c + 2.0 * delta * b + delta * delta * a + changes[stats.candidates]
     norms = np.sqrt(np.maximum(squares, 0.0))

@@ -18,6 +18,8 @@ import seedrank
 from seedrank import cli
 from seedrank.cli import RunConfig, _load_resources, load_config, main, validate_config
 from seedrank.errors import ConfigError
+from seedrank.scoring import METHODS
+from seedrank.vectors import REPRESENTATIONS
 from synth import (
     mixed_case,
     mixed_case_embedding_terms,
@@ -62,6 +64,12 @@ class TestConfigLoading:
         path = write_config(tmp_path, method="qlm", rng_seed=7)
         config = load_config(path, {})
         assert config.method == "qlm" and config.rng_seed == 7
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # Unlike the data files, a YAML config may start with U+FEFF: PyYAML skips it.
+        path = Path(write_config(tmp_path, method="qlm"))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(str(path), {}).method == "qlm"
 
     def test_env_overrides_file(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, method="qlm")
@@ -772,6 +780,20 @@ class TestCmdCompare:
         assert f"{path}:4:" in summary["detail"] and detail in summary["detail"]
         assert not output.exists()
 
+    def test_byte_order_mark_fails_at_line_one(self, tmp_path, capsys):
+        # Read as text, the mark would join the first column's name and the file would lack "topic_id".
+        path = tmp_path / "a.csv"
+        self.write_means(path, [("T1", "map", 0.5), ("T2", "map", 0.25)])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        good = self.write_means(tmp_path / "b.csv", [("T1", "map", 0.5), ("T2", "map", 0.5)])
+        output = tmp_path / "sig.csv"
+        argv = ["-q", "compare", "--metrics-a", str(path), "--metrics-b", good, "--output", str(output)]
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ConfigError" and summary["field"] == "metrics"
+        assert f"{path}:1:" in summary["detail"] and "byte-order mark" in summary["detail"]
+        assert not output.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "7"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--alpha", "x"),
         ("--family-size", "0"), ("--family-size", "-2"), ("--family-size", "1.5"), ("--family-size", "two"),
@@ -881,6 +903,51 @@ class TestMultiDeterminism:
                 outputs.append([(str(f.relative_to(out_dir)), f.read_bytes()) for f in files])
             assert outputs[0] == outputs[1], f"{command} outputs differ between hash seeds"
             assert outputs[0] == outputs[2], f"{command} outputs differ between worker counts"
+
+
+class TestBlockBytes:
+    """No output depends on ``vectors.BLOCK_BYTES``, which only bounds the memory of temporaries."""
+
+    def test_outputs_identical_under_a_small_block(self, tmp_path, collection, monkeypatch):
+        lexicon = write_lexicon_file(tmp_path, [f"term{i:04d}" for i in range(0, 60)])
+        embeddings = write_embeddings_file(tmp_path, [f"term{i:04d}" for i in range(120)])
+        inputs = [
+            "--corpus", collection["corpus"], "--topics", collection["topics"], "--qrels", collection["qrels"],
+            "--lexicon", str(lexicon), "--embeddings", str(embeddings),
+        ]
+        runs = [("rank", method, representation) for method in METHODS for representation in REPRESENTATIONS]
+        # A cap of 5 makes multi's windows draw, so phi's draw loop runs.
+        runs += [("multi", "sdr", "bow", "--undersample-cap", "5"), ("analyze", "sdr", "bow")]
+        # The most blocks one call of vectors.blocks yielded: in _row_totals and in phi's draw loop.
+        most = {}
+
+        def counted(module):
+            def blocks(items, widths):
+                count = 0
+                for count, block in enumerate(real_blocks(items, widths), start=1):
+                    yield block
+                most[module] = max(most.get(module, 0), count)
+            return blocks
+
+        real_blocks = seedrank.vectors.blocks
+        for module in (seedrank.vectors, seedrank.scoring):
+            monkeypatch.setattr(module, "blocks", counted(module.__name__))
+
+        def outputs(name):
+            for command, method, representation, *extra in runs:
+                out_dir = tmp_path / name / f"{command}-{method}-{representation}"
+                argv = ["-q", command, *inputs, "--method", method, "--representation", representation, *extra]
+                assert main([*argv, "--output-dir", str(out_dir)]) == 0
+            files = sorted(f for f in (tmp_path / name).rglob("*") if f.is_file())
+            return [(f.relative_to(tmp_path / name).as_posix(), f.read_bytes()) for f in files]
+
+        default = outputs("default")
+        assert most == {"seedrank.vectors": 1, "seedrank.scoring": 1}
+        monkeypatch.setattr(seedrank.vectors, "BLOCK_BYTES", 2**10)
+        small = outputs("small")
+        assert min(most.values()) > 10, most
+        assert [name for name, _ in small] == [name for name, _ in default]
+        assert [name for (name, data), (_, other) in zip(default, small) if data != other] == []
 
 
 class TestTopicDriver:

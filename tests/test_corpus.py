@@ -638,7 +638,7 @@ class TestLexiconAndEmbeddings:
 
 
 class TestUndecodableBytes:
-    """A byte that is not UTF-8 fails at its line, whichever loader reads it."""
+    """A byte that is not UTF-8 fails at its line, and a leading byte-order mark at line 1, whichever loader reads it."""
 
     GOOD = {
         "corpus": ['{"doc_id":"1","title":"T","abstract":"A"}', '{"doc_id":"2","title":"U","abstract":"B"}'],
@@ -668,6 +668,17 @@ class TestUndecodableBytes:
         with pytest.raises(ParseError, match="byte 0xe9 is not valid UTF-8") as err:
             self.LOADERS[kind](p)
         assert err.value.lineno == filler + 2 and str(err.value).startswith(f"{p}:{filler + 2}:")
+
+    @pytest.mark.parametrize("kind", sorted(GOOD))
+    def test_byte_order_mark_fails_at_line_one(self, tmp_path, kind):
+        # Read as text, the mark would join the first field: a topic "\ufeffT1" besides "T1", a token "\ufeffheart".
+        write_lines(tmp_path / "qrels", self.GOOD["qrels"])
+        p = tmp_path / kind
+        write_lines(p, self.GOOD[kind])
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        with pytest.raises(ParseError, match="byte-order mark") as err:
+            self.LOADERS[kind](p)
+        assert err.value.lineno == 1 and str(err.value).startswith(f"{p}:1:")
 
     def test_utf8_text_still_loads(self, tmp_path):
         p = tmp_path / "lex.txt"

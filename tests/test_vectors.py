@@ -245,9 +245,9 @@ class TestTopicIndex:
         """tracemalloc peak of one sdr run unit on the same 1100-candidate index, < 3 MiB.
 
         The seed cosines read the index's per-row sums and the seed terms'
-        postings, a block of postings at a time (``vectors.BLOCK_BYTES``), and
-        the unit measured 1.8 MiB here, most of it ``build_stats``; float
-        copies of all 154k stored counts at once took 4.5 MiB.
+        postings (27k here, summed in one pass), and the unit measured 1.8 MiB
+        here, most of it ``build_stats``; float copies of all 154k stored
+        counts at once took 4.5 MiB.
         """
         index = build_index(Topic("T", list(zipf_corpus)), zipf_corpus, "bow", pipeline)
         unit, peak = traced_peak(lambda: rank(index, ["d0"], "sdr", params))

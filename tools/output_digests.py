@@ -1,11 +1,13 @@
 """Print the sha256 of every output file of ``rank``, ``multi``, ``analyze``, ``compare`` and ``eval`` on a generated collection.
 
-The collection comes from ``tests/synth.py`` with a fixed seed. ``rank`` and
-``multi`` run under every method and representation, and ``analyze`` under
-every representation. ``compare`` tests the ``rank`` metrics of ``sdr-bow``
-against those of ``qlm-bow``. ``eval`` scores one run per topic against the
-collection's qrels: the first unit of the topic's ``sdr-bow`` ``rank`` run
-file, keyed by the topic id. Each output file gets one line, ``<sha256>  <path>``,
+The collection comes from ``tests/synth.py`` with fixed seeds: three topics of
+60 documents and one of 800, whose ``bow`` run units hold several thousand
+seed-term postings each, so a listing also sees a change in the order a
+unit's postings are summed in. ``rank`` and ``multi`` run under every method
+and representation, and ``analyze`` under every representation. ``compare``
+tests the ``rank`` metrics of ``sdr-bow`` against those of ``qlm-bow``.
+``eval`` scores one run per topic against the collection's qrels: the first
+unit of the topic's ``sdr-bow`` ``rank`` run file, keyed by the topic id. Each output file gets one line, ``<sha256>  <path>``,
 with the path relative to the output root, in sorted order. Run it against
 two commits and diff the two listings: no difference means every run file
 and CSV is byte-identical.
@@ -25,6 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 CHECKOUT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT
 sys.path[:0] = [str(CHECKOUT / "src"), str(ROOT / "tests")]
@@ -35,6 +39,7 @@ from seedrank.vectors import REPRESENTATIONS  # noqa: E402
 from synth import (  # noqa: E402
     mixed_case_embedding_terms,
     synth_collection,
+    synth_topic,
     write_collection_files,
     write_embeddings_file,
     write_lexicon_file,
@@ -46,6 +51,9 @@ VOCAB_SIZE = 500
 def write_inputs(base: Path) -> list[str]:
     """The collection's files under ``base``, as the command-line flags that name them."""
     topics, corpus = synth_collection(seed=7, n_topics=3, n_docs=60, vocab_size=VOCAB_SIZE, n_relevant=6, irrelevant_overlap=0.3)
+    large, documents = synth_topic(np.random.default_rng(8), "T003", 800, VOCAB_SIZE, 6, irrelevant_overlap=0.3)
+    topics.append(large)
+    corpus.update(documents)
     corpus_path, topics_path, qrels_path = write_collection_files(base, topics, corpus)
     lexicon = write_lexicon_file(base, [f"term{i:04d}" for i in range(0, VOCAB_SIZE, 2)])
     embeddings = write_embeddings_file(base, mixed_case_embedding_terms(VOCAB_SIZE))
