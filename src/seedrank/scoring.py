@@ -204,14 +204,14 @@ def phi_weights(
     hi = rint(c * 2**30) / 2**30 and lo = c - hi, both exact, with
     |lo| <= 2**-31. A sum of fewer than 2**23 hi values is exact in any
     order, so a complement's hi part, total minus present, is exact, and
-    only lo, at most 2**-31 per candidate, cancels. The unit must hold fewer
-    than 2**23 candidates. A complement with no cosine above 2**-31 (its hi
-    part is 0) is summed directly, so an all-zero complement gives exactly 0
-    and ``_phi_from_gammas``' ln 2 rule still holds. A present side is
-    summed without cancellation. Against sums of each partition's cosines on
-    their own, phi moves in the last digits (6.4e-16 relative at most on the
-    synthetic collections). phi itself is ``math.log`` per term, which
-    ``np.log`` does not match in the last bit.
+    only lo, at most 2**-31 per candidate, cancels; a unit of 2**23
+    candidates or more is a ContractError. A complement with no cosine
+    above 2**-31 (its hi part is 0) is summed directly, so an all-zero
+    complement gives exactly 0 and ``_phi_from_gammas``' ln 2 rule still
+    holds. A present side is summed without cancellation. Against sums of
+    each partition's cosines on their own, phi moves in the last digits
+    (6.4e-16 relative at most on the synthetic collections). phi itself is
+    ``math.log`` per term, which ``np.log`` does not match in the last bit.
 
     A sampled complement's pick p is the candidate at position
     p + #{i : e_i - i <= p}, where e are the term's present positions
@@ -221,10 +221,10 @@ def phi_weights(
     term draws from its own generator and sums its own picks, so no phi
     depends on where a block ends.
     """
-    cos = seed_similarities(stats)
-    # Each posting's position among the candidates, which is where its cosine is.
-    positions = (np.cumsum(stats.is_candidate) - 1)[stats.posting_rows]
     n, cap = stats.num_docs, params.undersample_cap
+    if n >= 2**23:
+        raise ContractError(f"topic {stats.index.topic_id!r}: phi needs fewer than 2**23 candidates, got {n}")
+    cos, positions = seed_similarities(stats), stats.posting_positions
     n_terms = len(stats.seed_terms)
     bounds = np.searchsorted(stats.posting_terms, np.arange(n_terms + 1))
     present_len = np.diff(bounds)
@@ -280,9 +280,8 @@ def phi_weights(
 
 
 def _per_candidate(stats: CollectionStats, addends: np.ndarray) -> np.ndarray:
-    """Sum each posting's addend into its row, in posting order, for the unit's candidates."""
-    totals = np.bincount(stats.posting_rows, weights=addends, minlength=len(stats.is_candidate))
-    return totals[stats.candidates]
+    """Sum each posting's addend into its candidate, in posting order."""
+    return np.bincount(stats.posting_positions, weights=addends, minlength=stats.num_docs)
 
 
 def sdr_score(stats: CollectionStats, params: ScoringParams, weights: np.ndarray) -> np.ndarray:
@@ -292,13 +291,13 @@ def sdr_score(stats: CollectionStats, params: ScoringParams, weights: np.ndarray
     """
     if len(weights) != len(stats.seed_terms):
         raise ContractError(f"{len(weights)} weights for {len(stats.seed_terms)} seed terms")
-    if not len(stats.posting_rows):
+    if not len(stats.posting_positions):
         # No candidate shares a seed term; the candidates may hold no token at all.
         return np.zeros(stats.num_docs)
     coef = (1.0 - params.jm_lambda) / params.jm_lambda
     k = stats.posting_terms
-    p_collection = stats.collection_counts[stats.seed_terms] / stats.total_tokens
-    lengths = stats.index.doc_lengths[stats.posting_rows]
+    p_collection = stats.collection_counts / stats.total_tokens
+    lengths = stats.candidate_lengths[stats.posting_positions]
     addends = (weights * stats.seed_counts)[k] * np.log(
         1.0 + coef * stats.posting_counts / (lengths * p_collection[k])
     )
@@ -308,11 +307,11 @@ def sdr_score(stats: CollectionStats, params: ScoringParams, weights: np.ndarray
 def bm25_score(stats: CollectionStats, params: ScoringParams) -> np.ndarray:
     """Okapi BM25 of every candidate with the seed as the query and non-negative idf."""
     k1, b = params.bm25_k1, params.bm25_b
-    df = stats.doc_freq[stats.seed_terms]
+    df = stats.doc_freq
     idf = np.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
     c = stats.posting_counts
-    lengths = stats.index.doc_lengths[stats.posting_rows]
-    norm = k1 * (1.0 - b + b * lengths / stats.avg_doc_length)
+    lengths = stats.candidate_lengths[stats.posting_positions]
+    norm = k1 * (1.0 - b + b * lengths / (stats.total_tokens / stats.num_docs))
     return _per_candidate(stats, idf[stats.posting_terms] * c * (k1 + 1.0) / (c + norm))
 
 

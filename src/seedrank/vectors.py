@@ -285,46 +285,43 @@ def build_index(
 class CollectionStats:
     """One run unit's view of a topic index: its seeds and its candidates' statistics.
 
-    ``candidates`` are the index rows left after removing the seed rows, in
-    topic order. ``seed_terms`` are the columns of the summed seed rows in
-    order of first occurrence in the concatenated seed texts, with
-    ``seed_counts``. The postings of the seed terms among the candidates are
-    grouped by seed term in that order, ascending rows within a term:
-    ``posting_terms`` holds each posting's seed-term position k,
-    ``posting_rows`` its row and ``posting_counts`` its count.
+    Its only row numbers are ``seed_rows`` and ``candidates`` (the other rows, in
+    topic order); ``candidate_lengths`` follows the candidates, and a position is an
+    index into them. ``seed_terms`` are the summed seed rows' columns in order of first
+    occurrence in the seed texts; ``seed_counts``, ``doc_freq`` and ``collection_counts``
+    (over the candidates) follow them. The seed terms' postings among the candidates
+    are grouped by seed term, positions ascending: ``posting_terms`` holds each posting's
+    seed-term position, ``posting_positions`` its candidate position and ``posting_counts`` its count.
     """
 
     index: TopicIndex
     seed_rows: np.ndarray
     candidates: np.ndarray
-    is_candidate: np.ndarray
     num_docs: int
-    doc_freq: np.ndarray
-    collection_counts: np.ndarray
+    candidate_lengths: np.ndarray
     total_tokens: int
-    avg_doc_length: float
     seed_terms: np.ndarray
     seed_counts: np.ndarray
+    doc_freq: np.ndarray
+    collection_counts: np.ndarray
     posting_terms: np.ndarray
-    posting_rows: np.ndarray
+    posting_positions: np.ndarray
     posting_counts: np.ndarray
 
 
 def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
-    """Statistics of the unit that ranks ``index`` against ``seed_ids`` (the seeds are not candidates)."""
+    """Statistics of the unit that ranks ``index`` against ``seed_ids``, each listed once (seeds are not candidates).
+
+    A seed term's df and collection count are the index's minus the seed rows', which hold a term at most once each.
+    """
     seed_rows = index.row_numbers(seed_ids)
-    is_candidate = np.ones(len(index.doc_ids), dtype=bool)
-    is_candidate[seed_rows] = False
-    candidates = np.flatnonzero(is_candidate)
+    if len(set(seed_ids)) < len(seed_ids):
+        raise ContractError(f"topic {index.topic_id!r}: a seed is listed more than once: {list(seed_ids)}")
+    candidates = np.delete(np.arange(len(index.doc_ids)), seed_rows)
     if not len(candidates):
         raise EmptyTopicError(f"topic {index.topic_id!r} has no candidates after seed exclusion")
-    counts, n_terms = index.counts, len(index.terms)
-    total = int(index.doc_lengths[candidates].sum())
-
-    # The float sums of integer counts are exact below 2**53.
-    removed, _ = line_entries(counts.indptr, np.flatnonzero(~is_candidate))
-    removed_terms = counts.indices[removed]
-    removed_counts = np.bincount(removed_terms, weights=counts.data[removed], minlength=n_terms).astype(np.int64)
+    counts = index.counts
+    candidate_lengths = index.doc_lengths[candidates]
 
     seed_entries, _ = line_entries(counts.indptr, seed_rows)
     terms = counts.indices[seed_entries]
@@ -332,36 +329,38 @@ def build_stats(index: TopicIndex, seed_ids: Sequence[str]) -> CollectionStats:
     by_term = np.argsort(terms, kind="stable")
     firsts = by_term[np.flatnonzero(np.diff(terms[by_term], prepend=-1))]
     seed_terms = terms[np.sort(firsts)]
-    seed_counts = np.bincount(terms, weights=counts.data[seed_entries], minlength=n_terms)[seed_terms].astype(np.int64)
+    position = np.full(len(index.terms), -1, dtype=np.int32)
+    position[seed_terms] = np.arange(len(seed_terms), dtype=np.int32)
+    # The float sums of integer counts are exact below 2**53.
+    seed_keys = position[terms]
+    seed_counts = np.bincount(seed_keys, weights=counts.data[seed_entries], minlength=len(seed_terms)).astype(np.int64)
 
     # Each entry's seed-term position, or -1: for other terms and for the seed rows' entries.
-    position = np.full(n_terms, -1, dtype=np.int32)
-    position[seed_terms] = np.arange(len(seed_terms), dtype=np.int32)
     keys = position[counts.indices]
-    keys[removed] = -1
+    keys[seed_entries] = -1
     entries = np.flatnonzero(keys >= 0)
     # Rebinding frees the key of every entry. numpy's stable sort radix-sorts keys of
     # 16 bits or fewer, so the kept keys take the narrowest unsigned type.
     keys = keys[entries].astype(np.min_scalar_type(len(seed_terms)))
-    # Each entry's row: every row repeated as often as it holds entries, which ascend.
-    rows = np.repeat(np.arange(len(index.doc_ids), dtype=np.int32), np.diff(np.searchsorted(entries, counts.indptr)))
-    # Sorted stably on their keys, each term's entries keep their row order. Each array is
+    # Each entry's candidate position: every candidate repeated as often as it holds entries, which ascend.
+    held = np.diff(np.searchsorted(entries, counts.indptr))[candidates]
+    positions = np.repeat(np.arange(len(candidates), dtype=np.int32), held)
+    # Sorted stably on their keys, each term's entries keep their candidate order. Each array is
     # gathered in entry order first, which is several times faster than through the sort.
     order = np.argsort(keys, kind="stable")
     return CollectionStats(
         index=index,
         seed_rows=seed_rows,
         candidates=candidates,
-        is_candidate=is_candidate,
         num_docs=len(candidates),
-        doc_freq=index.doc_freq - np.bincount(removed_terms, minlength=n_terms),
-        collection_counts=index.collection_counts - removed_counts,
-        total_tokens=total,
-        avg_doc_length=total / len(candidates),
+        candidate_lengths=candidate_lengths,
+        total_tokens=int(candidate_lengths.sum()),
         seed_terms=seed_terms,
         seed_counts=seed_counts,
+        doc_freq=index.doc_freq[seed_terms] - np.bincount(seed_keys, minlength=len(seed_terms)),
+        collection_counts=index.collection_counts[seed_terms] - seed_counts,
         posting_terms=keys[order].astype(np.intp),
-        posting_rows=rows[order],
+        posting_positions=positions[order],
         posting_counts=counts.data[entries][order],
     )
 
@@ -395,21 +394,19 @@ def seed_similarities(stats: CollectionStats) -> np.ndarray:
     rounding of a norm is a few ulps of Σc²(x + |δ|)², close to the norm
     itself unless a row is mostly terms held by nearly every candidate.
     """
-    index = stats.index
-    n_rows, seed_terms = len(index.doc_ids), stats.seed_terms
-    delta = math.log(stats.num_docs / n_rows)
-    term_idf = idf(stats.num_docs, stats.doc_freq[seed_terms])
-    shifted = idf(n_rows, index.doc_freq[seed_terms]) + delta
+    index, n, n_rows = stats.index, stats.num_docs, len(stats.index.doc_ids)
+    delta = math.log(n / n_rows)
+    term_idf = idf(n, stats.doc_freq)
+    shifted = idf(n_rows, index.doc_freq[stats.seed_terms]) + delta
     seed_weights = stats.seed_counts * term_idf
     # Per seed term: what a squared count adds to a norm, and what a count adds to a dot.
     norm_changes, dot_weights = term_idf * term_idf - shifted * shifted, term_idf * seed_weights
-    k, rows, counts = stats.posting_terms, stats.posting_rows, stats.posting_counts.astype(float)
-    changes = np.bincount(rows, weights=counts * counts * norm_changes[k], minlength=n_rows)
-    dots = np.bincount(rows, weights=counts * dot_weights[k], minlength=n_rows)
+    k, positions, counts = stats.posting_terms, stats.posting_positions, stats.posting_counts.astype(float)
+    changes = np.bincount(positions, weights=counts * counts * norm_changes[k], minlength=n)
+    dots = np.bincount(positions, weights=counts * dot_weights[k], minlength=n)
     a, b, c = index.norm_sums[:, stats.candidates]
-    squares = c + 2.0 * delta * b + delta * delta * a + changes[stats.candidates]
-    norms = np.sqrt(np.maximum(squares, 0.0))
-    return cosine(dots[stats.candidates], norms, math.sqrt(float((seed_weights * seed_weights).sum())))
+    norms = np.sqrt(np.maximum(c + 2.0 * delta * b + delta * delta * a + changes, 0.0))
+    return cosine(dots, norms, math.sqrt(float((seed_weights * seed_weights).sum())))
 
 
 def seed_embedding(stats: CollectionStats) -> np.ndarray:

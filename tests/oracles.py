@@ -216,16 +216,26 @@ def eager_corpus(data: bytes):
     return docs
 
 
+def unit_doc_freq(stats):
+    """Every column's df over a unit's candidates, counted row by row from the index."""
+    counts = stats.index.counts
+    df = np.zeros(len(stats.index.terms), dtype=np.int64)
+    for row in stats.candidates.tolist():
+        df[counts.indices[counts.indptr[row] : counts.indptr[row + 1]]] += 1
+    return df
+
+
 def reference_seed_similarities(stats):
     """tf-idf cosine between the summed seed rows and every index row, seeds included, in row order.
 
     Each weight is its count times ln(N/df) under the unit (0 where df is 0
-    or N), taken entry by entry; each row's squares and seed products are
-    added one by one in stored order from 0 (``np.bincount``), so this is,
-    bit for bit, the row-block path ``seed_similarities`` took before the
-    index kept per-row sums.
+    or N, with df counted over the candidates by ``unit_doc_freq``), taken
+    entry by entry; each row's squares and seed products are added one by one
+    in stored order from 0 (``np.bincount``), so this is, bit for bit, the
+    row-block path ``seed_similarities`` took before the index kept per-row
+    sums.
     """
-    n, df = stats.num_docs, stats.doc_freq
+    n, df = stats.num_docs, unit_doc_freq(stats)
     term_idf = np.zeros(len(df))
     defined = (df > 0) & (df < n)
     term_idf[defined] = np.log(n / df[defined])

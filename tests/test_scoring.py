@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,12 @@ class TestPhi:
         w3 = phi_weights(stats, params, undersample=True, rng_key=("T", "other"))
         assert list(w3) != list(w1)  # different sampling context, different samples
 
+    def test_unit_of_2_23_candidates_is_contract_error(self, params):
+        # A complement's hi part is exact only for sums of fewer than 2**23 cosines.
+        stats = unit(s=tc(a=1), d1=tc(a=1), d2=tc(b=1))
+        with pytest.raises(ContractError, match=r"'T'.*2\*\*23"):
+            phi_weights(replace(stats, num_docs=2**23), params)
+
 
 def qlm(stats, params):
     return per_doc(stats, sdr_score(stats, params, np.ones(len(stats.seed_terms))))
@@ -152,8 +159,7 @@ class TestQlmScore:
     def test_hand_example_ln3(self):
         # c(a, cand)=2, L=10, p(a|C)=0.1, lambda=0.5 -> ln 3
         stats = unit(s=tc(a=1), cand=tc(a=2, x=8), other=tc(x=10))
-        a = stats.index.terms.index("a")
-        assert stats.collection_counts[a] / stats.total_tokens == pytest.approx(0.1)
+        assert by_term(stats, stats.collection_counts)["a"] / stats.total_tokens == pytest.approx(0.1)
         assert qlm(stats, ScoringParams(jm_lambda=0.5))["cand"] == pytest.approx(math.log(3), abs=1e-9)
 
     def test_empty_intersection(self, params):
@@ -203,7 +209,7 @@ class TestBm25Score:
     def test_hand_example(self, params):
         # N=2, df=1 -> idf = ln 2; c=1 and L = avg_L make the tf factor 1.
         stats = unit(s=tc(a=1), cand=tc(a=1, x=1), other=tc(y=1, z=1))
-        assert stats.avg_doc_length == 2
+        assert stats.total_tokens / stats.num_docs == 2
         assert per_doc(stats, bm25_score(stats, params))["cand"] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_empty_intersection(self, params):
@@ -300,11 +306,10 @@ def reference_phi_weights(stats, params, *, undersample=False, rng_key=(), cos=N
     n = stats.num_docs
     cap = params.undersample_cap
     terms = stats.index.terms
-    position = np.cumsum(stats.is_candidate) - 1
     bounds = np.searchsorted(stats.posting_terms, np.arange(len(stats.seed_terms) + 1))
     weights = np.empty(len(stats.seed_terms))
     for k, column in enumerate(stats.seed_terms.tolist()):
-        present = position[stats.posting_rows[bounds[k] : bounds[k + 1]]]
+        present = stats.posting_positions[bounds[k] : bounds[k + 1]]
         n_present = len(present)
         n_absent = n - n_present
         rng = None

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ref_cosine, ref_tfidf, reference_seed_similarities
+from oracles import ref_cosine, ref_tfidf, reference_seed_similarities, unit_doc_freq
 from seedrank import (
+    ContractError,
     Document,
     EmbeddingTable,
     EmptyTopicError,
@@ -29,6 +30,7 @@ from seedrank.text import document_text, kept_term
 import seedrank.vectors
 from seedrank.vectors import seed_similarities
 from synth import (
+    by_term,
     count_index,
     dense,
     entry_rows,
@@ -45,10 +47,6 @@ from conftest import traced_peak
 
 def tc(**counts):
     return dict(counts)
-
-
-def per_term(stats, values):
-    return {term: int(values[col]) for col, term in enumerate(stats.index.terms) if values[col]}
 
 
 def check_against_counts(index, counts):
@@ -73,14 +71,15 @@ def check_against_counts(index, counts):
 
 def check_postings(stats, counts, seeds):
     """A unit's posting arrays against doc_id -> term -> count dicts: the kept candidates holding each
-    seed term, in seed-term order, rows ascending within a term."""
+    seed term, in seed-term order, candidate positions ascending within a term."""
+    kept = [doc for doc_id, doc in counts.items() if doc_id not in seeds]
     expected = [
-        (k, row, doc[stats.index.terms[col]])
+        (k, position, doc[stats.index.terms[col]])
         for k, col in enumerate(stats.seed_terms.tolist())
-        for row, (doc_id, doc) in enumerate(counts.items())
-        if doc_id not in seeds and stats.index.terms[col] in doc
+        for position, doc in enumerate(kept)
+        if stats.index.terms[col] in doc
     ]
-    postings = zip(stats.posting_terms.tolist(), stats.posting_rows.tolist(), stats.posting_counts.tolist())
+    postings = zip(stats.posting_terms.tolist(), stats.posting_positions.tolist(), stats.posting_counts.tolist())
     assert list(postings) == expected
 
 
@@ -129,12 +128,12 @@ class TestTopicIndex:
         assert list(index.doc_lengths) == [3, 2]
 
     def test_postings_in_candidate_order(self):
-        # Seed terms b then a; each term's candidates in row order, the seed's own row left out.
+        # Seed terms b then a; each term's candidates in candidate order, the seed's own row left out.
         counts = {"d1": tc(a=1), "s": tc(b=2, a=1), "d2": tc(b=1), "d3": tc(a=4)}
         stats = build_stats(count_index(**counts), ["s"])
         assert [stats.index.terms[c] for c in stats.seed_terms] == ["b", "a"]
         assert stats.posting_terms.tolist() == [0, 1, 1]
-        assert stats.posting_rows.tolist() == [2, 0, 3]
+        assert stats.posting_positions.tolist() == [1, 0, 2]
         assert stats.posting_counts.tolist() == [1, 1, 4]
         check_postings(stats, counts, {"s"})
 
@@ -221,7 +220,7 @@ class TestTopicIndex:
         assert len(index.terms) == 70_000
         check_against_counts(index, counts)
         stats = build_stats(index, ["s"])
-        assert len(stats.seed_terms) == 70_000 and len(stats.posting_rows) == 40_000
+        assert len(stats.seed_terms) == 70_000 and len(stats.posting_positions) == 40_000
         check_postings(stats, counts, {"s"})
 
     def test_build_holds_one_candidates_counts_at_a_time(self, pipeline, zipf_corpus):
@@ -287,19 +286,40 @@ class TestTopicIndex:
 
 class TestBuildStats:
     def test_hand_example(self):
-        stats = build_stats(count_index(d1=tc(a=1), d2=tc(a=2, b=1)), [])
+        stats = build_stats(count_index(s=tc(b=1, a=1), d1=tc(a=1), d2=tc(a=2, b=1)), ["s"])
         assert stats.num_docs == 2
-        assert per_term(stats, stats.doc_freq) == {"a": 2, "b": 1}
-        assert per_term(stats, stats.collection_counts) == {"a": 3, "b": 1}
+        assert by_term(stats, stats.doc_freq) == {"a": 2, "b": 1}
+        assert by_term(stats, stats.collection_counts) == {"a": 3, "b": 1}
         assert stats.total_tokens == 4
-        assert stats.collection_counts[stats.index.terms.index("a")] / stats.total_tokens == pytest.approx(0.75)
+        assert by_term(stats, stats.collection_counts)["a"] / stats.total_tokens == pytest.approx(0.75)
 
     def test_seed_rows_are_removed(self):
-        stats = build_stats(count_index(s=tc(a=5, c=1), d1=tc(a=1), d2=tc(a=2, b=1)), ["s"])
+        stats = build_stats(count_index(s=tc(a=5, c=1, b=2), d1=tc(a=1), d2=tc(a=2, b=1)), ["s"])
         assert list(stats.candidates) == [1, 2]
-        assert per_term(stats, stats.doc_freq) == {"a": 2, "b": 1}
-        assert per_term(stats, stats.collection_counts) == {"a": 3, "b": 1}
-        assert stats.total_tokens == 4 and stats.avg_doc_length == 2.0
+        assert by_term(stats, stats.doc_freq) == {"a": 2, "c": 0, "b": 1}
+        assert by_term(stats, stats.collection_counts) == {"a": 3, "c": 0, "b": 1}
+        assert stats.candidate_lengths.tolist() == [1, 3]
+        assert stats.total_tokens == 4 and stats.total_tokens / stats.num_docs == 2.0
+
+    def test_seed_rows_between_candidates(self):
+        # Rows d1 s1 d2 d3 s2 d4: a candidate's position skips the seed rows before it.
+        counts = {"d1": tc(a=1, x=2), "s1": tc(a=2), "d2": tc(x=1), "d3": tc(b=3, a=1), "s2": tc(b=1), "d4": tc(a=2, b=1, y=1)}
+        stats = build_stats(count_index(**counts), ["s2", "s1"])
+        assert stats.candidates.tolist() == [0, 2, 3, 5] and stats.seed_rows.tolist() == [4, 1]
+        assert stats.candidate_lengths.tolist() == [3, 1, 4, 4]
+        assert [stats.index.terms[c] for c in stats.seed_terms] == ["b", "a"]
+        assert stats.seed_counts.tolist() == [1, 2]
+        assert stats.doc_freq.tolist() == [2, 3] and stats.collection_counts.tolist() == [4, 4]
+        assert stats.posting_terms.tolist() == [0, 0, 1, 1, 1]
+        assert stats.posting_positions.tolist() == [2, 3, 0, 2, 3]
+        assert stats.posting_counts.tolist() == [3, 1, 1, 1, 2]
+        check_postings(stats, counts, {"s1", "s2"})
+
+    def test_repeated_seed_is_contract_error(self, params):
+        # Counted twice, the seed would double its seed counts; its row is removed once.
+        index = count_index(s=tc(a=1), d1=tc(a=1), d2=tc(b=1))
+        with pytest.raises(ContractError, match="'T'.*listed more than once.*'s'"):
+            rank(index, ["s", "s"], "sdr", params)
 
     def test_seed_terms_in_order_of_first_occurrence(self):
         index = count_index(s1=tc(b=1, a=1), s2=tc(c=2, a=3), d=tc(a=1))
@@ -314,7 +334,7 @@ class TestBuildStats:
         assert [index.terms[c] for c in single.seed_terms] == ["c", "a"] and list(single.seed_counts) == [2, 3]
 
     def test_single_doc(self):
-        stats = build_stats(count_index(d1=tc(a=1)), [])
+        stats = build_stats(count_index(s=tc(a=2), d1=tc(a=1)), ["s"])
         assert stats.collection_counts[0] / stats.total_tokens == 1.0
 
     def test_empty_collection(self):
@@ -326,10 +346,12 @@ class TestBuildStats:
         min_size=1, max_size=10,
     ))
     def test_background_probabilities_sum_to_one(self, docs):
-        stats = build_stats(count_index(**{f"d{i}": tc(**d) for i, d in enumerate(docs)}), [])
-        total = sum(stats.collection_counts[col] / stats.total_tokens for col in range(len(stats.index.terms)))
+        # The seed holds every term, so the seed terms are every candidate's terms.
+        counts = {"s": dict.fromkeys("abcdef", 1)} | {f"d{i}": tc(**d) for i, d in enumerate(docs)}
+        stats = build_stats(count_index(**counts), ["s"])
+        total = sum(stats.collection_counts[k] / stats.total_tokens for k in range(len(stats.seed_terms)))
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert stats.total_tokens == sum(stats.index.doc_lengths)
+        assert stats.total_tokens == sum(stats.candidate_lengths)
         assert all(stats.doc_freq <= stats.num_docs)
         assert all(stats.collection_counts >= stats.doc_freq)
 
@@ -343,19 +365,27 @@ class TestBuildStats:
     def test_subtraction_equals_recount(self, docs, data):
         counts = {f"d{i}": tc(**d) for i, d in enumerate(docs)}
         seeds = data.draw(st.lists(st.sampled_from(sorted(counts)), min_size=1, max_size=len(docs) - 1, unique=True))
-        stats = build_stats(count_index(**counts), seeds)
+        index = count_index(**counts)
+        stats = build_stats(index, seeds)
         kept = [c for d, c in counts.items() if d not in seeds]
         assert stats.num_docs == len(kept)
         assert stats.total_tokens == sum(sum(c.values()) for c in kept)
-        for col, term in enumerate(stats.index.terms):
-            assert stats.doc_freq[col] == sum(1 for c in kept if term in c)
-            assert stats.collection_counts[col] == sum(c.get(term, 0) for c in kept)
+        # The seed terms' statistics, the lengths and the postings from a dense recount over the candidates' rows.
+        rows = dense(index)[[row for row, d in enumerate(counts) if d not in seeds]]
+        assert stats.candidate_lengths.tolist() == rows.sum(axis=1).tolist()
+        held = rows[:, stats.seed_terms].T
+        assert stats.doc_freq.tolist() == (held > 0).sum(axis=1).tolist()
+        assert stats.collection_counts.tolist() == held.sum(axis=1).tolist()
+        terms, positions = np.nonzero(held)
+        assert stats.posting_terms.tolist() == terms.tolist()
+        assert stats.posting_positions.tolist() == positions.tolist()
+        assert stats.posting_counts.tolist() == held[terms, positions].tolist()
         check_postings(stats, counts, seeds)
 
 
 def unit_idf(stats):
-    """The per-column idf under a unit's statistics."""
-    return idf(stats.num_docs, stats.doc_freq)
+    """The per-column idf under a unit's statistics, with df counted over its candidates."""
+    return idf(stats.num_docs, unit_doc_freq(stats))
 
 
 class TestTfidf:

@@ -3,7 +3,10 @@
 The collection comes from ``tests/synth.py`` with fixed seeds: three topics of
 60 documents and one of 800, whose ``bow`` run units hold several thousand
 seed-term postings each, so a listing also sees a change in the order a
-unit's postings are summed in. ``rank`` and ``multi`` run under every method
+unit's postings are summed in. Each topic's candidate lines are written in a
+seeded, shuffled order, so an index's rows follow neither the doc_ids' sorted
+order (the ``rank_order`` tie rule) nor relevance: seed rows lie between
+candidates. ``rank`` and ``multi`` run under every method
 and representation, and ``analyze`` under every representation. ``compare``
 tests the ``rank`` metrics of ``sdr-bow`` against those of ``qlm-bow``.
 ``eval`` scores one run per topic against the collection's qrels: the first
@@ -54,6 +57,9 @@ def write_inputs(base: Path) -> list[str]:
     large, documents = synth_topic(np.random.default_rng(8), "T003", 800, VOCAB_SIZE, 6, irrelevant_overlap=0.3)
     topics.append(large)
     corpus.update(documents)
+    rng = np.random.default_rng(9)
+    for topic in topics:
+        topic.candidate_ids = [topic.candidate_ids[i] for i in rng.permutation(len(topic.candidate_ids)).tolist()]
     corpus_path, topics_path, qrels_path = write_collection_files(base, topics, corpus)
     lexicon = write_lexicon_file(base, [f"term{i:04d}" for i in range(0, VOCAB_SIZE, 2)])
     embeddings = write_embeddings_file(base, mixed_case_embedding_terms(VOCAB_SIZE))
