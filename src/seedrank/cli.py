@@ -358,9 +358,6 @@ def cmd_rank(config: RunConfig) -> int:
     for report in reports:
         master.merge(report)
     _atomic_write_csv(_metric_rows(master), ["topic_id", "seed_or_window", "metric", "value"], out / "metrics.csv")
-    excluded = master.excluded_units()
-    if excluded:
-        log.warning("units without a retrieved relevant (excluded from means): %s", excluded)
     log.info("wrote %s and %d run files", out / "metrics.csv", total - len(failed))
     return _report_failures(failed, total)
 

@@ -41,7 +41,7 @@ def ranked_metrics(
     denominator. A total of 0 raises ``UndefinedMetricError`` before any
     cutoff is checked; a cutoff below 1 raises ``ContractError``. The
     ``lastrel%``/``wss`` keys are present only when at least one relevant
-    document was retrieved; callers track the exclusions.
+    document was retrieved, which a run unit's own total guarantees.
     """
     if total_relevant == 0:
         raise UndefinedMetricError("average precision is undefined without relevant documents")

@@ -31,10 +31,8 @@ import numpy as np
 from .corpus import RunUnit
 from .errors import ConfigError, ContractError, InsufficientDocumentsError, InsufficientSeedsError
 from .evaluation import DEFAULT_CUTOFFS, ranked_metrics
-from .scoring import ScoringParams, keyed_generators, rank
+from .scoring import ScoringParams, keyed_samples, rank
 from .vectors import TopicIndex, cosine, idf, line_entries
-
-LASTREL_METRICS = ("lastrel%", "wss")
 
 FRACTION = 0.2  # seed-window width as a share of the pool
 REPETITIONS = 10  # irrelevant samples drawn by intra_similarity
@@ -96,17 +94,6 @@ class ExperimentReport:
         out = {}
         for metric, topic_means in self.per_topic_means().items():
             out[metric] = sum(topic_means.values()) / len(topic_means)
-        return out
-
-    def excluded_units(self) -> dict[str, int]:
-        """How many units lacked each metric (no relevant retrieved)."""
-        out: dict[str, int] = {}
-        for metric in LASTREL_METRICS:
-            count = 0
-            for units in self.values.values():
-                count += sum(1 for m in units.values() if metric not in m)
-            if count:
-                out[metric] = count
         return out
 
 
@@ -279,11 +266,9 @@ def intra_similarity(
     rel_mean = _pairwise_mean_cosine(index, term_idf, index.row_numbers(relevant))
 
     irrelevant_rows = index.row_numbers(irrelevant)
-    rng = next(keyed_generators((rng_seed, topic.topic_id), ["intra-similarity"]))
-    sample_means = []
-    for _ in range(repetitions):
-        chosen = irrelevant_rows[np.sort(rng.choice(len(irrelevant), size=len(relevant), replace=False))]
-        sample_means.append(_pairwise_mean_cosine(index, term_idf, chosen))
+    sizes = [[len(irrelevant)] * repetitions]
+    (samples,) = keyed_samples((rng_seed, topic.topic_id), ["intra-similarity"], sizes, len(relevant))
+    sample_means = [_pairwise_mean_cosine(index, term_idf, irrelevant_rows[np.sort(picks)]) for picks in samples]
     return rel_mean, sum(sample_means) / len(sample_means)
 
 

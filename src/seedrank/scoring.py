@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import compress, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,17 +146,18 @@ def _keyed_states(prefix: tuple, names: Sequence) -> np.ndarray:
     return _seed_sequence_states(np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 2))
 
 
-def keyed_generators(prefix: tuple, names: Sequence) -> Iterator[np.random.Generator]:
-    """For each name, a generator in the state ``np.random.default_rng`` seeds from the key (*prefix, name).
+def keyed_samples(prefix: tuple, names: Sequence, populations: Iterable, k: int) -> Iterator[list[np.ndarray]]:
+    """For each name, one uniform sample of ``k`` positions without replacement per population size.
 
-    The keys are hashed and mixed for all names at once (``_keyed_states``).
-    One generator is re-seeded for each name by setting its PCG64 state, so
-    use each yielded generator before taking the next.
+    Each is ``Generator.choice(size, k, replace=False)``, drawn in order from the stream that
+    ``np.random.default_rng`` seeds from the key (*prefix, name). NEP 19 does not keep that draw
+    stream-stable; ``tests/oracles.reference_choice`` writes it out. The keys are hashed and mixed
+    for all names at once (``_keyed_states``). Without names, ``numpy.random`` is not imported.
     """
     if not len(names):
         return
     rng = np.random.default_rng(0)
-    for row in _keyed_states(prefix, names):
+    for row, sizes in zip(_keyed_states(prefix, names), populations):
         seed_hi, seed_lo, inc_hi, inc_lo = row.tolist()
         # PCG64's seeding: inc = 2 * initseq + 1, then two LCG steps around adding initstate.
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
@@ -163,7 +165,7 @@ def keyed_generators(prefix: tuple, names: Sequence) -> Iterator[np.random.Gener
         rng.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
         }
-        yield rng
+        yield [rng.choice(size, size=k, replace=False) for size in sizes]
 
 
 def _phi_from_gammas(gamma_present: float, gamma_absent: float) -> float:
@@ -190,13 +192,13 @@ def phi_weights(
     the rest, its complement. With ``undersample`` on, a partition larger
     than ``params.undersample_cap`` is sampled down to the cap (uniformly,
     without replacement, from the partition in candidate order) before the
-    mean similarity is taken. Each term's sampling RNG is derived from
-    (rng_seed, *rng_key, term), so results do not depend on evaluation
-    order or scheduling; a term draws its present side first. A seed term
-    that no candidate holds derives no RNG and draws nothing: its present
-    side is empty and its complement is every candidate, unsampled, so all
-    such terms share one mean. Their weights multiply no posting, so no
-    score depends on them.
+    mean similarity is taken. Each term's samples come from its own keyed
+    stream (``keyed_samples``, key (rng_seed, *rng_key, term)), so results do
+    not depend on evaluation order or scheduling; a term draws its present
+    side first. A seed term that no candidate holds has no stream and draws
+    nothing: its present side is empty and its complement is every
+    candidate, unsampled, so all such terms share one mean. Their weights
+    multiply no posting, so no score depends on them.
 
     Only the draws loop over terms. Every partition's sum starts from
     per-term totals, one ``np.bincount`` over all the unit's postings, and
@@ -218,7 +220,7 @@ def phi_weights(
     among the candidates; one ``searchsorted`` per block finds every pick.
     The draws go in blocks of terms of at most ``vectors.BLOCK_BYTES``, a
     few 8-byte temporaries per pick and posting, never terms x cap; each
-    term draws from its own generator and sums its own picks, so no phi
+    term draws from its own stream and sums its own picks, so no phi
     depends on where a block ends.
     """
     n, cap = stats.num_docs, params.undersample_cap
@@ -248,18 +250,14 @@ def phi_weights(
     sample_absent = undersample & (absent_len > cap) & (present_len > 0)
     drawn = np.flatnonzero(sample_present | sample_absent)
     names = [stats.index.terms[column] for column in stats.seed_terms[drawn].tolist()]
-    generators = keyed_generators((params.rng_seed, *rng_key), names)
+    # A drawn term is held by some candidate; it samples its present side first, then its complement.
+    sizes = [[m] * (m > cap) + [n - m] * (n - m > cap) for m in present_len[drawn].tolist()]
+    samples = keyed_samples((params.rng_seed, *rng_key), names, sizes, cap)
     for block in blocks(drawn, 64 * cap + 32 * present_len[drawn]):
-        present_picks = np.empty((np.count_nonzero(sample_present[block]), cap), dtype=np.intp)
-        absent_picks = np.empty((np.count_nonzero(sample_absent[block]), cap), dtype=np.intp)
-        i = j = 0
-        for size, rng in zip(present_len[block].tolist(), generators):
-            if size > cap:
-                present_picks[i] = rng.choice(size, size=cap, replace=False)
-                i += 1
-            if n - size > cap:
-                absent_picks[j] = rng.choice(n - size, size=cap, replace=False)
-                j += 1
+        picks = list(islice(samples, len(block)))
+        present = [p[0] for p in compress(picks, sample_present[block].tolist())]
+        absent = [p[-1] for p in compress(picks, sample_absent[block].tolist())]
+        present_picks, absent_picks = (np.array(side, dtype=np.intp).reshape(-1, cap) for side in (present, absent))
         terms = block[sample_present[block]]
         present_sums[terms] = cos[positions[bounds[terms][:, None] + present_picks]].sum(axis=1)
         # Each posting of the block gets a key: its term's base plus how many of

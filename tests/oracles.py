@@ -200,6 +200,59 @@ def reference_derive_rng(*parts):
     return np.random.default_rng(np.frombuffer(digest.digest(), dtype=np.uint64))
 
 
+def reference_u32(*parts):
+    """The 32-bit words of ``reference_derive_rng(*parts)``'s stream: each 64-bit output's low half, then its high half."""
+    bit_generator = reference_derive_rng(*parts).bit_generator
+
+    def words():
+        while True:
+            word = int(bit_generator.random_raw())
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+    return words().__next__
+
+
+def reference_choice(next_u32, size, k):
+    """numpy's ``Generator.choice(size, k, replace=False)``, written out over ``next_u32()``'s 32-bit words.
+
+    Every draw of an integer in [0, high] is Lemire's: multiply one word by
+    high + 1, keep the high 32 bits, and draw again while the low 32 bits fall
+    below 2**32 mod (high + 1) (tested only when they fall below high + 1).
+    A population above 10000 of which more than a fiftieth is taken is
+    tail-shuffled: a Fisher-Yates pass over range(size) from its end that
+    stops once k places are drawn, which are the sample. Otherwise Floyd's
+    algorithm draws the j-th value from [0, j] for j = size - k .. size - 1,
+    putting j in place of a value already taken, and a Fisher-Yates pass over
+    the k picks shuffles them. ``size`` is below 2**32.
+    """
+
+    def bounded(high):
+        if high == 0:
+            return 0
+        product = next_u32() * (high + 1)
+        if product % 2**32 < high + 1:
+            while product % 2**32 < 2**32 % (high + 1):
+                product = next_u32() * (high + 1)
+        return product >> 32
+
+    def shuffle(values, first):
+        for i in range(len(values) - 1, first - 1, -1):
+            j = bounded(i)
+            values[i], values[j] = values[j], values[i]
+
+    if size > 10000 and k > size // 50:
+        values = list(range(size))
+        shuffle(values, max(size - k, 1))
+        return values[size - k :]
+    picks = []
+    for j in range(size - k, size):
+        value = bounded(j)
+        picks.append(j if value in picks else value)
+    shuffle(picks, 1)
+    return picks
+
+
 def eager_corpus(data: bytes):
     """doc_id -> Document of every line of a corpus file's bytes, all parsed up front.
 

@@ -905,6 +905,35 @@ class TestMultiDeterminism:
             assert outputs[0] == outputs[2], f"{command} outputs differ between worker counts"
 
 
+class TestNumpyRandomImport:
+    """Only a unit that draws imports ``numpy.random``: ``rank`` never samples, ``multi`` samples phi's partitions."""
+
+    SCRIPT = """if True:
+        import sys
+        from seedrank.cli import main
+        from seedrank.scoring import METHODS
+        inputs, out = sys.argv[1:-1], sys.argv[-1]
+        for method in METHODS:
+            assert main(["-q", "rank", *inputs, "--method", method, "--output-dir", f"{out}/rank-{method}"]) == 0
+            assert "numpy.random" not in sys.modules, method
+        assert main(["-q", "multi", *inputs, "--undersample-cap", "5", "--output-dir", f"{out}/multi"]) == 0
+        assert "numpy.random" in sys.modules
+    """
+
+    def test_rank_leaves_it_unimported_and_multi_imports_it(self, tmp_path, collection):
+        embeddings = write_embeddings_file(tmp_path, [f"term{i:04d}" for i in range(120)])
+        inputs = [
+            "--corpus", collection["corpus"], "--topics", collection["topics"], "--qrels", collection["qrels"],
+            "--embeddings", str(embeddings),
+        ]
+        src = str(Path(seedrank.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *inputs, str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
+
 class TestBlockBytes:
     """No output depends on ``vectors.BLOCK_BYTES``, which only bounds the memory of temporaries."""
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     ref_counts,
@@ -14,7 +14,9 @@ from oracles import (
     ref_qlm_scores,
     ref_seed_driven_scores,
     ref_tfidf,
+    reference_choice,
     reference_derive_rng,
+    reference_u32,
     sort_scored,
 )
 from seedrank import (
@@ -41,7 +43,7 @@ from seedrank.scoring import (
     _keyed_states,
     _phi_from_gammas,
     _seed_sequence_states,
-    keyed_generators,
+    keyed_samples,
 )
 import seedrank.scoring
 from seedrank.vectors import seed_similarities
@@ -477,6 +479,25 @@ class TestNoDrawForUnheldTerms:
                 assert unheld and names and unheld.isdisjoint(names)
                 assert len(names) == len(held)  # with a cap of 1, every held term draws
 
+    def test_one_keyed_state_call_per_unit_across_blocks(self):
+        calls = []
+
+        def keyed_states(prefix, batch):
+            calls.append(len(batch))
+            return real_keyed_states(prefix, batch)
+
+        real_keyed_states = seedrank.scoring._keyed_states
+        params = ScoringParams(undersample_cap=1)
+        for stats, key in synth_units(11, 90, 0.3):
+            whole = phi_weights(stats, params, undersample=True, rng_key=key)
+            calls.clear()
+            with mock.patch.object(seedrank.vectors, "BLOCK_BYTES", 2**10), \
+                    mock.patch.object(seedrank.scoring, "_keyed_states", keyed_states):
+                blocked = phi_weights(stats, params, undersample=True, rng_key=key)
+            # With a cap of 1, every held term draws; 2**10 bytes hold fewer than 10 of them.
+            assert calls == [len(set(stats.posting_terms.tolist()))] and calls[0] > 10
+            assert blocked.tobytes() == whole.tobytes()
+
     def test_edge_unit_unheld_term_is_zero(self):
         stats = edge_unit()
         for undersample in (False, True):
@@ -518,27 +539,85 @@ class TestKeyedStreams:
         assert np.array_equal(_seed_sequence_states(words), np.array(expected))
 
     def test_draws_equal_derive_rng(self, names):
-        for name, rng in zip(names, keyed_generators(self.PREFIX, names)):
-            drawn = rng.choice(120, size=7, replace=False).tolist()
-            assert drawn == reference_derive_rng(*self.PREFIX, name).choice(120, size=7, replace=False).tolist()
+        sizes = [120, 7, 500]
+        for name, samples in zip(names, keyed_samples(self.PREFIX, names, [sizes] * len(names), 7)):
+            rng = reference_derive_rng(*self.PREFIX, name)
+            assert [s.tolist() for s in samples] == [rng.choice(size, size=7, replace=False).tolist() for size in sizes]
 
     def test_no_names(self):
-        assert list(keyed_generators(self.PREFIX, [])) == []
+        assert list(keyed_samples(self.PREFIX, [], [], 3)) == []
+
+    def test_states_mixed_once_and_each_name_drawn_when_taken(self, names):
+        # phi reads the samples block by block: a name's draws wait for it, the keyed states do not.
+        calls, taken = [], []
+
+        def keyed_states(prefix, batch):
+            calls.append(len(batch))
+            return real_keyed_states(prefix, batch)
+
+        def populations():
+            for i in range(len(names)):
+                taken.append(i)
+                yield [10]
+
+        real_keyed_states = seedrank.scoring._keyed_states
+        with mock.patch.object(seedrank.scoring, "_keyed_states", keyed_states):
+            samples = keyed_samples(self.PREFIX, names, populations(), 2)
+            assert calls == [] and taken == []
+            next(samples)
+            assert calls == [len(names)] and taken == [0]
+            assert len(list(samples)) == len(names) - 1
+        assert calls == [len(names)]
+
+
+@st.composite
+def sample_shapes(draw):
+    """A sample size k and population sizes of at least k, some above 10000: Floyd's and the tail-shuffle branch."""
+    k = draw(st.integers(1, 300))
+    sizes = draw(st.lists(st.one_of(st.integers(k, k + 80), st.integers(max(k, 10001), 16000)), min_size=1, max_size=4))
+    return k, sizes
+
+
+class TestReferenceChoice:
+    """``keyed_samples`` draws what ``oracles.reference_choice`` writes out, on the oracle's keyed stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.text(max_size=6), min_size=1, max_size=3), sample_shapes())
+    @example(0, ["x"], (250, [12000, 300, 10049]))  # tail, Floyd, tail: 10049 // 50 = 200 < 250
+    @example(3, ["y"], (201, [10050, 10049, 201]))  # Floyd at 10050 // 50 = 201, tail one below; k = size
+    def test_keyed_samples_equal_reference_choice(self, rng_seed, names, shape):
+        k, sizes = shape
+        for name, samples in zip(names, keyed_samples((rng_seed, "T"), names, [sizes] * len(names), k)):
+            next_u32 = reference_u32(rng_seed, "T", name)
+            assert [s.tolist() for s in samples] == [reference_choice(next_u32, size, k) for size in sizes]
+
+    def test_rejected_words_are_drawn_again(self):
+        # Near 2**32, Lemire's method rejects about half of the words: the oracle must redraw as numpy does.
+        sizes = [2**32 - 1, 3 * 2**30, 2**31 + 1]
+        samples = next(keyed_samples((5,), ["z"], [sizes], 3))
+        words = []
+        stream = reference_u32(5, "z")
+
+        def next_u32():
+            words.append(stream())
+            return words[-1]
+
+        assert [s.tolist() for s in samples] == [reference_choice(next_u32, size, 3) for size in sizes]
+        assert len(words) > len(sizes) * (3 + 2)  # k Floyd draws and k - 1 shuffle draws per size, plus redraws
 
 
 class TestDeriveRng:
-    """The streams ``keyed_generators`` derives for the key (*prefix, name)."""
+    """The streams ``keyed_samples`` draws from for the key (*prefix, name)."""
 
     @staticmethod
-    def stream(*parts):
-        return next(keyed_generators(parts[:-1], parts[-1:]))
+    def sample(*parts, size=100, k=5):
+        (picks,) = next(keyed_samples(parts[:-1], parts[-1:], [[size]], k))
+        return picks.tolist()
 
     def test_stable_and_distinct(self):
-        a = self.stream(1, "T", "x").integers(0, 1_000_000, size=5)
-        b = self.stream(1, "T", "x").integers(0, 1_000_000, size=5)
-        c = self.stream(1, "T", "y").integers(0, 1_000_000, size=5)
-        assert list(a) == list(b)
-        assert list(a) != list(c)
+        a = self.sample(1, "T", "x", size=1_000_000)
+        assert a == self.sample(1, "T", "x", size=1_000_000)
+        assert a != self.sample(1, "T", "y", size=1_000_000)
 
     @pytest.mark.parametrize("parts, integers, chosen", [
         ((1, "T", "x"), [679203, 804149, 601159, 750288, 783538], [78, 58, 65, 74, 99]),
@@ -548,8 +627,8 @@ class TestDeriveRng:
     ])
     def test_golden_streams(self, parts, integers, chosen):
         # Recorded from the blake2b -> np.random.default_rng derivation; a change here changes every sample.
-        assert self.stream(*parts).integers(0, 1_000_000, size=5).tolist() == integers
-        assert self.stream(*parts).choice(100, size=5, replace=False).tolist() == chosen
+        assert self.sample(*parts) == chosen
+        assert reference_choice(reference_u32(*parts), 100, 5) == chosen
         assert reference_derive_rng(*parts).integers(0, 1_000_000, size=5).tolist() == integers
 
 

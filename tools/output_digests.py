@@ -6,8 +6,11 @@ seed-term postings each, so a listing also sees a change in the order a
 unit's postings are summed in. Each topic's candidate lines are written in a
 seeded, shuffled order, so an index's rows follow neither the doc_ids' sorted
 order (the ``rank_order`` tie rule) nor relevance: seed rows lie between
-candidates. ``rank`` and ``multi`` run under every method
-and representation, and ``analyze`` under every representation. ``compare``
+candidates. Some abstract words carry punctuation, which the ``ours`` split
+drops and the ``lee`` split keeps. ``rank`` and ``multi`` run under every
+method and representation, and ``sdr+aes`` under each representation also
+with ``--variant lee`` and with ``--include-title false``; ``analyze`` runs
+under every representation. ``compare``
 tests the ``rank`` metrics of ``sdr-bow`` against those of ``qlm-bow``.
 ``eval`` scores one run per topic against the collection's qrels: the first
 unit of the topic's ``sdr-bow`` ``rank`` run file, keyed by the topic id. Each output file gets one line, ``<sha256>  <path>``,
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHECKOUT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT
 sys.path[:0] = [str(CHECKOUT / "src"), str(ROOT / "tests")]
 
-from seedrank import cli  # noqa: E402
+from seedrank import Document, cli  # noqa: E402
 from seedrank.scoring import METHODS  # noqa: E402
 from seedrank.vectors import REPRESENTATIONS  # noqa: E402
 from synth import (  # noqa: E402
@@ -49,6 +52,9 @@ from synth import (  # noqa: E402
 )
 
 VOCAB_SIZE = 500
+TEXT_FLAGS = {"lee": ["--variant", "lee"], "abstract-only": ["--include-title", "false"]}
+# Abstract word i takes the pattern i % 7: the ``ours`` split reads the same terms as without them.
+PUNCTUATION = ["{}", "{},", "{}", "({})", "{}", "{}.", "{};"]
 
 
 def write_inputs(base: Path) -> list[str]:
@@ -60,6 +66,9 @@ def write_inputs(base: Path) -> list[str]:
     rng = np.random.default_rng(9)
     for topic in topics:
         topic.candidate_ids = [topic.candidate_ids[i] for i in rng.permutation(len(topic.candidate_ids)).tolist()]
+    for doc_id, doc in corpus.items():
+        words = [PUNCTUATION[i % len(PUNCTUATION)].format(w) for i, w in enumerate(doc.abstract.split())]
+        corpus[doc_id] = Document(doc_id, doc.title, " ".join(words))
     corpus_path, topics_path, qrels_path = write_collection_files(base, topics, corpus)
     lexicon = write_lexicon_file(base, [f"term{i:04d}" for i in range(0, VOCAB_SIZE, 2)])
     embeddings = write_embeddings_file(base, mixed_case_embedding_terms(VOCAB_SIZE))
@@ -88,15 +97,15 @@ def main() -> int:
         inputs = write_inputs(base)
         qrels = inputs[inputs.index("--qrels") + 1]
         out = base / "out"
-        runs = [(command, method, representation)
-                for command in ("rank", "multi") for method in METHODS for representation in REPRESENTATIONS]
-        runs += [("analyze", "sdr", representation) for representation in REPRESENTATIONS]
-        for command, method, representation in runs:
-            target = out / f"{command}-{method}-{representation}"
-            argv = ["-q", command, *inputs, "--method", method, "--representation", representation,
-                    "--output-dir", str(target)]
-            if cli.main(argv) != 0:
-                print(f"seedrank {command} --method {method} --representation {representation} failed", file=sys.stderr)
+        commands = ("rank", "multi")
+        runs = [(c, method, r, "") for c in commands for method in METHODS for r in REPRESENTATIONS]
+        runs += [(c, "sdr+aes", r, text) for text in TEXT_FLAGS for c in commands for r in REPRESENTATIONS]
+        runs += [("analyze", "sdr", r, "") for r in REPRESENTATIONS]
+        for command, method, representation, text in runs:
+            target = out / "-".join(filter(None, [command, method, representation, text]))
+            flags = ["--method", method, "--representation", representation, *TEXT_FLAGS.get(text, [])]
+            if cli.main(["-q", command, *inputs, *flags, "--output-dir", str(target)]) != 0:
+                print(f"seedrank {command} {' '.join(flags)} failed", file=sys.stderr)
                 return 1
         run_path = base / "first-units.run"
         run_path.write_text(first_units(out / "rank-sdr-bow" / "runs" / "sdr-bow"), encoding="utf-8")
